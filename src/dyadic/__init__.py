@@ -74,7 +74,6 @@ from .projections import (
     far_pair_nu_masses,
     l2_of_projection,
     near_pair_mass,
-    save_report,
     tube_diameter_ok,
     vertical_separation_margin,
 )

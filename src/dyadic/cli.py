@@ -8,9 +8,7 @@ significant digits; exact rationals are printed as ``p/q`` strings.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
+import dataclasses
 from fractions import Fraction
 
 import click
@@ -19,8 +17,8 @@ import numpy as np
 from .experiments import (
     AssemblyParams,
     ExperimentConfig,
-    _jsonable,
-    format_float,
+    csv_text,
+    json_text,
     named_stream,
     run_alignment_sharpness,
     run_doubling_ladder,
@@ -44,6 +42,7 @@ from .projections import (
     averaged_projection_entropy,
 )
 from .trees import (
+    IntervalFamily,
     branching_profile_of,
     classify_low_high,
     extend_intervals,
@@ -59,28 +58,15 @@ from .trees import (
 )
 
 
-def _csv_text(rows) -> str:
-    if not rows:
-        raise click.UsageError("no rows to format")
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(
-            {k: format_float(v) if isinstance(v, float) else v for k, v in row.items()}
-        )
-    return buf.getvalue()
-
-
 def _emit(ctx, payload, rows=None) -> None:
     """Write the JSON payload or CSV rows to --out (stdout by default)."""
     fmt, out = ctx.obj["fmt"], ctx.obj["out"]
     if fmt == "csv":
         if rows is None:
             raise click.UsageError("this command has no tabular form; use --format json")
-        text = _csv_text(rows)
+        text = csv_text(rows)
     else:
-        text = json.dumps(_jsonable(payload), indent=1) + "\n"
+        text = json_text(payload)
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -273,8 +259,6 @@ def extend_cmd(ctx, b_profile_path, ell, zeta, a_profile_path, gamma_cap, family
             family = classify_low_high(family, load_profile(a_profile_path),
                                        Fraction(gamma_cap))
     else:
-        from .trees import IntervalFamily
-
         family = IntervalFamily(())
     if family_out:
         save_family(family, family_out)
@@ -342,14 +326,12 @@ def project_avg_cmd(ctx, mu_path, nu_path, gamma_a, gamma_b, gamma, xi, big_c,
                               Fraction(gamma), Fraction(xi), Fraction(big_c))
     if mode == "l2":
         rep = averaged_l2(mu, nu, params, strict=strict, check="auto")
-        rows = [
-            {"c": str(c), "l2": format_float(float(v))} for c, v in rep.per_c
-        ]
+        rows = [{"c": str(c), "l2": float(v)} for c, v in rep.per_c]
     else:
         rep = averaged_projection_entropy(mu, nu, params, c0_bits=c0_bits,
                                           strict=strict)
         rows = [{"c": str(c), "entropy": h} for c, h, _ in rep.per_c]
-    _emit(ctx, rep.to_dict(), rows)
+    _emit(ctx, rep, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +364,7 @@ def greedy_cmd(ctx, b_path, c_path, steps, eta):
         {"step": i + 1, "size": size, "c": str(c)}
         for i, (size, c) in enumerate(zip(rep.sizes, rep.c_sequence))
     ]
-    _emit(ctx, rep.to_dict(), rows)
+    _emit(ctx, rep, rows)
 
 
 @main.command("sharpness")
@@ -391,8 +373,9 @@ def greedy_cmd(ctx, b_path, c_path, steps, eta):
 @click.pass_context
 def sharpness_cmd(ctx, n_params):
     """Growth ratios and slopes of the aligned slow-growth triples."""
-    rows = [r.to_dict() for r in run_alignment_sharpness(n_params)]
-    _emit(ctx, {"rows": rows}, [{k: str(v) for k, v in r.items()} for r in rows])
+    reps = run_alignment_sharpness(n_params)
+    rows = [{k: str(v) for k, v in dataclasses.asdict(r).items()} for r in reps]
+    _emit(ctx, {"rows": reps}, rows)
 
 
 @main.command("sweep")
@@ -402,17 +385,12 @@ def sweep_cmd(ctx, config_path):
     """Expansion-exponent sweep from an ExperimentConfig JSON file."""
     config = ExperimentConfig.load(config_path)
     if ctx.obj["seed"] is not None:
-        config = ExperimentConfig(
-            params=config.params, family=config.family, scales=config.scales,
-            gammas=config.gammas, nu=config.nu, seed=ctx.obj["seed"],
-            out=config.out,
-        )
+        config = dataclasses.replace(config, seed=ctx.obj["seed"])
     if ctx.obj["out"] is None and config.out:
         ctx.obj["out"] = config.out
     records = run_expansion_sweep(config)
     rows = [row for rec in records for row in rec.to_rows()]
-    _emit(ctx, {"config": config.to_dict(),
-                "records": [rec.to_dict() for rec in records]}, rows)
+    _emit(ctx, {"config": config, "records": records}, rows)
 
 
 @main.command("assemble")
@@ -437,8 +415,7 @@ def assemble_cmd(ctx, m, ell, big_n, eta, zeta, xi, gamma_cap, c_bits, c0_bits,
         c0_bits=c0_bits, pattern=pattern,
     )
     rep = run_final_assembly(params, seed=_seed(ctx))
-    rows = [b.to_dict() for b in rep.blocks]
-    _emit(ctx, rep.to_dict(), rows)
+    _emit(ctx, rep, [dataclasses.asdict(b) for b in rep.blocks])
 
 
 if __name__ == "__main__":

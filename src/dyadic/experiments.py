@@ -24,17 +24,18 @@ emission.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from math import fsum
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .grid import DeltaSet, ParameterSet, ScaleSpec, as_dyadic, gen_ap, sumset
+from .grid import DeltaSet, ParameterSet, ScaleSpec, _shifts, gen_ap, sumset
 from .measures import (
     counting_measure,
     coarsen,
@@ -81,6 +82,8 @@ __all__ = [
     "build_polarised_instance",
     "run_final_assembly",
     "format_float",
+    "json_text",
+    "csv_text",
     "write_rows_csv",
     "write_json",
 ]
@@ -121,6 +124,12 @@ def format_float(x: float) -> str:
 
 
 def _jsonable(obj):
+    """JSON-ready form of a report: an object's own ``to_dict`` wins, other
+    dataclasses serialise their fields in declaration order."""
+    if hasattr(obj, "to_dict"):
+        return _jsonable(obj.to_dict())
+    if is_dataclass(obj):
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, float):
@@ -129,34 +138,38 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if hasattr(obj, "to_dict"):
-        return _jsonable(obj.to_dict())
     if isinstance(obj, np.integer):
         return int(obj)
     return obj
 
 
-def write_json(obj, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(_jsonable(obj), fh, indent=1)
-        fh.write("\n")
+def json_text(obj) -> str:
+    """Indented JSON of a report; floats at 12 significant digits, fractions as p/q."""
+    return json.dumps(_jsonable(obj), indent=1) + "\n"
 
 
-def write_rows_csv(rows: Sequence[dict], path) -> None:
+def csv_text(rows: Sequence[dict]) -> str:
     """One CSV from homogeneous row dicts; floats at 12 significant digits."""
     if not rows:
         raise ValueError("no rows to write")
-    names = list(rows[0])
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
+    writer.writeheader()
+    for row in rows:
+        writer.writerow(
+            {k: format_float(v) if isinstance(v, float) else v for k, v in row.items()}
+        )
+    return buf.getvalue()
+
+
+def write_json(obj, path) -> None:
+    with open(path, "w") as fh:
+        fh.write(json_text(obj))
+
+
+def write_rows_csv(rows: Sequence[dict], path) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=names)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(
-                {
-                    k: format_float(v) if isinstance(v, float) else v
-                    for k, v in row.items()
-                }
-            )
+        fh.write(csv_text(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -181,19 +194,6 @@ class SharpnessRow:
     best_c_size: int
     best_c_ratio: Fraction
     best_c_slope: float | None
-
-    def to_dict(self) -> dict:
-        return {
-            "n_param": self.n_param,
-            "size_a": self.size_a,
-            "product_sum_size": self.product_sum_size,
-            "product_ratio": self.product_ratio,
-            "product_slope": self.product_slope,
-            "best_c": self.best_c,
-            "best_c_size": self.best_c_size,
-            "best_c_ratio": self.best_c_ratio,
-            "best_c_slope": self.best_c_slope,
-        }
 
 
 def _aligned_triple_sizes(n_param: int) -> tuple[int, int, int, Fraction]:
@@ -316,19 +316,6 @@ class GreedyReport:
     eta: float
     target: float
 
-    def to_dict(self) -> dict:
-        return {
-            "n_star": self.n_star,
-            "sizes": list(self.sizes),
-            "c_sequence": [str(c) for c in self.c_sequence],
-            "delta_exponent": self.delta_exponent,
-            "exponent": self.exponent,
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "eta": self.eta,
-            "target": self.target,
-        }
-
 
 def run_greedy_iterated_sum(B: DeltaSet, C: DeltaSet, n_steps: int, eta) -> GreedyReport:
     """Grow ``H_1 = c_1 B``, ``H_(k+1) = H_k + c_(k+1) B`` greedily.
@@ -349,7 +336,7 @@ def run_greedy_iterated_sum(B: DeltaSet, C: DeltaSet, n_steps: int, eta) -> Gree
         raise ValueError("slopes must lie in [0, 1]")
     n = B.n
     cs = [Fraction(int(k), 1 << n) for k in C.indices.tolist()]
-    shift_table = [_slope_shifts(B.indices, c, n) for c in cs]
+    shift_table = [_shifts(c, B) for c in cs]
     h = sumset(DeltaSet(n, np.zeros(1, dtype=np.int64)), cs[0], B)
     sizes = [len(h)]
     chosen = [cs[0]]
@@ -582,13 +569,6 @@ def _build_sweep_sets(
     raise ValueError(f"unknown family {family!r}")
 
 
-def _slope_shifts(b_idx: np.ndarray, c: Fraction, n: int) -> np.ndarray:
-    p, q = as_dyadic(c)
-    if q > n:
-        raise ValueError("slope finer than the grid")
-    return np.unique((p * b_idx) >> q)
-
-
 def _scatter_size(a_idx: np.ndarray, shifts: np.ndarray, buf: np.ndarray) -> int:
     hi = int(a_idx[-1] + shifts[-1]) + 1
     buf[:hi] = False
@@ -618,7 +598,7 @@ def run_expansion_sweep(config: ExperimentConfig) -> list[ExpansionRecord]:
         rng = named_stream(config.seed, f"sweep/{config.family}/n={n}/sets")
         A, B = _build_sweep_sets(config.family, n, a_bits, b_bits, rng)
         alpha_bar = math.log2(len(A)) / n
-        a_idx, b_idx = A.indices, B.indices
+        a_idx = A.indices
         buf = np.zeros(int(a_idx[-1]) + (1 << n) + 2, dtype=bool)
         for gamma in config.gammas:
             g = min(max(int(round(gamma * n)), 1), n)
@@ -633,12 +613,12 @@ def run_expansion_sweep(config: ExperimentConfig) -> list[ExpansionRecord]:
             cs, exps = [], []
             for k in ks.tolist():
                 c = Fraction(int(k), total)
-                shifts = _slope_shifts(b_idx, c, n)
+                shifts = _shifts(c, B)
                 size = _scatter_size(a_idx, shifts, buf)
                 cs.append(c)
                 exps.append(math.log2(size) / n - alpha_bar)
             for c in cs[:2]:  # exactness spot checks
-                shifts = _slope_shifts(b_idx, c, n)
+                shifts = _shifts(c, B)
                 plain = _scatter_size(a_idx, shifts, buf)
                 assert plain == len(sumset(A, c, B, max_width=4))
                 moved = np.zeros(int(a_idx[-1]) + (2 << n) + 2, dtype=bool)
@@ -810,18 +790,6 @@ class BlockReport:
     nu_avg_term: float
     margin: float
 
-    def to_dict(self) -> dict:
-        return {
-            "lo": self.lo,
-            "hi": self.hi,
-            "tag": self.tag,
-            "branch_bits_a": self.branch_bits_a,
-            "branch_bits_b": self.branch_bits_b,
-            "bound": self.bound,
-            "nu_avg_term": self.nu_avg_term,
-            "margin": self.margin,
-        }
-
 
 @dataclass(frozen=True)
 class CellAuditReport:
@@ -837,16 +805,6 @@ class CellAuditReport:
     rhs: float | None
     avg_entropy: float | None
     slack: float | None
-
-    def to_dict(self) -> dict:
-        return {
-            "block": list(self.block),
-            "cell": list(self.cell),
-            "failures": list(self.failures),
-            "rhs": self.rhs,
-            "avg_entropy": self.avg_entropy,
-            "slack": self.slack,
-        }
 
 
 @dataclass(frozen=True)
@@ -884,34 +842,6 @@ class AssemblyReport:
     expanded: bool
     nonempty_low: bool
     cell_audits: tuple[CellAuditReport, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "pattern": self.pattern,
-            "n": self.n,
-            "size_a": self.size_a,
-            "size_b": self.size_b,
-            "size_b_collapsed": self.size_b_collapsed,
-            "alpha_bar_bits": self.alpha_bar_bits,
-            "intervals": [list(iv) for iv in self.intervals],
-            "demoted": [list(iv) for iv in self.demoted],
-            "blocks": [b.to_dict() for b in self.blocks],
-            "cs": [str(c) for c in self.cs],
-            "per_c_entropy": list(self.per_c_entropy),
-            "nu_avg_entropy": self.nu_avg_entropy,
-            "best_c": str(self.best_c),
-            "best_entropy": self.best_entropy,
-            "gain_bits": self.gain_bits,
-            "low_const_bits": self.low_const_bits,
-            "useless_bits": self.useless_bits,
-            "chain_bits": self.chain_bits,
-            "assembled_rhs": self.assembled_rhs,
-            "achieved": self.achieved,
-            "expanded": self.expanded,
-            "nonempty_low": self.nonempty_low,
-            "cell_audits": [a.to_dict() for a in self.cell_audits],
-        }
 
 
 def _block_bits(profile: BranchingProfile, lo: int, hi: int) -> float:

@@ -85,7 +85,7 @@ class DeltaSet:
 
     ``indices`` is a strictly increasing int64 array with values in
     ``[0, width * 2**n)``; point values are ``indices * 2**-n``.  Treat the
-    array as immutable.
+    array as immutable.  ``n`` is at most 62, so indices fit int64.
     """
 
     n: int
@@ -95,6 +95,10 @@ class DeltaSet:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("resolution exponent n must be >= 1")
+        if self.n > 62:
+            raise ValueError(
+                f"resolution exponent n={self.n} exceeds the 62-bit limit of int64 indices"
+            )
         if self.width < 1:
             raise ValueError("width must be >= 1")
         idx = np.asarray(self.indices, dtype=np.int64)
@@ -251,6 +255,11 @@ def _shifts(c, B: DeltaSet) -> np.ndarray:
         raise ValueError("|c| must be at most 1")
     if q > B.n:
         raise ValueError("c is finer than the grid resolution")
+    if abs(p).bit_length() + int(B.indices[-1]).bit_length() > 63:
+        # p * k may pass 2**63 in int64; Python integers keep it exact, and
+        # the shifted value fits int64 again because |c| <= 1.
+        shifted = [(p * k) >> q for k in B.indices.tolist()]
+        return np.unique(np.array(shifted, dtype=np.int64))
     # Arithmetic right shift floors for negative p as well.
     return np.unique((p * B.indices) >> q)
 

@@ -29,7 +29,6 @@ suite freezes budgets for it.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -59,7 +58,6 @@ __all__ = [
     "common_tube_c_set",
     "tube_diameter_ok",
     "vertical_separation_margin",
-    "save_report",
 ]
 
 PAIR_PATH_LIMIT = 10_000
@@ -560,10 +558,3 @@ def vertical_separation_margin(n: int, radius_cells: int = 10) -> float:
         gaps = np.abs(dxs[:, None] * scale - np.abs(js[None, :] * dky))
         worst = min(worst, float(gaps.min()) / scale)
     return worst
-
-
-def save_report(report, path) -> None:
-    """Serialize an averaged-projection report (either kind) to JSON."""
-    with open(path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=1)
-        fh.write("\n")

@@ -419,7 +419,7 @@ def test_assembly_instance_spread_profiles():
 def test_assembly_report_dict_is_json_ready(tmp_path):
     rep = run_final_assembly(AssemblyParams(pattern="bt"), seed=1)
     path = tmp_path / "rep.json"
-    write_json(rep.to_dict(), path)
+    write_json(rep, path)
     loaded = json.loads(path.read_text())
     assert loaded["pattern"] == "bt"
     assert loaded["best_c"] == str(rep.best_c)

@@ -48,6 +48,13 @@ def test_deltaset_rejects_bad_input():
     DeltaSet(4, np.array([0, 16]), width=2)
 
 
+def test_deltaset_refuses_resolution_past_62_bits():
+    DeltaSet(62, np.array([0, 5]))
+    for n in (63, 70):
+        with pytest.raises(ValueError, match="62-bit"):
+            DeltaSet(n, np.array([0, 5]))
+
+
 def test_point_one_lives_in_second_unit_cell():
     A = dset(4, [0, 16], width=2)
     assert covering_number(A, 0) == 2
@@ -170,6 +177,19 @@ def test_sumset_matches_rational_brute_force(args):
             expect.add(math.floor((a + c * b) * (1 << A.n)))
     assert set(out.indices.tolist()) == expect
     assert len(out) >= len(A)
+
+
+@pytest.mark.parametrize("n", [31, 32, 40, 62])
+def test_fine_slope_sumset_matches_fraction_brute_force(n):
+    # p and the indices in [2**(n-1), 2**n): p * k passes 2**63 from n = 32 on
+    rng = np.random.default_rng(n)
+    lo, hi = 1 << (n - 1), 1 << n
+    A = dset(n, rng.integers(lo, hi, size=16).tolist())
+    B = dset(n, rng.integers(lo, hi, size=16).tolist())
+    c = Fraction(int(rng.integers(lo, hi)) | 1, hi)
+    out = sumset(A, c, B)
+    expect = {math.floor((a + c * b) * hi) for a in A.points() for b in B.points()}
+    assert out.indices.tolist() == sorted(expect)
 
 
 def test_iterated_sum_full_grid():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyadic import DeltaSet, counting_measure, gen_ap, product_measure
+from dyadic.experiments import write_json
 from dyadic.measures import DiscreteMeasure, discretize_density_l2, project
 from dyadic.projections import (
     LowBlockShape,
@@ -20,7 +21,6 @@ from dyadic.projections import (
     far_pair_nu_masses,
     l2_of_projection,
     near_pair_mass,
-    save_report,
     tube_diameter_ok,
     vertical_separation_margin,
 )
@@ -253,7 +253,7 @@ def test_entropy_report_roundtrips_to_json(tmp_path):
     params = ProjectionParams.from_cardinalities(n, 1 << 3, 2, 1 << 4, Fraction(1, 8))
     rep = averaged_projection_entropy(mu, nu, params, strict=False)
     path = tmp_path / "report.json"
-    save_report(rep, path)
+    write_json(rep, path)
     import json
 
     back = json.loads(path.read_text())
