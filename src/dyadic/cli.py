@@ -374,8 +374,7 @@ def greedy_cmd(ctx, b_path, c_path, steps, eta):
 def sharpness_cmd(ctx, n_params):
     """Growth ratios and slopes of the aligned slow-growth triples."""
     reps = run_alignment_sharpness(n_params)
-    rows = [{k: str(v) for k, v in dataclasses.asdict(r).items()} for r in reps]
-    _emit(ctx, {"rows": reps}, rows)
+    _emit(ctx, {"rows": reps}, [dataclasses.asdict(r) for r in reps])
 
 
 @main.command("sweep")
