@@ -26,6 +26,7 @@ from .experiments import (
 )
 from .grid import (
     DeltaSet,
+    FormatError,
     FrostmanReport,
     ParameterSet,
     ScaleSpec,
@@ -43,6 +44,7 @@ from .grid import (
     sumset,
 )
 from .measures import (
+    CertificateError,
     ChainReport,
     DiscreteMeasure,
     autocorrelation_peak_ratio,

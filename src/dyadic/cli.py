@@ -28,6 +28,7 @@ from .experiments import (
 )
 from .grid import (
     DeltaSet,
+    FormatError,
     covering_counts,
     frostman_check,
     gen_aligned_triple,
@@ -78,7 +79,17 @@ def _seed(ctx) -> int:
     return ctx.obj["seed"] if ctx.obj["seed"] is not None else 0
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group; a malformed input file ends the run with one line."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except FormatError as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Main)
 @click.option("--seed", type=int, default=None, help="Master seed for all randomness.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Write the result here instead of stdout.")

@@ -13,6 +13,7 @@ simply have ``width = 2``.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -21,6 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 __all__ = [
+    "FormatError",
     "DeltaSet",
     "ScaleSpec",
     "ParameterSet",
@@ -40,6 +42,25 @@ __all__ = [
 ]
 
 
+class FormatError(ValueError):
+    """A malformed input file: its ``path``, the 1-based ``line`` at fault
+    (None where the format has no line to name) and the ``reason``."""
+
+    def __init__(self, path, line: int | None, reason: str):
+        where = f"{path}:{line}" if line is not None else f"{path}"
+        super().__init__(f"{where}: {reason}")
+        self.path, self.line, self.reason = str(path), line, reason
+
+
+def load_json(path):
+    """Parse a JSON file; a syntax error becomes a FormatError at its line."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FormatError(path, exc.lineno, exc.msg) from None
+
+
 def as_dyadic(c) -> tuple[int, int]:
     """Return ``(p, q)`` with ``c == p / 2**q``, q >= 0 minimal.
 
@@ -52,6 +73,14 @@ def as_dyadic(c) -> tuple[int, int]:
     if den != 1 << q:
         raise ValueError(f"{c!r} is not a dyadic rational")
     return f.numerator, q
+
+
+def dyadic_slope(c) -> tuple[int, int]:
+    """``as_dyadic(c)`` for a slope, which must satisfy ``|c| <= 1``."""
+    p, q = as_dyadic(c)
+    if abs(p) > 1 << q:
+        raise ValueError("|c| must be at most 1")
+    return p, q
 
 
 def pow2_le(frac: Fraction, value) -> bool:
@@ -248,20 +277,27 @@ def covering_counts(A: DeltaSet, r_exps: Sequence[int] | None = None) -> dict[in
     return {int(r): covering_number(A, int(r)) for r in r_exps}
 
 
+def slope_floor(p: int, q: int, ks: np.ndarray) -> np.ndarray:
+    """``floor(p * k / 2**q)`` for every k of an int64 array, exactly.
+
+    The product is taken in int64 while ``|p| * max|k| < 2**63`` and as
+    Python integers past that; the result fits int64 again whenever
+    ``|p| <= 2**q``.
+    """
+    k_max = max(-int(ks.min()), int(ks.max()))
+    if abs(p).bit_length() + k_max.bit_length() > 63:
+        return np.array([(p * k) >> q for k in ks.tolist()], dtype=np.int64)
+    # Arithmetic right shift floors for negative products as well; past 63
+    # bits every |p * k| < 2**63 shifts to 0 or -1 alike.
+    return (p * ks) >> min(q, 63)
+
+
 def _shifts(c, B: DeltaSet) -> np.ndarray:
     """Distinct values of floor(c * b / delta) over b in B, as int64."""
-    p, q = as_dyadic(c)
-    if abs(Fraction(c)) > 1:
-        raise ValueError("|c| must be at most 1")
+    p, q = dyadic_slope(c)
     if q > B.n:
         raise ValueError("c is finer than the grid resolution")
-    if abs(p).bit_length() + int(B.indices[-1]).bit_length() > 63:
-        # p * k may pass 2**63 in int64; Python integers keep it exact, and
-        # the shifted value fits int64 again because |c| <= 1.
-        shifted = [(p * k) >> q for k in B.indices.tolist()]
-        return np.unique(np.array(shifted, dtype=np.int64))
-    # Arithmetic right shift floors for negative p as well.
-    return np.unique((p * B.indices) >> q)
+    return np.unique(slope_floor(p, q, B.indices))
 
 
 def sumset(A: DeltaSet, c, B: DeltaSet, max_width: int = 1 << 12) -> DeltaSet:
@@ -406,9 +442,24 @@ def save_set(A: DeltaSet, path) -> None:
 
 
 def load_set(path) -> DeltaSet:
+    """Read the text format of ``save_set``; a malformed file raises FormatError."""
     with open(path) as fh:
-        header = fh.readline().split()
-        fields = dict(part.split("=") for part in header)
-        n, width = int(fields["n"]), int(fields["W"])
-        idx = [int(line) for line in fh if line.strip()]
-    return DeltaSet(n, np.asarray(idx, dtype=np.int64), width)
+        header = fh.readline()
+        try:
+            fields = dict(part.split("=", 1) for part in header.split())
+            n, width = int(fields["n"]), int(fields["W"])
+        except (KeyError, ValueError):
+            raise FormatError(
+                path, 1, f"header must read 'n=<int> W=<int>', got {header.strip()!r}"
+            ) from None
+        idx = []
+        for lineno, line in enumerate(fh, start=2):
+            if line.strip():
+                try:
+                    idx.append(int(line))
+                except ValueError:
+                    raise FormatError(path, lineno, f"not an index: {line.strip()!r}") from None
+    try:
+        return DeltaSet(n, np.asarray(idx, dtype=np.int64), width)
+    except ValueError as exc:
+        raise FormatError(path, None, str(exc)) from None

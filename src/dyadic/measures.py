@@ -12,6 +12,22 @@ pushforward to the level-``j`` dyadic partition; ``conditional_entropy``
 evaluates the fiberwise definition directly, which the chain rule says must
 equal the difference of the two plain entropies -- the test suite holds the
 two routes to within ``2**-40``.
+
+Bucketing, projection and the per-cell entropies of the chain run on a
+column view of the atoms, built once per measure: one int64 column per
+coordinate, and the numerators as int64 while the denominator is below
+``2**63`` (every partial sum then fits) and as Python integers past that.
+One kernel, ``_cell_counts``, groups the atoms into cells, pushes each
+rescaled cell by a slope and sorts and reduces the bucket keys; exact
+integer masses come out.  Keys are therefore bounded: ``n <= 62`` and
+``|k| < 2**62``, so a projected key ``kx + floor(c * ky)`` fits int64; a
+slope product ``p * ky`` past 63 bits falls back to Python integers.
+Each ``b * log2(b)`` term is taken on those integer counts and summed with
+``fsum``, which is exactly rounded, so the floats do not depend on the
+order the kernel visits the buckets in.
+
+The inequalities checked at run time raise ``CertificateError`` through
+``certify``, so they hold under ``python -O`` too.
 """
 
 from __future__ import annotations
@@ -21,12 +37,18 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
 from math import fsum, gcd
 from typing import Iterable, Mapping
 
-from .grid import DeltaSet, as_dyadic
+import numpy as np
+
+from .grid import DeltaSet, FormatError, dyadic_slope, load_json, slope_floor
 
 __all__ = [
+    "CertificateError",
+    "certify",
     "DiscreteMeasure",
     "counting_measure",
     "product_measure",
@@ -50,6 +72,25 @@ __all__ = [
 
 LOG2_3 = math.log2(3.0)
 _IDENTITY_TOL = 2.0**-30
+_MAX_N = 62
+_KEY_LIMIT = 1 << 62
+_INT64_LIMIT = 1 << 63
+
+
+class CertificateError(AssertionError):
+    """An inequality of the argument failed on a concrete instance:
+    ``name`` says which, ``slack`` by how much (negative)."""
+
+    def __init__(self, name: str, slack):
+        super().__init__(f"certificate {name!r} failed with slack {slack}")
+        self.name = name
+        self.slack = slack
+
+
+def certify(name: str, slack, tol=0.0) -> None:
+    """Raise CertificateError unless ``slack >= -tol`` (NaN fails too)."""
+    if not slack >= -tol:
+        raise CertificateError(name, slack)
 
 
 def _as_key(dim: int, key) -> int | tuple[int, int]:
@@ -67,7 +108,8 @@ class DiscreteMeasure:
 
     ``atoms`` maps cell keys (an int in dimension 1, an ``(x, y)`` index
     pair in dimension 2) to positive integer numerators that sum to
-    ``denom`` exactly.
+    ``denom`` exactly.  ``n`` is at most 62 and every key coordinate lies
+    strictly between ``-2**62`` and ``2**62``.
     """
 
     dim: int
@@ -80,16 +122,24 @@ class DiscreteMeasure:
             raise ValueError("dim must be 1 or 2")
         if self.n < 1:
             raise ValueError("resolution exponent n must be >= 1")
+        if self.n > _MAX_N:
+            raise ValueError(
+                f"resolution exponent n={self.n} exceeds the 62-bit limit of int64 keys"
+            )
         if self.denom < 1:
             raise ValueError("denominator must be positive")
-        atoms = {}
-        for key, num in self.atoms.items():
-            num = int(num)
-            if num <= 0:
-                raise ValueError("atom weights must be positive")
-            atoms[_as_key(self.dim, key)] = num
+        if self.dim == 1:
+            atoms = {_as_key(1, key): int(num) for key, num in self.atoms.items()}
+            coords = atoms
+        else:
+            atoms = {(int(kx), int(ky)): int(num) for (kx, ky), num in self.atoms.items()}
+            coords = list(chain.from_iterable(atoms))
         if not atoms:
             raise ValueError("a measure needs at least one atom")
+        if min(atoms.values()) <= 0:
+            raise ValueError("atom weights must be positive")
+        if min(coords) <= -_KEY_LIMIT or max(coords) >= _KEY_LIMIT:
+            raise ValueError("atom keys must lie strictly within the 62-bit limit +-2**62")
         if sum(atoms.values()) != self.denom:
             raise ValueError("weights must sum to exactly 1")
         object.__setattr__(self, "atoms", atoms)
@@ -118,6 +168,42 @@ class DiscreteMeasure:
     def support_size(self) -> int:
         return len(self.atoms)
 
+    @cached_property
+    def _columns(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """Key columns (one int64 array per coordinate) and numerators, in
+        atom order; numerators are Python ints once denom reaches 2**63."""
+        keys = np.array(list(self.atoms), dtype=np.int64).reshape(-1, self.dim)
+        wide = self.denom >= _INT64_LIMIT
+        nums = np.array(list(self.atoms.values()), dtype=object if wide else np.int64)
+        return tuple(np.ascontiguousarray(col) for col in keys.T), nums
+
+    @cached_property
+    def _cell_memo(self) -> dict:
+        return {}
+
+    def _cells(self, level: int | None) -> tuple[np.ndarray | None, tuple[np.ndarray, ...]]:
+        """The level-``level`` cell grouping, shared by every slope.
+
+        Returns a dense cell index per atom and the key columns relative to
+        each atom's cell corner (the cell rescaled to the unit cell).
+        ``level=None`` takes the whole measure as one cell, unshifted.
+        """
+        memo = self._cell_memo
+        if level not in memo:
+            cols = self._columns[0]
+            if level is None:
+                memo[level] = None, cols
+            else:
+                shift = self.n - level
+                order, starts = _sort_groups([k >> shift for k in cols])
+                first = np.zeros(order.size, dtype=np.int64)
+                first[starts] = 1
+                ids = np.empty_like(first)
+                ids[order] = np.cumsum(first) - 1
+                mask = (1 << shift) - 1
+                memo[level] = ids, tuple(k & mask for k in cols)
+        return memo[level]
+
 
 def counting_measure(A: DeltaSet) -> DiscreteMeasure:
     """Uniform weights on the points of a grid set."""
@@ -142,26 +228,119 @@ def _coarse_key(dim: int, key, shift: int):
     return key[0] >> shift, key[1] >> shift
 
 
-def _bucket(mu: DiscreteMeasure, j: int) -> dict:
+def _sort_groups(cols: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Sort the rows of int64 key columns lexicographically.
+
+    Returns the sorting order and the start of each run of equal rows.  The
+    columns are packed into one int64 key when their value ranges allow it,
+    else sorted with ``lexsort``.
+    """
+    if len(cols) == 1:
+        packed = cols[0]
+    else:
+        packed, radix = None, 1
+        spans = [(int(c.min()), int(c.max())) for c in cols]
+        for lo, hi in spans:
+            radix *= hi - lo + 1
+        if radix < _INT64_LIMIT:
+            packed = np.zeros(cols[0].size, dtype=np.int64)
+            for c, (lo, hi) in zip(cols, spans):
+                packed = packed * (hi - lo + 1) + (c - lo)
+    if packed is not None:
+        order = np.argsort(packed)
+        run = packed[order]
+        new = run[1:] != run[:-1]
+    else:
+        order = np.lexsort(cols[::-1])
+        new = np.zeros(order.size - 1, dtype=bool)
+        for c in cols:
+            run = c[order]
+            new |= run[1:] != run[:-1]
+    return order, np.flatnonzero(np.concatenate(([True], new)))
+
+
+def _cell_counts(
+    mu: DiscreteMeasure, c, cell_level: int | None, bucket_level: int
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """The measure kernel: exact bucket masses within each cell.
+
+    Each level-``cell_level`` cell is rescaled to the unit cell (as
+    ``renormalize_cell`` does), pushed by ``(x, y) -> x + c*y`` when ``c``
+    is given (planar measures), and bucketed at level
+    ``bucket_level - cell_level`` of the rescaled grid, i.e. by the key
+    shifted right ``n - bucket_level`` bits.  ``cell_level=None`` takes the
+    whole measure as one cell without rescaling.
+
+    Returns ``(counts, starts, keys)``: the numerator mass of every occupied
+    bucket, grouped cell by cell; the index of each cell's first bucket; and
+    the bucket key columns.
+    """
+    cell, low = mu._cells(cell_level)
+    shift = mu.n - bucket_level
+    if c is None:
+        buckets = [k >> shift for k in low]
+    else:
+        p, q = dyadic_slope(c)
+        buckets = [(low[0] + slope_floor(p, q, low[1])) >> shift]
+    order, starts = _sort_groups(buckets if cell is None else [cell, *buckets])
+    counts = np.add.reduceat(mu._columns[1][order], starts)
+    firsts = order[starts]
+    if cell is None:
+        cell_starts = np.zeros(1, dtype=np.int64)
+    else:
+        ids = cell[firsts]
+        cell_starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
+    return counts, cell_starts, [b[firsts] for b in buckets]
+
+
+def _cell_entropies(counts: np.ndarray, starts: np.ndarray) -> tuple[list[int], list[float]]:
+    """Mass numerator and entropy (bits) of every cell's bucket counts.
+
+    ``H = log2(M) - sum(b log2 b) / M`` with exact integers inside the logs;
+    each ``b log2 b`` is evaluated once per distinct count, and ``fsum``
+    makes each cell's sum independent of the bucket order.
+    """
+    distinct, which = np.unique(counts, return_inverse=True)
+    terms = np.array([b * math.log2(b) for b in distinct.tolist()])[which].tolist()
+    masses = np.add.reduceat(counts, starts).tolist()
+    bounds = starts.tolist() + [len(terms)]
+    return masses, [
+        math.log2(m) - fsum(terms[a:b]) / m for m, a, b in zip(masses, bounds, bounds[1:])
+    ]
+
+
+def _atoms(keys: list[np.ndarray], counts: np.ndarray) -> dict:
+    cols = [k.tolist() for k in keys]
+    return dict(zip(cols[0] if len(cols) == 1 else zip(*cols), counts.tolist()))
+
+
+def _sum_squares(counts: np.ndarray, denom: int) -> int:
+    # the squares sum to at most denom**2: int64 below 2**63, else Python ints
+    if denom * denom < _INT64_LIMIT:
+        return int(counts @ counts)
+    return sum(b * b for b in counts.tolist())
+
+
+def _check_level(mu: DiscreteMeasure, j: int) -> None:
     if not 0 <= j <= mu.n:
         raise ValueError("level out of range")
-    shift = mu.n - j
-    out: dict = {}
-    for key, num in mu.atoms.items():
-        ck = _coarse_key(mu.dim, key, shift)
-        out[ck] = out.get(ck, 0) + num
-    return out
-
-
-def _entropy_of_counts(counts: Iterable[int], denom: int) -> float:
-    # H = log2(D) - sum(b log2 b) / D, exact integers inside the logs
-    s = fsum(b * math.log2(b) for b in counts if b > 1)
-    return math.log2(denom) - s / denom
 
 
 def entropy(mu: DiscreteMeasure, j: int) -> float:
     """Shannon entropy (bits) of mu pushed to the level-j dyadic partition."""
-    return _entropy_of_counts(_bucket(mu, j).values(), mu.denom)
+    _check_level(mu, j)
+    counts, starts, _ = _cell_counts(mu, None, None, j)
+    return _cell_entropies(counts, starts)[1][0]
+
+
+def _projection_l2_entropy(mu: DiscreteMeasure, c) -> tuple[Fraction, float]:
+    """Squared L2 density and entropy of ``project(mu, c)`` at level n, from
+    one pass of the kernel (no projected measure is built)."""
+    if mu.dim != 2:
+        raise ValueError("expected a planar measure")
+    counts, starts, _ = _cell_counts(mu, c, None, mu.n)
+    l2 = Fraction(_sum_squares(counts, mu.denom) << mu.n, mu.denom * mu.denom)
+    return l2, _cell_entropies(counts, starts)[1][0]
 
 
 def conditional_entropy(mu: DiscreteMeasure, fine: int, coarse: int) -> float:
@@ -193,7 +372,9 @@ def coarsen(mu: DiscreteMeasure, j: int) -> DiscreteMeasure:
     """Pushforward to resolution ``2**-j`` (j >= 1)."""
     if j < 1:
         raise ValueError("coarsen to j >= 1")
-    return DiscreteMeasure(mu.dim, j, _bucket(mu, j), mu.denom)
+    _check_level(mu, j)
+    counts, _, keys = _cell_counts(mu, None, None, j)
+    return DiscreteMeasure(mu.dim, j, _atoms(keys, counts), mu.denom)
 
 
 def renormalize_cell(mu: DiscreteMeasure, q_key, j: int) -> DiscreteMeasure:
@@ -222,9 +403,9 @@ def renormalize_cell(mu: DiscreteMeasure, q_key, j: int) -> DiscreteMeasure:
 
 def discretize_density_l2(mu: DiscreteMeasure, j: int) -> Fraction:
     """Squared L2 norm of the level-j density: ``2**(dim*j) * sum mu(Q)**2``."""
-    b = _bucket(mu, j)
-    ssq = sum(v * v for v in b.values())
-    return Fraction(ssq << (mu.dim * j), mu.denom * mu.denom)
+    _check_level(mu, j)
+    counts = _cell_counts(mu, None, None, j)[0]
+    return Fraction(_sum_squares(counts, mu.denom) << (mu.dim * j), mu.denom * mu.denom)
 
 
 def project(mu: DiscreteMeasure, c) -> DiscreteMeasure:
@@ -236,14 +417,8 @@ def project(mu: DiscreteMeasure, c) -> DiscreteMeasure:
     """
     if mu.dim != 2:
         raise ValueError("project expects a planar measure")
-    p, q = as_dyadic(c)
-    if abs(Fraction(c)) > 1:
-        raise ValueError("|c| must be at most 1")
-    atoms: dict = {}
-    for (kx, ky), num in mu.atoms.items():
-        k = kx + ((p * ky) >> q)
-        atoms[k] = atoms.get(k, 0) + num
-    return DiscreteMeasure(1, mu.n, atoms, mu.denom)
+    counts, _, keys = _cell_counts(mu, c, None, mu.n)
+    return DiscreteMeasure(1, mu.n, _atoms(keys, counts), mu.denom)
 
 
 def convolve(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeasure:
@@ -300,7 +475,8 @@ def autocorrelation_peak_ratio(
     for j in r_exps:
         w = 1 << (nubar.n - j) if j <= nubar.n else 0
         origin = ball(0, w)
-        assert origin > 0  # a difference measure has mass at 0
+        # a difference measure has mass at 0: at least one numerator unit
+        certify("origin-mass", origin - 1)
         for x in keys:
             ratio = ball(x, w) / origin
             worst = max(worst, ratio)
@@ -327,9 +503,10 @@ def concavity_check(
         for key, num in mu.atoms.items():
             ck = (key + kx) >> shift if shift else key + kx
             b[ck] = b.get(ck, 0) + num
-        parts.append(nx * _entropy_of_counts(b.values(), denom))
+        s = fsum(v * math.log2(v) for v in b.values() if v > 1)
+        parts.append(nx * (math.log2(denom) - s / denom))
     rhs = fsum(parts) / nu.denom
-    assert lhs >= rhs - _IDENTITY_TOL
+    certify("concavity", lhs - rhs, _IDENTITY_TOL)
     return lhs, rhs
 
 
@@ -365,8 +542,8 @@ def entropy_chain(
     ``sum_Q mu(Q) * H(pi_c mu^Q, level j_{i+1}-j_i)`` over level-``j_i``
     cells Q with ``mu^Q`` rescaled to the unit square.  Rescaling costs at
     most ``c_corr`` per block (a level-``j_i`` square projects into at most
-    3 coarse cells), which the assertion charges for every one of the ``h``
-    blocks.
+    3 coarse cells), which the certificate charges for every one of the
+    ``h`` blocks.
     """
     if mu.dim != 2:
         raise ValueError("entropy_chain expects a planar measure")
@@ -375,24 +552,11 @@ def entropy_chain(
         b <= a for a, b in zip(cuts, cuts[1:])
     ):
         raise ValueError("cuts must run 0 = j_0 < ... < j_h = n")
-    lhs = entropy(project(mu, c), mu.n)
+    lhs = _cell_entropies(*_cell_counts(mu, c, None, mu.n)[:2])[1][0]
     terms = []
     for j, j_next in zip(cuts, cuts[1:]):
-        block = j_next - j
-        shift = mu.n - j  # >= 1 since j < n
-        groups: dict = {}
-        for (kx, ky), num in mu.atoms.items():
-            groups.setdefault((kx >> shift, ky >> shift), {})[(kx, ky)] = num
-        part = []
-        for (qx, qy), sub in groups.items():
-            mass = sum(sub.values())
-            shifted = {
-                (kx - (qx << shift), ky - (qy << shift)): v
-                for (kx, ky), v in sub.items()
-            }
-            sub_mu = DiscreteMeasure(2, shift, shifted, mass)
-            part.append(mass * entropy(project(sub_mu, c), block))
-        terms.append(fsum(part) / mu.denom)
+        masses, hs = _cell_entropies(*_cell_counts(mu, c, j, j_next)[:2])
+        terms.append(fsum([m * h for m, h in zip(masses, hs)]) / mu.denom)
     h = len(cuts) - 1
     report = ChainReport(
         c=Fraction(c),
@@ -401,9 +565,7 @@ def entropy_chain(
         block_terms=tuple(terms),
         correction=h * c_corr,
     )
-    assert report.slack >= -_IDENTITY_TOL, (
-        f"chain violated: lhs={lhs} rhs={report.rhs} corr={report.correction}"
-    )
+    certify("entropy-chain", report.slack, _IDENTITY_TOL)
     return report
 
 
@@ -423,26 +585,16 @@ def uniform_fiber_entropy_bound(
     are translates of one uniform measure, and a translate costs at most
     one bit of grid alignment.
 
-    Returns ``(min over occupied squares, the asserted lower bound)``.
+    Returns ``(min over occupied squares, the certified lower bound)``.
     """
     if mu.dim != 2:
         raise ValueError("expected a planar measure")
     if block_bits < 1 or lo_bits < 0 or lo_bits + block_bits > mu.n:
         raise ValueError("block exceeds the resolution")
-    shift = mu.n - lo_bits  # >= 1
-    groups: dict = {}
-    for (kx, ky), num in mu.atoms.items():
-        groups.setdefault((kx >> shift, ky >> shift), {})[(kx, ky)] = num
-    worst = math.inf
-    for (qx, qy), sub in groups.items():
-        mass = sum(sub.values())
-        shifted = {
-            (kx - (qx << shift), ky - (qy << shift)): v for (kx, ky), v in sub.items()
-        }
-        sub_mu = DiscreteMeasure(2, shift, shifted, mass)
-        worst = min(worst, entropy(project(sub_mu, c), block_bits))
+    _, hs = _cell_entropies(*_cell_counts(mu, c, lo_bits, lo_bits + block_bits)[:2])
+    worst = min(hs)
     bound = log2_branching - 1.0
-    assert worst >= bound - _IDENTITY_TOL
+    certify("uniform-fiber", worst - bound, _IDENTITY_TOL)
     return worst, bound
 
 
@@ -459,15 +611,23 @@ def save_measure(mu: DiscreteMeasure, path) -> None:
 
 
 def load_measure(path) -> DiscreteMeasure:
-    with open(path) as fh:
-        data = json.load(fh)
-    dim, n = int(data["dim"]), int(data["n"])
+    """Read the JSON of ``save_measure``; a malformed file raises FormatError."""
+    data = load_json(path)
+    try:
+        dim, n, entries = int(data["dim"]), int(data["n"]), list(data["atoms"])
+    except (KeyError, TypeError, ValueError):
+        raise FormatError(path, None, "needs integer 'dim' and 'n' and an 'atoms' list") from None
     weights = {}
-    for ks, w in data["atoms"]:
-        key = ks[0] if dim == 1 else (ks[0], ks[1])
-        if isinstance(w, str):
-            num, den = w.split("/")
-            weights[key] = Fraction(int(num), int(den))
-        else:
+    for i, entry in enumerate(entries):
+        try:
+            ks, w = entry
+            if len(ks) != dim:
+                raise ValueError(f"key {ks!r} needs {dim} coordinates")
+            key = int(ks[0]) if dim == 1 else (int(ks[0]), int(ks[1]))
             weights[key] = Fraction(w)
-    return DiscreteMeasure.from_weights(dim, n, weights)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise FormatError(path, None, f"atom {i}: {exc}") from None
+    try:
+        return DiscreteMeasure.from_weights(dim, n, weights)
+    except ValueError as exc:
+        raise FormatError(path, None, str(exc)) from None

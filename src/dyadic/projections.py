@@ -30,6 +30,7 @@ suite freezes budgets for it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -37,12 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .grid import pow2_ge, pow2_le
-from .measures import (
-    DiscreteMeasure,
-    discretize_density_l2,
-    entropy,
-    project,
-)
+from .measures import DiscreteMeasure, _projection_l2_entropy, certify
 
 __all__ = [
     "ProjectionParams",
@@ -185,6 +181,27 @@ def _projected_cells(mu: DiscreteMeasure, c: Fraction) -> list[int]:
     return [math.floor(kx + c * ky) for kx, ky in mu.atoms]
 
 
+def _pair_total(mu: DiscreteMeasure, related) -> int:
+    """Exact ``sum w_i * w_j`` over the atom pairs that ``related`` marks.
+
+    ``related(rows)`` is the boolean block of pairs (i in ``rows``, any j).
+    A row's weight sum is at most the denominator, so it is int64 below
+    2**63; the products are int64 only while ``denom**2 < 2**63`` and
+    Python integers past that.
+    """
+    wide = mu.denom >= 1 << 63
+    wts = np.array(list(mu.atoms.values()), dtype=object if wide else np.int64)
+    total = 0
+    for lo in range(0, wts.size, 512):
+        rows = slice(lo, lo + 512)
+        sums = related(rows) @ wts
+        if mu.denom * mu.denom < 1 << 63:
+            total += int(wts[rows] @ sums)
+        else:
+            total += sum(map(operator.mul, wts[rows].tolist(), sums.tolist()))
+    return total
+
+
 def l2_of_projection(mu: DiscreteMeasure, c, check="auto") -> Fraction:
     """Exact squared L2 norm of the Delta-discretised pushforward.
 
@@ -200,8 +217,7 @@ def l2_of_projection(mu: DiscreteMeasure, c, check="auto") -> Fraction:
     if mu.dim != 2:
         raise ValueError("l2_of_projection expects a planar measure")
     c = Fraction(c)
-    pushed = project(mu, c)
-    value = discretize_density_l2(pushed, mu.n)
+    value = _projection_l2_entropy(mu, c)[0]
 
     size = len(mu.atoms)
     if check == "auto":
@@ -210,13 +226,10 @@ def l2_of_projection(mu: DiscreteMeasure, c, check="auto") -> Fraction:
         raise ValueError(f"pair-counting path refused above {PAIR_PATH_LIMIT} atoms")
     if check:
         cells = np.array(_projected_cells(mu, c), dtype=np.int64)
-        wts = np.array(list(mu.atoms.values()), dtype=np.int64)
-        pair_total = 0
-        for lo in range(0, size, 512):
-            block = cells[lo : lo + 512, None] == cells[None, :]
-            pair_total += int(wts[lo : lo + 512] @ block @ wts)
+        pair_total = _pair_total(mu, lambda rows: cells[rows, None] == cells[None, :])
         pair_value = Fraction(pair_total << mu.n, mu.denom**2)
-        assert pair_value == value, "projection L2 paths disagree"
+        # the two exact routes must agree: any difference is a negative slack
+        certify("l2-dual-route", -abs(pair_value - value))
     return value
 
 
@@ -350,7 +363,7 @@ def averaged_projection_entropy(
 ) -> EntropyAverageReport:
     """nu-average of the projected entropies at full resolution.
 
-    Combines the L2 average with two per-instance certificates, asserted on
+    Combines the L2 average with two per-instance certificates, checked on
     every call: entropy against L2 (``H >= n - log2 ||.||_2^2`` for each
     slope) and Jensen's inequality for the log of the average.  The
     resulting lower bound is
@@ -376,9 +389,8 @@ def averaged_projection_entropy(
     avg_l2 = Fraction(0)
     log_sum = 0.0
     for c, weight in _nu_atoms_as_slopes(nu):
-        l2 = l2_of_projection(mu, c, check=False)
-        h = entropy(project(mu, c), n)
-        assert h >= n - math.log2(l2) - _TOL, "entropy fell below the L2 certificate"
+        l2, h = _projection_l2_entropy(mu, c)
+        certify("entropy-l2", h - (n - math.log2(l2)), _TOL)
         per_c.append((c, h, l2))
         value += float(weight) * h
         avg_l2 += weight * l2
@@ -386,7 +398,7 @@ def averaged_projection_entropy(
 
     jensen_lhs = -log_sum
     jensen_rhs = -math.log2(avg_l2)
-    assert jensen_lhs >= jensen_rhs - _TOL, "Jensen step failed numerically"
+    certify("jensen", jensen_lhs - jensen_rhs, _TOL)
 
     rhs = (
         n * min(float(params.gamma_a + params.gamma_b), float(params.gamma - params.xi))
@@ -409,7 +421,7 @@ def averaged_projection_entropy(
         lo_exp = min(
             params.gamma_a + params.gamma_b, low.gamma - 2 * low.xi
         )
-        assert lo_exp >= params.gamma_a + low.xi * low.zeta, "exponent collapse failed"
+        certify("exponent-collapse", lo_exp - (params.gamma_a + low.xi * low.zeta))
         rhs_low = (
             math.log2(low.r_a)
             + float(low.xi * low.zeta) * low.bits
@@ -426,9 +438,9 @@ def averaged_projection_entropy(
         rhs_low=rhs_low,
         per_c=tuple(per_c),
     )
-    assert report.slack >= -_TOL, "averaged entropy fell below its lower bound"
+    certify("averaged-entropy", report.slack, _TOL)
     if rhs_low is not None:
-        assert report.slack_low >= -_TOL, "branching-form lower bound failed"
+        certify("branching-form", report.slack_low, _TOL)
     return report
 
 
@@ -443,18 +455,16 @@ def near_pair_mass(mu: DiscreteMeasure, radius_cells: int = 10) -> Fraction:
         raise ValueError("near_pair_mass expects a planar measure")
     if len(mu.atoms) > PAIR_PATH_LIMIT:
         raise ValueError(f"quadratic scan refused above {PAIR_PATH_LIMIT} atoms")
-    keys = list(mu.atoms)
-    xs = np.array([k[0] for k in keys], dtype=np.int64)
-    ys = np.array([k[1] for k in keys], dtype=np.int64)
-    wts = np.array([mu.atoms[k] for k in keys], dtype=np.int64)
-    r2 = radius_cells * radius_cells
-    total = 0
-    for lo in range(0, len(keys), 512):
-        dx = xs[lo : lo + 512, None] - xs[None, :]
-        dy = ys[lo : lo + 512, None] - ys[None, :]
-        near = dx * dx + dy * dy < r2
-        total += int(wts[lo : lo + 512] @ near @ wts)
-    return Fraction(total, mu.denom**2)
+    xs, ys = np.array(list(mu.atoms), dtype=np.int64).reshape(-1, 2).T
+    r = radius_cells
+
+    def near(rows):
+        # gaps clipped at r before squaring, so no square overflows int64
+        dx = np.minimum(np.abs(xs[rows, None] - xs[None, :]), r)
+        dy = np.minimum(np.abs(ys[rows, None] - ys[None, :]), r)
+        return dx * dx + dy * dy < r * r
+
+    return Fraction(_pair_total(mu, near), mu.denom**2)
 
 
 def _common_window(px, py, qx, qy, k, shift) -> bool:

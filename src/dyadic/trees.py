@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .grid import DeltaSet, pow2_ge, pow2_le
+from .grid import DeltaSet, FormatError, load_json, pow2_ge, pow2_le
 
 __all__ = [
     "BranchingProfile",
@@ -557,9 +557,12 @@ def save_profile(profile: BranchingProfile, path) -> None:
 
 
 def load_profile(path) -> BranchingProfile:
-    with open(path) as fh:
-        data = json.load(fh)
-    return BranchingProfile(int(data["m"]), tuple(int(x) for x in data["R"]))
+    """Read the JSON of ``save_profile``; a malformed file raises FormatError."""
+    data = load_json(path)
+    try:
+        return BranchingProfile(int(data["m"]), tuple(int(x) for x in data["R"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(path, None, f"not a branching profile: {exc}") from None
 
 
 def save_family(family: IntervalFamily, path) -> None:
@@ -574,10 +577,13 @@ def save_family(family: IntervalFamily, path) -> None:
 
 
 def load_family(path) -> IntervalFamily:
-    with open(path) as fh:
-        data = json.load(fh)
-    ivs = tuple(
-        Interval(int(d["lo"]), int(d["hi"]), _WIRE_TO_TAG[d["tag"]])
-        for d in data["intervals"]
-    )
-    return IntervalFamily(ivs)
+    """Read the JSON of ``save_family``; a malformed file raises FormatError."""
+    data = load_json(path)
+    try:
+        ivs = tuple(
+            Interval(int(d["lo"]), int(d["hi"]), _WIRE_TO_TAG[d["tag"]])
+            for d in data["intervals"]
+        )
+        return IntervalFamily(ivs)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(path, None, f"not an interval family: {exc}") from None

@@ -320,3 +320,28 @@ def test_help_lists_subcommands(runner):
     for name in ("gen", "analyze", "uniformize", "prune", "extend", "entropy",
                  "project-avg", "ladder", "greedy", "sweep", "assemble"):
         assert name in res.output
+
+
+# ------------------------------------------------------------ malformed input
+
+
+def test_malformed_measure_file_gives_one_line_error(tmp_path, runner):
+    path = tmp_path / "bad.json"
+    path.write_text('{"dim": 2, "n": 4, "atoms": [[[0, 1], "1/2"], [[3], "1/2"]]}\n')
+    res = runner.invoke(main, ["entropy", str(path), "--c", "1/4", "--cuts", "0,4"])
+    assert res.exit_code == 1
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    lines = res.output.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("Error: ") and str(path) in lines[0]
+    assert "atom 1" in lines[0] and "2 coordinates" in lines[0]
+
+
+def test_set_file_without_width_gives_one_line_error(tmp_path, runner):
+    path = tmp_path / "bad.txt"
+    path.write_text("n=6\n0\n5\n")
+    res = runner.invoke(main, ["analyze", str(path)])
+    assert res.exit_code == 1
+    lines = res.output.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"Error: {path}:1: header must read 'n=<int> W=<int>'")

@@ -1,12 +1,18 @@
 """Measures and entropy: exact identities and their frozen oracles."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dyadic
 from dyadic import DeltaSet, gen_uniform_tree, BranchingProfile
 from dyadic.measures import (
     ChainReport,
@@ -396,3 +402,172 @@ def test_measure_roundtrip_planar(tmp_path):
     save_measure(mu, path)
     back = load_measure(path)
     assert back.dim == 2 and back.atoms == mu.atoms
+
+
+# ------------------------------------------- kernel against a dict reference
+
+
+def reference_cells(mu, c, cell_level, bucket_level):
+    """Per cell: mass and entropy of its rescaled projection, from dicts.
+
+    Each level-``cell_level`` cell (the whole measure for None) is moved to
+    the unit cell, projected with exact Fraction floors and bucketed at
+    ``bucket_level``; the entropy formula is the one the library states.
+    """
+    c = Fraction(c)
+    shift = mu.n - (cell_level or 0)
+    cells: dict = {}
+    for (kx, ky), w in mu.atoms.items():
+        if cell_level is None:
+            cell, lx, ly = None, kx, ky
+        else:
+            cell = (kx >> shift, ky >> shift)
+            lx, ly = kx - (cell[0] << shift), ky - (cell[1] << shift)
+        b = math.floor(lx + c * ly) >> (mu.n - bucket_level)
+        sub = cells.setdefault(cell, {})
+        sub[b] = sub.get(b, 0) + w
+    out = []
+    for sub in cells.values():
+        m = sum(sub.values())
+        s = math.fsum(b * math.log2(b) for b in sub.values() if b > 1)
+        out.append((m, math.log2(m) - s / m))
+    return out
+
+
+def reference_chain(mu, c, cuts):
+    ((_, lhs),) = reference_cells(mu, c, None, mu.n)
+    terms = [
+        math.fsum(m * h for m, h in reference_cells(mu, c, j, j_next)) / mu.denom
+        for j, j_next in zip(cuts, cuts[1:])
+    ]
+    return lhs, terms
+
+
+@st.composite
+def weighted_chain_instances(draw):
+    n = draw(st.integers(2, 8))
+    count = draw(st.integers(1, 40))
+    keys = draw(
+        st.lists(
+            st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1)),
+            min_size=count,
+            max_size=count,
+            unique=True,
+        )
+    )
+    nums = draw(st.lists(st.integers(1, 1 << 20), min_size=count, max_size=count))
+    mu = DiscreteMeasure(2, n, dict(zip(keys, nums)), sum(nums))
+    interior = draw(st.lists(st.integers(1, n - 1), max_size=3, unique=True))
+    cuts = [0] + sorted(interior) + [n]
+    q = draw(st.integers(0, n + 2))
+    slopes = draw(
+        st.lists(st.integers(-(1 << q), 1 << q), min_size=1, max_size=4, unique=True)
+    )
+    return mu, cuts, [Fraction(p, 1 << q) for p in slopes]
+
+
+@given(weighted_chain_instances())
+@settings(max_examples=150, deadline=None)
+def test_kernel_matches_dict_reference_bit_for_bit(args):
+    from dyadic import ProjectionParams, averaged_projection_entropy
+
+    mu, cuts, slopes = args
+    for c in slopes:
+        rep = entropy_chain(mu, c, cuts)
+        lhs, terms = reference_chain(mu, c, cuts)
+        assert rep.lhs == lhs
+        assert list(rep.block_terms) == terms
+        for j, j_next in zip(cuts, cuts[1:]):
+            worst, _ = uniform_fiber_entropy_bound(mu, c, j, j_next - j, 0.0)
+            assert worst == min(h for _, h in reference_cells(mu, c, j, j_next))
+    ks = {int(c * (1 << mu.n)) for c in slopes if c * (1 << mu.n) % 1 == 0}
+    if ks:
+        nu = DiscreteMeasure(1, mu.n, {k: 1 for k in ks}, len(ks))
+        half = Fraction(1, 2)
+        report = averaged_projection_entropy(
+            mu, nu, ProjectionParams(half, half, half, half), c0_bits=4.0 * mu.n, strict=False
+        )
+        for c, h, _ in report.per_c:
+            assert h == reference_cells(mu, c, None, mu.n)[0][1]
+
+
+# ------------------------------------------------------- the kernel's domain
+
+
+def test_measure_refuses_resolution_and_keys_past_62_bits():
+    with pytest.raises(ValueError, match="62-bit"):
+        DiscreteMeasure(1, 63, {0: 1}, 1)
+    with pytest.raises(ValueError, match="62-bit"):
+        DiscreteMeasure(1, 8, {1 << 70: 1}, 1)
+    with pytest.raises(ValueError, match="62-bit"):
+        DiscreteMeasure(2, 8, {(0, -(1 << 62)): 1}, 1)
+    edge = DiscreteMeasure(2, 62, {((1 << 62) - 1, -((1 << 62) - 1)): 1}, 1)
+    assert edge.support_size() == 1
+
+
+def test_n62_fine_slope_takes_the_python_int_product():
+    # p * ky reaches 2**123: the int64 product would wrap
+    rng = np.random.default_rng(62)
+    atoms = {
+        (int(rng.integers(0, 1 << 40)), int(rng.integers(1 << 61, 1 << 62))): int(
+            rng.integers(1, 100)
+        )
+        for _ in range(12)
+    }
+    mu = DiscreteMeasure(2, 62, atoms, sum(atoms.values()))
+    c = Fraction(int(rng.integers(1 << 60, 1 << 61)) | 1, 1 << 62)
+    pushed = project(mu, c)
+    expect: dict = {}
+    for (kx, ky), w in atoms.items():
+        k = math.floor(kx + c * ky)
+        expect[k] = expect.get(k, 0) + w
+    assert pushed.atoms == expect
+    cuts = [0, 20, 41, 62]
+    rep = entropy_chain(mu, c, cuts)
+    assert (rep.lhs, list(rep.block_terms)) == reference_chain(mu, c, cuts)
+
+
+@pytest.mark.parametrize("top", [(1 << 62) + 3, (1 << 64) + 1])
+def test_denominators_past_62_bits_run_exactly(top):
+    atoms = {(0, 0): top, (3, 1): 1 << 40, (1, 2): 7, (2, 2): 7}
+    mu = DiscreteMeasure(2, 4, atoms, sum(atoms.values()))
+    assert mu.denom >= 1 << 62
+    c = Fraction(-3, 4)
+    expect: dict = {}
+    for (kx, ky), w in atoms.items():
+        k = math.floor(kx + c * ky)
+        expect[k] = expect.get(k, 0) + w
+    assert project(mu, c).atoms == expect
+    assert coarsen(mu, 3).atoms == {(0, 0): top, (1, 0): 1 << 40, (0, 1): 7, (1, 1): 7}
+    ssq = top * top + (1 << 80) + 49 + 49
+    assert discretize_density_l2(mu, 4) == Fraction(ssq << 8, mu.denom**2)
+    rep = entropy_chain(mu, c, [0, 2, 4])
+    assert (rep.lhs, list(rep.block_terms)) == reference_chain(mu, c, [0, 2, 4])
+    # each atom has a cell of its own in the plane, and a column of its own
+    ((_, h),) = reference_cells(mu, 0, None, 4)
+    assert entropy(mu, 4) == h
+
+
+# -------------------------------------------------------------- certificates
+
+
+def test_certificates_survive_python_O():
+    code = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "from dyadic import CertificateError, counting_measure, entropy_chain, gen_ap, product_measure\n"
+        "mu = product_measure(counting_measure(gen_ap(8, 16)), counting_measure(gen_ap(8, 4)))\n"
+        "try:\n"
+        "    rep = entropy_chain(mu, Fraction(1, 4), [0, 4, 8], c_corr=-100)\n"
+        "    print(sys.flags.optimize, 'accepted', rep.slack)\n"
+        "except CertificateError as exc:\n"
+        "    print(sys.flags.optimize, exc.name, exc.slack)\n"
+    )
+    src = str(Path(dyadic.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    optimize, name, slack = out.stdout.split()
+    assert optimize == "1"
+    assert name == "entropy-chain" and float(slack) < -199

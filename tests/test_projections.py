@@ -325,3 +325,36 @@ def test_vertical_separation_margin_exhaustive():
         assert margin >= 1.0
     # at n = 8 the minimum is dx = 10 against the extreme slope: 10 - 1
     assert vertical_separation_margin(8) == pytest.approx(9.0)
+
+
+# ------------------------------------------------------------ exact pair sums
+
+# Numerators near 2**40 make the pair sums pass 2**63.
+WIDE_PAIRS = {(0, 0): 1 << 40, (1, 0): (1 << 40) + 1, (0, 1): 3}
+
+
+def test_near_pair_mass_exact_past_int64_products():
+    mu = DiscreteMeasure(2, 4, WIDE_PAIRS, sum(WIDE_PAIRS.values()))
+    assert near_pair_mass(mu) == 1  # every pair lies within 10 cells
+
+
+def test_l2_pair_route_exact_past_int64_products():
+    mu = DiscreteMeasure(2, 4, WIDE_PAIRS, sum(WIDE_PAIRS.values()))
+    for c in (0, Fraction(1, 2), 1, -1):
+        value = l2_of_projection(mu, c, check=True)  # routes agree, exactly
+        cells: dict = {}
+        for (kx, ky), w in WIDE_PAIRS.items():
+            k = math.floor(kx + Fraction(c) * ky)
+            cells[k] = cells.get(k, 0) + w
+        expect = Fraction(sum(v * v for v in cells.values()) << 4, mu.denom**2)
+        assert value == expect
+
+
+def test_pair_routes_with_python_int_numerators():
+    # a denominator past 2**63: numerators no longer fit int64 at all
+    atoms = {(0, 0): (1 << 64) + 1, (1, 0): 5, (2, 1): 1 << 63}
+    mu = DiscreteMeasure(2, 4, atoms, sum(atoms.values()))
+    assert near_pair_mass(mu) == 1
+    assert l2_of_projection(mu, 1, check=True) == Fraction(
+        sum(w * w for w in atoms.values()) << 4, mu.denom**2
+    )
