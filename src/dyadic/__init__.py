@@ -25,6 +25,8 @@ from .experiments import (
     run_greedy_iterated_sum,
 )
 from .grid import (
+    SUMSET_BYTE_BUDGET,
+    BudgetError,
     DeltaSet,
     FormatError,
     FrostmanReport,

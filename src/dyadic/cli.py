@@ -27,6 +27,7 @@ from .experiments import (
     run_greedy_iterated_sum,
 )
 from .grid import (
+    BudgetError,
     DeltaSet,
     FormatError,
     covering_counts,
@@ -80,12 +81,13 @@ def _seed(ctx) -> int:
 
 
 class _Main(click.Group):
-    """The command group; a malformed input file ends the run with one line."""
+    """The command group; a malformed input file or a sumset past the byte
+    budget ends the run with one line."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except FormatError as exc:
+        except (FormatError, BudgetError) as exc:
             raise click.ClickException(str(exc)) from exc
 
 

@@ -7,7 +7,7 @@ drawn from a structured set ``C``?  The module provides
 * closed-form alignment examples where the growth is provably slow
   (``run_alignment_sharpness``),
 * the doubling ladder and the greedy iterated-sum algorithm, whose
-  pigeonhole steps are asserted on every run,
+  pigeonhole steps are certified on every run,
 * a seeded sweep measuring expansion exponents across slope-set
   densities (``run_expansion_sweep``),
 * a synthetic multiscale assembly (``run_final_assembly``) that builds a
@@ -35,7 +35,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .grid import DeltaSet, ParameterSet, ScaleSpec, _shifts, gen_ap, sumset
+from .grid import DeltaSet, ParameterSet, ScaleSpec, _shifts, certify, gen_ap, sumset
 from .measures import (
     counting_measure,
     coarsen,
@@ -269,8 +269,8 @@ def run_doubling_ladder(B: DeltaSet, n_steps: int = 6) -> tuple[int, list[tuple[
     (the exact-integer form of one-step growth at most ``2 * delta**(-1/s)``),
     plus the table ``[(k, |2^k B|)]``.  Such a step always exists: were
     every ratio larger, the sizes would outgrow the width bound
-    ``|2^s B| <= 2^s / delta``.  A missing step is therefore a bug, and is
-    asserted.
+    ``|2^s B| <= 2^s / delta``.  A missing step is therefore a bug, and
+    raises CertificateError.
     """
     if n_steps < 2:
         raise ValueError("need n_steps >= 2")
@@ -281,14 +281,20 @@ def run_doubling_ladder(B: DeltaSet, n_steps: int = 6) -> tuple[int, list[tuple[
     for _ in range(n_steps):
         cur = sumset(cur, 1, cur, max_width=(1 << n_steps) + 1)
         sizes.append(len(cur))
-    s = n_steps
-    found = None
-    for k in range(1, n_steps):
-        if sizes[k + 1] ** s <= (1 << (s + B.n)) * sizes[k] ** s:
-            found = k
-            break
-    assert found is not None, "no slow doubling step; pigeonhole violated"
+    # sizes[1:] starts at |2B|, so its step k is the doubling of 2^k B
+    found = _slow_step(sizes[1:], n_steps, B.n, "ladder-pigeonhole")
     return found, list(enumerate(sizes))
+
+
+def _slow_step(sizes: list[int], s: int, n: int, name: str) -> int:
+    """The first ``k >= 1`` with ``sizes[k]**s <= 2**(s+n) * sizes[k-1]**s``.
+
+    The pigeonhole argument guarantees one, so the certificate ``name``
+    checks the largest margin ``2**(s+n) * sizes[k-1]**s - sizes[k]**s``.
+    """
+    margins = [(1 << (s + n)) * a**s - b**s for a, b in zip(sizes, sizes[1:])]
+    certify(name, max(margins))
+    return next(k for k, m in enumerate(margins, start=1) if m >= 0)
 
 
 # ---------------------------------------------------------------------------
@@ -354,17 +360,11 @@ def run_greedy_iterated_sum(B: DeltaSet, C: DeltaSet, n_steps: int, eta) -> Gree
             if size > best_size:
                 best_i, best_size = i, size
         h = sumset(h, cs[best_i], B, max_width=n_steps + 1)
-        assert len(h) == best_size  # scan kernel agrees with the reference
+        certify("greedy-scan", -abs(len(h) - best_size))  # scan agrees with the sumset
         sizes.append(len(h))
         chosen.append(cs[best_i])
-    assert all(b >= a for a, b in zip(sizes, sizes[1:]))
-    s = n_steps - 1
-    n_star = None
-    for step in range(1, n_steps):
-        if sizes[step] ** s <= (1 << (s + n)) * sizes[step - 1] ** s:
-            n_star = step
-            break
-    assert n_star is not None, "no pigeonhole step; the ladder bound failed"
+    certify("greedy-monotone", min(b - a for a, b in zip(sizes, sizes[1:])))
+    n_star = _slow_step(sizes, n_steps - 1, n, "greedy-pigeonhole")
     beta = math.log2(len(B)) / n
     gamma = math.log2(len(C)) / n
     return GreedyReport(
@@ -620,9 +620,10 @@ def run_expansion_sweep(config: ExperimentConfig) -> list[ExpansionRecord]:
             for c in cs[:2]:  # exactness spot checks
                 shifts = _shifts(c, B)
                 plain = _scatter_size(a_idx, shifts, buf)
-                assert plain == len(sumset(A, c, B, max_width=4))
+                certify("sweep-scan", -abs(plain - len(sumset(A, c, B, max_width=4))))
                 moved = np.zeros(int(a_idx[-1]) + (2 << n) + 2, dtype=bool)
-                assert plain == _scatter_size(a_idx + (1 << n), shifts, moved)
+                moved_size = _scatter_size(a_idx + (1 << n), shifts, moved)
+                certify("sweep-translation", -abs(plain - moved_size))
             best = int(np.argmax(exps))  # first max: smallest slope wins ties
             records.append(
                 ExpansionRecord(

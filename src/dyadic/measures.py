@@ -44,7 +44,15 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .grid import DeltaSet, FormatError, dyadic_slope, load_json, slope_floor
+from .grid import (
+    CertificateError,
+    DeltaSet,
+    FormatError,
+    certify,
+    dyadic_slope,
+    load_json,
+    slope_floor,
+)
 
 __all__ = [
     "CertificateError",
@@ -75,22 +83,6 @@ _IDENTITY_TOL = 2.0**-30
 _MAX_N = 62
 _KEY_LIMIT = 1 << 62
 _INT64_LIMIT = 1 << 63
-
-
-class CertificateError(AssertionError):
-    """An inequality of the argument failed on a concrete instance:
-    ``name`` says which, ``slack`` by how much (negative)."""
-
-    def __init__(self, name: str, slack):
-        super().__init__(f"certificate {name!r} failed with slack {slack}")
-        self.name = name
-        self.slack = slack
-
-
-def certify(name: str, slack, tol=0.0) -> None:
-    """Raise CertificateError unless ``slack >= -tol`` (NaN fails too)."""
-    if not slack >= -tol:
-        raise CertificateError(name, slack)
 
 
 def _as_key(dim: int, key) -> int | tuple[int, int]:

@@ -14,6 +14,7 @@ from click.testing import CliRunner
 
 from dyadic import (
     BranchingProfile,
+    DeltaSet,
     branching_profile_of,
     counting_measure,
     gen_ap,
@@ -22,6 +23,7 @@ from dyadic import (
     product_measure,
     save_measure,
     save_profile,
+    save_set,
 )
 from dyadic.cli import main
 
@@ -345,3 +347,14 @@ def test_set_file_without_width_gives_one_line_error(tmp_path, runner):
     lines = res.output.strip().splitlines()
     assert len(lines) == 1
     assert lines[0].startswith(f"Error: {path}:1: header must read 'n=<int> W=<int>'")
+
+
+def test_sumset_past_the_byte_budget_gives_one_line_error(tmp_path, runner):
+    path = tmp_path / "wide.txt"
+    rng = np.random.default_rng(40)
+    save_set(DeltaSet(40, np.unique(rng.integers(0, 1 << 40, 1 << 14, dtype=np.int64))), path)
+    res = runner.invoke(main, ["ladder", str(path), "--steps", "2"])
+    assert res.exit_code == 1
+    lines = res.output.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("Error: sumset needs ") and "over the budget of" in lines[0]

@@ -116,7 +116,7 @@ def test_ladder_always_finds_slow_step(data):
                  unique=True)
     )
     b = DeltaSet(n, np.sort(np.array(idx, dtype=np.int64)))
-    k, _ = run_doubling_ladder(b, 6)  # internal assert is the property
+    k, _ = run_doubling_ladder(b, 6)  # its pigeonhole certificate is the property
     assert 1 <= k < 6
 
 

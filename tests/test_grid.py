@@ -5,14 +5,22 @@ force written inline) before the library code existed and are frozen here.
 """
 
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dyadic
+from dyadic import grid
 from dyadic import (
+    BudgetError,
     DeltaSet,
     as_dyadic,
     covering_counts,
@@ -22,6 +30,7 @@ from dyadic import (
     gen_ap,
     iterated_sum,
     load_set,
+    run_doubling_ladder,
     pow2_ge,
     pow2_le,
     save_set,
@@ -142,6 +151,8 @@ def test_sumset_rejects_mismatch():
     with pytest.raises(ValueError):
         # negative c would push below zero
         sumset(dset(4, [0, 3]), -1, dset(4, [1, 8]))
+    with pytest.raises(ValueError, match="int64"):
+        sumset(dset(62, [0, 3 << 61], width=2), 1, dset(62, [(1 << 62) - 1]))
 
 
 def test_sumset_negative_c_when_it_stays_nonnegative():
@@ -190,6 +201,148 @@ def test_fine_slope_sumset_matches_fraction_brute_force(n):
     out = sumset(A, c, B)
     expect = {math.floor((a + c * b) * hi) for a in A.points() for b in B.points()}
     assert out.indices.tolist() == sorted(expect)
+
+
+def brute_sumset(A: DeltaSet, p: int, q: int, B: DeltaSet) -> list[int]:
+    """Sorted distinct ``a + floor(p * b / 2**q)`` in Python integers."""
+    return sorted({a + ((p * b) >> q) for a in A.indices.tolist() for b in B.indices.tolist()})
+
+
+def assert_sumset_exact(A, p, q, B):
+    out = sumset(A, Fraction(p, 1 << q), B)
+    expect = brute_sumset(A, p, q, B)
+    assert out.indices.dtype == np.int64
+    assert out.indices.tolist() == expect
+    assert out.n == A.n and out.width == (expect[-1] >> A.n) + 1
+
+
+@st.composite
+def wide_sumset_instances(draw):
+    """B in the lower half of [0, 1), A in the upper half, so every slope
+    with |c| <= 1 keeps the sums in [0, 2); both sets are intervals,
+    random points in a window a few times their size, or spread over
+    their whole half; the slope is 1, coarse or fine, of either sign."""
+    n = draw(st.sampled_from([31, 32, 40, 62]))
+    half = 1 << (n - 1)
+
+    def points(lo, min_bits, max_bits):
+        size = draw(st.integers(1, 1 << draw(st.integers(min_bits, max_bits))))
+        kind = draw(st.sampled_from(["interval", "window", "window", "spread"]))
+        span = {"interval": size, "window": size * draw(st.sampled_from([2, 8, 64])),
+                "spread": half}[kind]
+        start = lo + draw(st.integers(0, half - span))
+        if kind == "interval":
+            return DeltaSet(n, start + np.arange(size, dtype=np.int64))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        return DeltaSet(n, start + np.unique(rng.integers(0, span, size, dtype=np.int64)))
+
+    A, B = points(half, 4, 10), points(0, 3, 8)
+    kind = draw(st.sampled_from(["one", "coarse", "fine"]))
+    q = {"one": 0, "coarse": draw(st.integers(1, 8)), "fine": draw(st.integers(n - 8, n))}[kind]
+    p = 1 if kind == "one" else draw(st.integers(0, 1 << q))
+    return A, -p if draw(st.booleans()) else p, q, B
+
+
+@given(wide_sumset_instances())
+@example((gen_ap(62, 700, step=1, start=1 << 61), -3, 2, gen_ap(62, 300, step=1)))  # fft
+@example((gen_ap(40, 900, step=1, start=1 << 39), 1, 0, gen_ap(40, 16, step=200)))  # scatter
+@settings(max_examples=150, deadline=None)
+def test_sumset_matches_python_int_brute_force_over_the_domain(args):
+    assert_sumset_exact(*args)
+
+
+# Shapes (A offsets, B offsets) of growing size x along which the cheapest
+# route changes once, from the first route named to the second.
+CROSSOVERS = {
+    "outer-scatter": lambda x: (np.arange(x), np.arange(8) * 64),
+    "scatter-fft": lambda x: (np.arange(x), np.arange(32) * 64),
+    "outer-fft": lambda x: (np.arange(x), np.arange(x)),
+}
+
+
+def _route_of(a, b):
+    na, nv = max(a.size, b.size), min(a.size, b.size)
+    return grid._plan(na, nv, int(a[-1] + b[-1] - a[0] - b[0]) + 1)
+
+
+@pytest.mark.parametrize("n", [31, 32, 40, 62])
+@pytest.mark.parametrize("crossing", sorted(CROSSOVERS))
+def test_sumset_exact_on_both_sides_of_each_route_crossover(crossing, n, monkeypatch):
+    below, above = crossing.split("-")
+    shape = CROSSOVERS[crossing]
+    x = next(x for x in range(2, 1 << 12) if _route_of(*shape(x)) == above)
+    assert _route_of(*shape(x - 1)) == below
+    taken = []
+    plan = grid._plan
+    monkeypatch.setattr(grid, "_plan", lambda *args: taken.append(plan(*args)) or taken[-1])
+    rng = np.random.default_rng(n)
+    for size in (x - 1, x):
+        a, b = shape(size)
+        A = DeltaSet(n, (1 << (n - 1)) + int(rng.integers(0, 1 << 20)) + a)
+        B = DeltaSet(n, int(rng.integers(0, 1 << 20)) + b)
+        assert_sumset_exact(A, 1, 0, B)
+    assert taken == [below, above]
+
+
+def test_n40_random_sumset_within_the_byte_budget_is_exact():
+    # the old bitmap branch allocated one byte per index below 2**41 here
+    rng = np.random.default_rng(40)
+    A = DeltaSet(40, np.unique(rng.integers(0, 1 << 40, 1 << 12, dtype=np.int64)))
+    B = DeltaSet(40, np.unique(rng.integers(0, 1 << 40, 1 << 11, dtype=np.int64)))
+    out = sumset(A, 1, B).indices
+    hit = np.zeros(out.size, dtype=bool)
+    for b in B.indices.tolist():  # every a + b is in out, and every point of out is one
+        pos = np.minimum(np.searchsorted(out, A.indices + b), out.size - 1)
+        assert np.array_equal(out[pos], A.indices + b)
+        hit[pos] = True
+    assert hit.all()
+
+
+def test_sumset_past_the_byte_budget_raises_before_allocating():
+    rng = np.random.default_rng(41)
+    A = DeltaSet(40, np.unique(rng.integers(0, 1 << 40, 1 << 14, dtype=np.int64)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError) as info:
+            sumset(A, 1, A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(info.value, ValueError)
+    assert info.value.budget == dyadic.SUMSET_BYTE_BUDGET < info.value.needed
+    assert peak < 1 << 20
+
+
+def test_sumset_certificate_survives_python_O():
+    # an FFT whose every entry is off by 0.3 must be refused, asserts or not
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from dyadic import CertificateError, gen_ap, sumset\n"
+        "irfft = np.fft.irfft\n"
+        "np.fft.irfft = lambda *args: irfft(*args) + 0.3\n"
+        "A = gen_ap(12, 1024, step=1)\n"
+        "try:\n"
+        "    print(sys.flags.optimize, 'accepted', len(sumset(A, 1, A)))\n"
+        "except CertificateError as exc:\n"
+        "    print(sys.flags.optimize, exc.name, exc.slack)\n"
+    )
+    src = str(Path(dyadic.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    optimize, name, slack = out.stdout.split()
+    assert optimize == "1"
+    assert name == "fft-rounding" and float(slack) < 0
+
+
+def test_doubling_a_full_interval_gives_the_full_interval():
+    # 2**15 points at n = 16: the per-shift bitmap loop took seconds here
+    B = gen_ap(16, 1 << 15, step=1)
+    assert iterated_sum(B, 2).indices.tolist() == list(range((1 << 16) - 1))
+    _, table = run_doubling_ladder(B, 2)
+    assert [size for _, size in table] == [1 << 15, (1 << 16) - 1, (1 << 17) - 3]
 
 
 def test_iterated_sum_full_grid():
