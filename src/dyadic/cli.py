@@ -17,6 +17,7 @@ import numpy as np
 from .experiments import (
     AssemblyParams,
     ExperimentConfig,
+    InstanceGenerationError,
     csv_text,
     json_text,
     named_stream,
@@ -28,6 +29,7 @@ from .experiments import (
 )
 from .grid import (
     BudgetError,
+    CertificateError,
     DeltaSet,
     FormatError,
     covering_counts,
@@ -54,7 +56,6 @@ from .trees import (
     load_profile,
     prune_adjacent,
     save_family,
-    save_profile,
     trivial_intervals,
     uniformize,
 )
@@ -81,13 +82,14 @@ def _seed(ctx) -> int:
 
 
 class _Main(click.Group):
-    """The command group; a malformed input file or a sumset past the byte
-    budget ends the run with one line."""
+    """The command group; a malformed input file, a sumset past the byte
+    budget, an instance that cannot be generated or a failed certificate
+    ends the run with one line."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (FormatError, BudgetError) as exc:
+        except (FormatError, BudgetError, InstanceGenerationError, CertificateError) as exc:
             raise click.ClickException(str(exc)) from exc
 
 
@@ -222,7 +224,8 @@ def uniformize_cmd(ctx, set_path, dest, m, levels):
         "profile": list(profile.r),
         "loss_bits": float(np.log2(len(a) / len(sub))),
     }
-    _emit(ctx, payload, [payload])
+    row = dict(payload, profile=" ".join(map(str, profile.r)))
+    _emit(ctx, payload, [row])
 
 
 @main.command("prune")
@@ -421,11 +424,14 @@ def sweep_cmd(ctx, config_path):
 def assemble_cmd(ctx, m, ell, big_n, eta, zeta, xi, gamma_cap, c_bits, c0_bits,
                  pattern):
     """One full multiscale assembly run with every bound verified."""
-    params = AssemblyParams(
-        m=m, ell=ell, big_n=big_n, eta=Fraction(eta), zeta=Fraction(zeta),
-        xi=Fraction(xi), gamma_cap=Fraction(gamma_cap), c_bits=c_bits,
-        c0_bits=c0_bits, pattern=pattern,
-    )
+    try:
+        params = AssemblyParams(
+            m=m, ell=ell, big_n=big_n, eta=Fraction(eta), zeta=Fraction(zeta),
+            xi=Fraction(xi), gamma_cap=Fraction(gamma_cap), c_bits=c_bits,
+            c0_bits=c0_bits, pattern=pattern,
+        )
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
     rep = run_final_assembly(params, seed=_seed(ctx))
     _emit(ctx, rep, [dataclasses.asdict(b) for b in rep.blocks])
 

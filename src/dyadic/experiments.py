@@ -35,7 +35,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .grid import DeltaSet, ParameterSet, ScaleSpec, _shifts, certify, gen_ap, sumset
+from .grid import DeltaSet, ParameterSet, ScaleSpec, certify, gen_ap, sumset
+from .grid import _distinct, _shifts, _sum_support
 from .measures import (
     counting_measure,
     coarsen,
@@ -204,12 +205,12 @@ def _aligned_triple_sizes(n_param: int) -> tuple[int, int, int, Fraction]:
     a_idx = np.arange(1, root + 1, dtype=np.int64)
     j = np.arange(1, quarter + 1, dtype=np.int64)
     # b*c = (j/2**t)(k/2**t) lands exactly on A's 2**-2t lattice: index j*k
-    prods = np.unique(np.multiply.outer(j, j))
-    sum_size = int(np.unique(a_idx[:, None] + prods[None, :]).size)
+    prods = _distinct(np.sort(np.multiply.outer(j, j), axis=None))
+    sum_size = int(_sum_support(a_idx, prods).size)
     best_k, best_size = 1, -1
     for k in range(1, quarter + 1):
         # c = k/2**t applied to B's indices j*2**t shifts by exactly j*k
-        size = int(np.unique(a_idx[:, None] + (k * j)[None, :]).size)
+        size = int(_sum_support(a_idx, k * j).size)
         if size > best_size:
             best_k, best_size = k, size
     return root, sum_size, best_size, Fraction(best_k, quarter)
@@ -248,12 +249,11 @@ def run_alignment_sharpness(n_params: Iterable[int]) -> list[SharpnessRow]:
                 math.log(ratio_c) / logn,
             )
         )
-    slopes = [r.product_slope for r in rows if r.product_slope is not None]
-    assert all(a > b for a, b in zip(slopes, slopes[1:])), (
-        "alignment growth slope failed to decrease"
-    )
-    c_slopes = [r.best_c_slope for r in rows if r.best_c_slope is not None]
-    assert all(a > b for a, b in zip(c_slopes, c_slopes[1:]))
+    for name in ("product_slope", "best_c_slope"):
+        slopes = [getattr(r, name) for r in rows if getattr(r, name) is not None]
+        # strictly decreasing: a tolerance of minus the least float demands drop > 0
+        drop = min((a - b for a, b in zip(slopes, slopes[1:])), default=1.0)
+        certify(f"sharpness-{name}-trend", drop, -math.ulp(0.0))
     return rows
 
 
@@ -470,7 +470,8 @@ class ExpansionRecord:
     ``exponents[i] = log2 |A + cs[i] B| / n - alpha_bar``; each must land in
     ``[-alpha_bar, 1 - alpha_bar + 1/n]`` (the sum sits in ``[0, 2)``, so
     the extra width contributes one bit).  ``sampled`` discloses whether
-    the slope scan was exhaustive or a seeded sample.
+    the slope scan was exhaustive or a seeded sample.  The per-slope lists
+    come last, so the JSON gives the summary first.
     """
 
     delta_exponent: int
@@ -479,14 +480,14 @@ class ExpansionRecord:
     alpha_bar: float
     size_a: int
     size_b: int
-    cs: tuple[Fraction, ...]
-    exponents: tuple[float, ...]
     best_c: Fraction
     best_exponent: float
     median_exponent: float
     mean_exponent: float
     sampled: bool
     sample_size: int
+    cs: tuple[Fraction, ...]
+    exponents: tuple[float, ...]
 
     def __post_init__(self):
         if len(self.cs) != len(self.exponents) or not self.cs:
@@ -513,24 +514,6 @@ class ExpansionRecord:
             }
             for c, e in zip(self.cs, self.exponents)
         ]
-
-    def to_dict(self) -> dict:
-        return {
-            "delta_exponent": self.delta_exponent,
-            "gamma": str(self.gamma),
-            "family": self.family,
-            "alpha_bar": self.alpha_bar,
-            "size_a": self.size_a,
-            "size_b": self.size_b,
-            "best_c": str(self.best_c),
-            "best_exponent": self.best_exponent,
-            "median_exponent": self.median_exponent,
-            "mean_exponent": self.mean_exponent,
-            "sampled": self.sampled,
-            "sample_size": self.sample_size,
-            "cs": [str(c) for c in self.cs],
-            "exponents": list(self.exponents),
-        }
 
 
 def _build_sweep_sets(
@@ -564,7 +547,7 @@ def _build_sweep_sets(
         a_levels = b_levels | extra
         pa = BranchingProfile(1, tuple(2 if s in a_levels else 1 for s in range(n)))
         pb = BranchingProfile(1, tuple(2 if s in b_levels else 1 for s in range(n)))
-        assert polarisation_check(pa, pb, Fraction(1, 2)) == []
+        certify("sweep-polarisation", -len(polarisation_check(pa, pb, Fraction(1, 2))))
         return gen_uniform_tree(pa), gen_uniform_tree(pb)
     raise ValueError(f"unknown family {family!r}")
 
@@ -920,7 +903,7 @@ def run_final_assembly(params: AssemblyParams | None = None, seed: int = 0) -> A
     per_c_lhs: list[float] = []
     per_block_terms: list[list[float]] = [[] for _ in blocks]
     for c in cs:
-        rep = entropy_chain(mu, c, cuts)  # asserts its own chain inequality
+        rep = entropy_chain(mu, c, cuts)  # certifies its own chain inequality
         per_c_lhs.append(rep.lhs)
         for j, term in enumerate(rep.block_terms):
             per_block_terms[j].append(term)
@@ -930,8 +913,8 @@ def run_final_assembly(params: AssemblyParams | None = None, seed: int = 0) -> A
             bits_a = _block_bits(a_prof, blk.lo, blk.hi)
             worst, bound = uniform_fiber_entropy_bound(
                 mu, c, m * blk.lo, m * len(blk), bits_a
-            )  # asserts worst >= bits_a - 1
-            assert rep.block_terms[j] >= bound - _TOL
+            )  # certifies worst >= bits_a - 1
+            certify("assembly-block-term", rep.block_terms[j] - bound, _TOL)
 
     gain_rate = float(xi * zeta)
     block_reports = []
@@ -945,7 +928,7 @@ def run_final_assembly(params: AssemblyParams | None = None, seed: int = 0) -> A
             bound = bits_a + gain_rate * m * len(blk) - math.log2(40) - params.c0_bits
         else:
             bound = bits_a - 1.0
-        assert avg >= bound - _TOL, f"block {blk.lo}..{blk.hi} fell under its bound"
+        certify("assembly-block-average", avg - bound, _TOL)
         block_reports.append(
             BlockReport(
                 lo=blk.lo,
@@ -973,7 +956,7 @@ def run_final_assembly(params: AssemblyParams | None = None, seed: int = 0) -> A
         - chain_bits
     )
     nu_avg = fsum(per_c_lhs) / len(cs)
-    assert nu_avg >= assembled_rhs - _TOL, "assembled lower bound failed"
+    certify("assembly-assembled", nu_avg - assembled_rhs, _TOL)
     best_idx = int(np.argmax(per_c_lhs))  # first max: smallest slope wins ties
 
     nu = counting_measure(DeltaSet(params.c_bits, np.arange(1, len(cs) + 1), width=2))

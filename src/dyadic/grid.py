@@ -11,6 +11,11 @@ Cells are half-open: the cell of ``x`` at scale ``2**-r`` is
 index ``2**n`` and lives in the cell starting at 1.0, so sets touching 1.0
 simply have ``width = 2``.
 
+One grouping primitive, ``_run_starts`` (the first row of each run of
+equal rows in sorted keys), gives distinct values, covering numbers, tree
+levels and measure cells; one integer sign, ``_pow2_sign``, decides every
+threshold ``2**frac`` against a rational in ``pow2_le`` and ``pow2_ge``.
+
 Sumsets.  ``sumset(A, c, B)`` turns every slope into the integer sumset
 ``A + V`` with ``V = {floor(c * b)}`` and hands it to one kernel,
 ``_sum_support``.  The kernel takes the cheapest of three routes under a
@@ -51,7 +56,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -155,29 +160,30 @@ def dyadic_slope(c) -> tuple[int, int]:
     return p, q
 
 
+def _ratio(x) -> tuple[int, int]:
+    """``(p, q)`` with ``x == p / q`` and ``q > 0``, for ints, Fractions and floats."""
+    return x.as_integer_ratio() if isinstance(x, float) else (x.numerator, x.denominator)
+
+
+def _pow2_sign(frac, value) -> int:
+    """The sign of ``2**frac - value``, exactly: with ``frac = num/den`` and
+    ``value = p/q > 0`` that of ``2**num * q**den - p**den``; +1 for value <= 0."""
+    num, den = _ratio(frac)
+    p, q = _ratio(value)
+    if p <= 0:
+        return 1
+    lhs, rhs = q**den << max(num, 0), p**den << max(-num, 0)
+    return (lhs > rhs) - (lhs < rhs)
+
+
 def pow2_le(frac: Fraction, value) -> bool:
     """Exact test of ``2**frac <= value`` for rational frac and rational value."""
-    value = Fraction(value)
-    if value <= 0:
-        return False
-    frac = Fraction(frac)
-    num, den = frac.numerator, frac.denominator
-    # 2**(num/den) <= value  <=>  2**num <= value**den, both exact rationals.
-    if num >= 0:
-        return (1 << num) <= value**den
-    return 1 <= value**den * (1 << -num)
+    return _pow2_sign(frac, value) <= 0
 
 
 def pow2_ge(frac: Fraction, value) -> bool:
     """Exact test of ``2**frac >= value``."""
-    value = Fraction(value)
-    if value <= 0:
-        return True
-    frac = Fraction(frac)
-    num, den = frac.numerator, frac.denominator
-    if num >= 0:
-        return (1 << num) >= value**den
-    return 1 >= value**den * (1 << -num)
+    return _pow2_sign(frac, value) >= 0
 
 
 @dataclass(frozen=True)
@@ -215,9 +221,9 @@ class DeltaSet:
 
     @classmethod
     def from_indices(cls, n: int, ks: Iterable[int], width: int | None = None) -> "DeltaSet":
-        idx = np.unique(np.asarray(list(ks), dtype=np.int64))
+        idx = _distinct(np.sort(np.asarray(list(ks), dtype=np.int64)))
         if width is None:
-            width = max(1, -(-int(idx[-1] + 1) >> n)) if idx.size else 1
+            width = max(1, -(-(int(idx[-1]) + 1) >> n)) if idx.size else 1
         return cls(n, idx, width)
 
     @property
@@ -339,7 +345,7 @@ def covering_number(A: DeltaSet, r_exp: int) -> int:
     """
     if not 0 <= r_exp <= A.n:
         raise ValueError("r_exp out of range")
-    return int(np.unique(A.indices >> (A.n - r_exp)).size)
+    return int(_run_starts(A.indices >> (A.n - r_exp)).size)
 
 
 def covering_counts(A: DeltaSet, r_exps: Sequence[int] | None = None) -> dict[int, int]:
@@ -364,14 +370,21 @@ def slope_floor(p: int, q: int, ks: np.ndarray) -> np.ndarray:
     return (p * ks) >> min(q, 63)
 
 
+def _run_starts(*cols: np.ndarray) -> np.ndarray:
+    """The index of the first row of each run of equal rows, for columns
+    sorted together (one sorted key, or several ordered by ``lexsort``)."""
+    head, *rest = cols
+    new = np.empty(head.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(head[1:], head[:-1], out=new[1:])
+    for col in rest:
+        new[1:] |= col[1:] != col[:-1]
+    return np.flatnonzero(new)
+
+
 def _distinct(s: np.ndarray) -> np.ndarray:
     """The distinct values of a sorted array, in order."""
-    if s.size < 2:
-        return s
-    keep = np.empty(s.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(s[1:], s[:-1], out=keep[1:])
-    return s[keep]
+    return s[_run_starts(s)]
 
 
 def _shifts(c, B: DeltaSet) -> np.ndarray:

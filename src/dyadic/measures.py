@@ -48,6 +48,8 @@ from .grid import (
     CertificateError,
     DeltaSet,
     FormatError,
+    _distinct,
+    _run_starts,
     certify,
     dyadic_slope,
     load_json,
@@ -188,10 +190,8 @@ class DiscreteMeasure:
             else:
                 shift = self.n - level
                 order, starts = _sort_groups([k >> shift for k in cols])
-                first = np.zeros(order.size, dtype=np.int64)
-                first[starts] = 1
-                ids = np.empty_like(first)
-                ids[order] = np.cumsum(first) - 1
+                ids = np.empty(order.size, dtype=np.int64)
+                ids[order] = np.repeat(np.arange(starts.size), np.diff(starts, append=order.size))
                 mask = (1 << shift) - 1
                 memo[level] = ids, tuple(k & mask for k in cols)
         return memo[level]
@@ -240,15 +240,9 @@ def _sort_groups(cols: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
                 packed = packed * (hi - lo + 1) + (c - lo)
     if packed is not None:
         order = np.argsort(packed)
-        run = packed[order]
-        new = run[1:] != run[:-1]
-    else:
-        order = np.lexsort(cols[::-1])
-        new = np.zeros(order.size - 1, dtype=bool)
-        for c in cols:
-            run = c[order]
-            new |= run[1:] != run[:-1]
-    return order, np.flatnonzero(np.concatenate(([True], new)))
+        return order, _run_starts(packed[order])
+    order = np.lexsort(cols[::-1])
+    return order, _run_starts(*(c[order] for c in cols))
 
 
 def _cell_counts(
@@ -277,11 +271,7 @@ def _cell_counts(
     order, starts = _sort_groups(buckets if cell is None else [cell, *buckets])
     counts = np.add.reduceat(mu._columns[1][order], starts)
     firsts = order[starts]
-    if cell is None:
-        cell_starts = np.zeros(1, dtype=np.int64)
-    else:
-        ids = cell[firsts]
-        cell_starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
+    cell_starts = np.zeros(1, dtype=np.int64) if cell is None else _run_starts(cell[firsts])
     return counts, cell_starts, [b[firsts] for b in buckets]
 
 
@@ -292,8 +282,9 @@ def _cell_entropies(counts: np.ndarray, starts: np.ndarray) -> tuple[list[int], 
     each ``b log2 b`` is evaluated once per distinct count, and ``fsum``
     makes each cell's sum independent of the bucket order.
     """
-    distinct, which = np.unique(counts, return_inverse=True)
-    terms = np.array([b * math.log2(b) for b in distinct.tolist()])[which].tolist()
+    distinct = _distinct(np.sort(counts))
+    terms = np.array([b * math.log2(b) for b in distinct.tolist()])
+    terms = terms[np.searchsorted(distinct, counts)].tolist()
     masses = np.add.reduceat(counts, starts).tolist()
     bounds = starts.tolist() + [len(terms)]
     return masses, [

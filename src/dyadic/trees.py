@@ -8,9 +8,10 @@ subsets, collapse chosen levels to single children, thin children until
 siblings are separated by at least one empty cell, and manipulate the level
 intervals on which a profile is trivial (child count 1).
 
-All cardinality and branching claims are exact integer statements and are
-asserted as such; thresholds of the shape ``2**(rational)`` are compared by
-cross-multiplied integer powers, never through floats.
+Levels are grouped by ``_depth_cells`` alone.  The surgeries' cardinality
+and branching claims are exact integer certificates (``grid.certify``,
+kept by ``python -O``); thresholds ``2**(rational)`` are compared in
+integers, never through floats.
 """
 
 from __future__ import annotations
@@ -19,11 +20,12 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, prod
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .grid import DeltaSet, FormatError, load_json, pow2_ge, pow2_le
+from .grid import DeltaSet, FormatError, certify, load_json, pow2_ge, pow2_le
+from .grid import _distinct, _run_starts
 
 __all__ = [
     "BranchingProfile",
@@ -151,9 +153,19 @@ class IntervalFamily:
         return tuple(iv for iv in self.intervals if iv.tag in tags)
 
 
-def _depth_cells(idx: np.ndarray, n: int, m: int, depth: int) -> np.ndarray:
-    """Sorted distinct occupied cells at the given tree depth."""
-    return np.unique(idx >> (n - m * depth))
+def _depth_cells(idx: np.ndarray, n: int, m: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """The occupied cells of sorted indices at a tree depth, sorted, and the
+    index of each parent's first child among them: parent ``i`` has the
+    children ``cells[starts[i]:starts[i + 1]]``."""
+    cells = _distinct(idx >> (n - m * depth))
+    return cells, _run_starts(cells >> m)
+
+
+def _points_in(idx: np.ndarray, shift: int, kept: np.ndarray) -> np.ndarray:
+    """The indices whose cell ``idx >> shift`` is one of the sorted ``kept``."""
+    keys = idx >> shift
+    at = np.minimum(np.searchsorted(kept, keys), kept.size - 1)
+    return idx[kept[at] == keys]
 
 
 def branching_profile_of(A: DeltaSet, m: int, levels: int) -> BranchingProfile | None:
@@ -168,8 +180,8 @@ def branching_profile_of(A: DeltaSet, m: int, levels: int) -> BranchingProfile |
     idx = A.indices
     out = []
     for depth in range(1, levels + 1):
-        cells = _depth_cells(idx, A.n, m, depth)
-        counts = np.unique(cells >> m, return_counts=True)[1]
+        cells, starts = _depth_cells(idx, A.n, m, depth)
+        counts = np.diff(starts, append=cells.size)
         r = int(counts[0])
         if not np.all(counts == r):
             return None
@@ -242,31 +254,24 @@ def uniformize(A: DeltaSet, m: int, levels: int) -> tuple[DeltaSet, BranchingPro
     idx = A.indices
     chosen = [0] * levels
     for depth in range(levels, 0, -1):
-        shift = A.n - m * depth
-        cells = np.unique(idx >> shift)
-        parents = cells >> m
-        _, starts, counts = np.unique(parents, return_index=True, return_counts=True)
+        cells, starts = _depth_cells(idx, A.n, m, depth)
+        counts = np.diff(starts, append=cells.size)
         # counts <= 2**m << 2**53, so float log2 + ceil is exact here
-        buckets = np.where(
-            counts == 1, 0, np.ceil(np.log2(counts)).astype(np.int64)
-        )
+        buckets = np.where(counts == 1, 0, np.ceil(np.log2(counts)).astype(np.int64))
         best_k, best_score, best_take = -1, -1, 0
-        for k in np.unique(buckets):
+        for k in sorted(set(buckets.tolist())):
             sel = buckets == k
             take = int(counts[sel].min())
             score = int(sel.sum()) * take
             if score > best_score:
                 best_k, best_score, best_take = int(k), score, take
-        sel = buckets == best_k
-        kept_cells = cells[
-            (starts[sel][:, None] + np.arange(best_take)).ravel()
-        ]
-        idx = idx[np.isin(idx >> shift, kept_cells)]
+        kept = (starts[buckets == best_k][:, None] + np.arange(best_take)).ravel()
+        idx = _points_in(idx, A.n - m * depth, cells[kept])
         chosen[depth - 1] = best_take
     profile = BranchingProfile(m, tuple(chosen))
     out = DeltaSet(A.n, idx, width=1)
-    assert len(out) * (2 * m) ** levels >= original
-    assert branching_profile_of(out, m, levels) == profile
+    certify("uniformize-size", len(out) * (2 * m) ** levels - original)
+    certify("uniformize-profile", -int(branching_profile_of(out, m, levels) != profile))
     return out, profile
 
 
@@ -277,27 +282,27 @@ def collapse(
 
     A must be uniform with the given profile; the result is uniform with the
     collapsed levels' counts replaced by 1 and has exactly
-    ``|A| / prod(r[s] for s in S)`` points.
+    ``|A| / prod(r[s] for s in S)`` points.  A point count those counts do
+    not divide cannot be uniform and raises ValueError before any level is
+    collapsed.
     """
     m, n = profile.m, profile.n
     S = sorted(set(int(s) for s in S))
     if S and not 0 <= S[0] <= S[-1] < profile.levels:
         raise ValueError("collapse levels out of range")
+    expected = len(A)
+    for s in S:
+        expected, rem = divmod(expected, profile.r[s])
+        if rem:
+            raise ValueError(f"input was not uniform with the given profile at level {s}")
     idx = A.indices
     for s in S:
-        shift = n - m * (s + 1)
-        cells = np.unique(idx >> shift)
-        first = np.unique(cells >> m, return_index=True)[1]
-        idx = idx[np.isin(idx >> shift, cells[first])]
+        cells, starts = _depth_cells(idx, n, m, s + 1)
+        idx = _points_in(idx, n - m * (s + 1), cells[starts])
     collapsed = set(S)
     new_r = tuple(1 if s in collapsed else r for s, r in enumerate(profile.r))
     out = DeltaSet(n, idx, width=1)
-    expected = len(A)
-    for s in S:
-        q, rem = divmod(expected, profile.r[s])
-        assert rem == 0, "input was not uniform with the given profile"
-        expected = q
-    assert len(out) == expected
+    certify("collapse-size", -abs(len(out) - expected))
     return out, BranchingProfile(m, new_r)
 
 
@@ -319,34 +324,25 @@ def prune_adjacent(
     idx = B.indices
     kept_counts = []
     for depth in range(1, profile.levels + 1):
-        shift = n - m * depth
-        cells = np.unique(idx >> shift)
-        parents = cells >> m
-        bounds = np.flatnonzero(np.r_[True, np.diff(parents) > 0, True])
-        groups = [
-            cells[bounds[i] : bounds[i + 1]].tolist()
-            for i in range(bounds.size - 1)
-        ]
+        cells, starts = _depth_cells(idx, n, m, depth)
         kept_per_parent = []
-        for group in groups:
+        for group in np.split(cells, starts[1:]):
             kept = [group[0]]
-            for cell in group[1:]:
+            for cell in group[1:].tolist():
                 if cell >= kept[-1] + 2:
                     kept.append(cell)
             kept_per_parent.append(kept)
         take = min(len(k) for k in kept_per_parent)
-        assert 2 * take >= profile.r[depth - 1] >= take
-        kept_cells = np.asarray(
-            [c for k in kept_per_parent for c in k[:take]], dtype=np.int64
-        )
-        idx = idx[np.isin(idx >> shift, kept_cells)]
+        r = profile.r[depth - 1]
+        certify("prune-kept-half", min(2 * take - r, r - take))
+        kept = np.array([c for k in kept_per_parent for c in k[:take]], dtype=np.int64)
+        idx = _points_in(idx, n - m * depth, kept)
         kept_counts.append(take)
     out = DeltaSet(n, idx, width=1)
-    assert len(out) << profile.levels >= len(B)
+    certify("prune-size", (len(out) << profile.levels) - len(B))
     new_profile = BranchingProfile(m, tuple(kept_counts))
-    assert branching_profile_of(out, m, profile.levels) == new_profile
-    gaps = level_min_gaps(out, m, profile.levels)
-    assert all(g >= 2 for g in gaps)
+    certify("prune-profile", -int(branching_profile_of(out, m, profile.levels) != new_profile))
+    certify("prune-gaps", min(level_min_gaps(out, m, profile.levels)) - 2)
     return out, new_profile
 
 
@@ -362,11 +358,8 @@ def level_min_gaps(B: DeltaSet, m: int, levels: int) -> list[int]:
         raise ValueError("resolution does not match m * levels")
     out = []
     for depth in range(1, levels + 1):
-        cells = _depth_cells(B.indices, B.n, m, depth)
-        if cells.size < 2:
-            out.append(1 << (m * levels))
-        else:
-            out.append(int(np.diff(cells).min()))
+        cells, _ = _depth_cells(B.indices, B.n, m, depth)
+        out.append(int(np.diff(cells).min()) if cells.size > 1 else 1 << (m * levels))
     return out
 
 
@@ -510,7 +503,7 @@ def collapse_suffixes(
         if xi * r < 1:
             raise ValueError(f"interval {iv.lo}..{iv.hi} too short: xi*r < 1")
         g = ceil(xi * len(iv))
-        assert xi * len(iv) <= g <= 2 * xi * len(iv)
+        certify("collapse-prefix", min(g - xi * len(iv), 2 * xi * len(iv) - g))
         prefix[(iv.lo, iv.hi)] = g
         S.extend(range(iv.lo + g, iv.hi + 1))
     pruned, new_profile = collapse(B, profile, S)
@@ -528,11 +521,11 @@ def polarisation_check(
     eta = Fraction(eta)
     if profile_a.m != profile_b.m or profile_a.levels != profile_b.levels:
         raise ValueError("profiles must share geometry")
-    m = profile_a.m
+    floor = (1 - eta) * profile_a.m
     return [
         s
         for s in range(profile_a.levels)
-        if profile_b.r[s] > 1 and not pow2_le((1 - eta) * m, profile_a.r[s])
+        if profile_b.r[s] > 1 and not pow2_le(floor, profile_a.r[s])
     ]
 
 
@@ -543,9 +536,9 @@ def find_low_level(
     gamma_cap = Fraction(gamma_cap)
     if profile_a.m != profile_b.m or profile_a.levels != profile_b.levels:
         raise ValueError("profiles must share geometry")
-    m = profile_a.m
+    cap = gamma_cap * profile_a.m
     for s in range(profile_a.levels):
-        if profile_b.r[s] == 1 and pow2_ge(gamma_cap * m, profile_a.r[s]):
+        if profile_b.r[s] == 1 and pow2_ge(cap, profile_a.r[s]):
             return s
     return None
 

@@ -358,3 +358,36 @@ def test_sumset_past_the_byte_budget_gives_one_line_error(tmp_path, runner):
     lines = res.output.strip().splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("Error: sumset needs ") and "over the budget of" in lines[0]
+
+
+def test_assemble_bad_params_give_a_usage_error(runner):
+    res = runner.invoke(main, ["assemble", "--pattern", "bx"])
+    assert res.exit_code == 2
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert "Error: pattern must be big_n chars from {b, t}" in res.output
+    assert "Traceback" not in res.output
+
+
+def test_instance_generation_error_gives_one_line_error(runner):
+    args = ["assemble", "--m", "4", "--ell", "6", "--big-n", "2", "--pattern", "tt"]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 1
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    lines = res.output.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("Error: size: instance exceeds the 2**20 atom budget")
+
+
+def test_failed_certificate_gives_one_line_error(runner, monkeypatch):
+    from dyadic import experiments
+
+    real = experiments._block_bits
+    monkeypatch.setattr(
+        experiments, "_block_bits", lambda prof, lo, hi: real(prof, lo, hi) + 40.0
+    )
+    res = runner.invoke(main, ["assemble", "--pattern", "bt"])
+    assert res.exit_code == 1
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    lines = res.output.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("Error: certificate 'assembly-block-average' failed with slack -")

@@ -8,13 +8,18 @@ bookkeeping identities the reports must satisfy.
 
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dyadic
 from dyadic import (
     AssemblyParams,
     DeltaSet,
@@ -33,7 +38,7 @@ from dyadic import (
     run_greedy_iterated_sum,
     sumset,
 )
-from dyadic.experiments import format_float, write_json, write_rows_csv
+from dyadic.experiments import format_float, json_text, write_json, write_rows_csv
 
 
 # ------------------------------------------------------------ named streams
@@ -303,7 +308,7 @@ def test_expansion_record_rows_and_dict():
     rows = rec.to_rows()
     assert len(rows) == len(rec.cs)
     assert rows[0]["gamma"] == "1/2" and rows[0]["delta_exponent"] == 8
-    d = rec.to_dict()
+    d = json.loads(json_text(rec))
     assert d["best_c"] == str(rec.best_c)
     assert len(d["exponents"]) == len(rec.cs)
 
@@ -424,6 +429,30 @@ def test_assembly_report_dict_is_json_ready(tmp_path):
     assert loaded["pattern"] == "bt"
     assert loaded["best_c"] == str(rep.best_c)
     assert len(loaded["per_c_entropy"]) == 64
+
+
+def test_assembly_bound_survives_python_O():
+    # overstating the A-side branching breaks the slope-averaged block bound,
+    # which must still be refused when asserts are stripped
+    code = (
+        "import sys\n"
+        "from dyadic import AssemblyParams, CertificateError, experiments\n"
+        "real = experiments._block_bits\n"
+        "experiments._block_bits = lambda prof, lo, hi: real(prof, lo, hi) + 40.0\n"
+        "try:\n"
+        "    experiments.run_final_assembly(AssemblyParams(pattern='bt'), seed=0)\n"
+        "    print(sys.flags.optimize, 'accepted', 0)\n"
+        "except CertificateError as exc:\n"
+        "    print(sys.flags.optimize, exc.name, exc.slack)\n"
+    )
+    src = str(Path(dyadic.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    optimize, name, slack = out.stdout.split()
+    assert optimize == "1"
+    assert name == "assembly-block-average" and float(slack) < -20
 
 
 # ------------------------------------------------------------ writers

@@ -89,6 +89,88 @@ def test_pow2_comparisons():
     assert not pow2_ge(Fraction(-1, 2), 1)
 
 
+def _fraction_pow2_sign(frac, value):
+    """Sign of ``2**frac - value`` through Fraction powers: the reference."""
+    frac, value = Fraction(frac), Fraction(value)
+    if value <= 0:
+        return 1
+    lhs, rhs = Fraction(2) ** frac.numerator, value**frac.denominator
+    return (lhs > rhs) - (lhs < rhs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.integers(-70, 70),
+        st.builds(Fraction, st.integers(-70, 70), st.integers(1, 9)),
+    ),
+    st.one_of(
+        st.integers(-3, 1 << 70),
+        st.builds(Fraction, st.integers(-50, 1 << 40), st.integers(1, 1 << 20)),
+        st.sampled_from([0.5, 0.75, 3.0, 2.0**-40, 1e30]),
+    ),
+)
+@example(Fraction(-3, 2), 0)
+@example(Fraction(-3, 2), Fraction(-1, 3))
+@example(Fraction(3, 2), Fraction(2**3, 1))
+@example(Fraction(-6, 3), Fraction(1, 4))  # equality at a negative exponent
+def test_pow2_sign_matches_fraction_reference(frac, value):
+    sign = grid._pow2_sign(frac, value)
+    assert sign == _fraction_pow2_sign(frac, value)
+    assert pow2_le(frac, value) == (sign <= 0)
+    assert pow2_ge(frac, value) == (sign >= 0)
+
+
+# ------------------------------------------------------------------ grouping
+
+_NEAR_62 = st.one_of(
+    st.integers(-4, 4),
+    st.integers((1 << 62) - 3, (1 << 62) + 3),
+    st.integers(-(1 << 62) - 3, -(1 << 62) + 3),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_NEAR_62, max_size=30))
+@example([])
+@example([1 << 62])
+def test_run_starts_and_distinct_match_np_unique_on_one_key(vals):
+    s = np.sort(np.array(vals, dtype=np.int64))
+    values, first = np.unique(s, return_index=True)
+    assert grid._run_starts(s).tolist() == first.tolist()
+    assert grid._distinct(s).tolist() == values.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_NEAR_62, st.integers(-2, 2)), max_size=30))
+@example([])
+@example([(0, 1)])
+def test_run_starts_of_two_lexsorted_columns_match_np_unique_rows(rows):
+    x = np.array([r[0] for r in rows], dtype=np.int64)
+    y = np.array([r[1] for r in rows], dtype=np.int64)
+    order = np.lexsort((y, x))
+    x, y = x[order], y[order]
+    if rows:
+        first = np.sort(np.unique(np.stack([x, y], axis=1), axis=0, return_index=True)[1])
+    else:
+        first = np.zeros(0, dtype=np.int64)
+    assert grid._run_starts(x, y).tolist() == first.tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(st.integers(1, 5), st.integers((1 << 63) - 2, (1 << 64) + 2)),
+                max_size=20))
+@example([])
+@example([1 << 64])
+def test_run_starts_on_object_counts_past_63_bits(vals):
+    # the measure kernel's counts are Python ints once a denominator passes 2**63
+    ordered = sorted(vals)
+    s = np.array(ordered, dtype=object)
+    expect = [i for i, v in enumerate(ordered) if i == 0 or v != ordered[i - 1]]
+    assert grid._run_starts(s).tolist() == expect
+    assert grid._distinct(s).tolist() == sorted(set(vals))
+
+
 # ------------------------------------------------------------------ covering
 
 
@@ -103,6 +185,19 @@ def test_covering_extremes():
     assert covering_number(A, 6) == len(A)
     assert covering_number(A, 0) == 1
     assert covering_counts(A, [0, 6]) == {0: 1, 6: 4}
+
+
+def test_covering_number_and_from_indices_at_n62():
+    top = (1 << 62) - 1
+    ks = [top, 0, top, 1 << 61, (1 << 61) - 1, 5, 0, 5]
+    A = DeltaSet.from_indices(62, ks)
+    assert A.indices.tolist() == sorted(set(ks)) and A.width == 1
+    for r in (0, 1, 2, 31, 60, 61, 62):
+        assert covering_number(A, r) == len({k >> (62 - r) for k in ks})
+    # the largest int64 index lies in the second unit cell
+    B = DeltaSet.from_indices(62, [(1 << 63) - 1, 1 << 62, 0])
+    assert B.width == 2 and len(B) == 3
+    assert covering_counts(B, [0, 1, 62]) == {0: 2, 1: 3, 62: 3}
 
 
 @st.composite

@@ -143,6 +143,13 @@ def test_collapse_frozen_example():
     assert new_profile.r == (4, 1, 4)
 
 
+def test_collapse_refuses_a_point_count_the_profile_does_not_divide():
+    profile = BranchingProfile(2, (4, 2, 4))
+    A = gen_uniform_tree(BranchingProfile(2, (3, 1, 3)))  # 9 points, r[0] = 4
+    with pytest.raises(ValueError, match="not uniform with the given profile"):
+        collapse(A, profile, {0})
+
+
 @given(profiles(), st.data())
 @settings(max_examples=120)
 def test_collapse_exact_cardinality(profile, data):
