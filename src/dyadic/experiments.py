@@ -35,9 +35,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .grid import DeltaSet, ParameterSet, ScaleSpec, certify, gen_ap, sumset
-from .grid import _distinct, _shifts, _sum_support
+from .grid import DeltaSet, ParameterSet, ScaleSpec, certify, gen_ap, load_json, sumset
+from .grid import SUMSET_BYTE_BUDGET, BudgetError, FormatError, _distinct, _shifts, _sum_support
 from .measures import (
+    _sort_groups,
     counting_measure,
     coarsen,
     entropy_chain,
@@ -459,8 +460,14 @@ class ExperimentConfig:
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        """Read a sweep config JSON; a malformed one raises FormatError."""
+        data = load_json(path)
+        try:
+            return cls.from_dict(data)
+        except KeyError as exc:
+            raise FormatError(path, None, f"missing key {exc}") from None
+        except ValueError as exc:
+            raise FormatError(path, None, str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -582,6 +589,10 @@ def run_expansion_sweep(config: ExperimentConfig) -> list[ExpansionRecord]:
         A, B = _build_sweep_sets(config.family, n, a_bits, b_bits, rng)
         alpha_bar = math.log2(len(A)) / n
         a_idx = A.indices
+        # scratch: `buf` below and, alive with it, the translated copy `moved`
+        needed = 2 * int(a_idx[-1]) + (3 << n) + 4
+        if needed > SUMSET_BYTE_BUDGET:
+            raise BudgetError(needed, SUMSET_BYTE_BUDGET)
         buf = np.zeros(int(a_idx[-1]) + (1 << n) + 2, dtype=bool)
         for gamma in config.gammas:
             g = min(max(int(round(gamma * n)), 1), n)
@@ -963,8 +974,12 @@ def run_final_assembly(params: AssemblyParams | None = None, seed: int = 0) -> A
     audits = []
     for blk in low_ivs[:1]:
         lo_bits, block_bits = m * blk.lo, m * len(blk)
-        shift = n - lo_bits
-        q_keys = sorted({(kx >> shift, ky >> shift) for kx, ky in mu.atoms})[:2] if shift < n else [None]
+        if lo_bits:
+            xs, ys = (k >> (n - lo_bits) for k in mu._columns[0])
+            order, starts = _sort_groups([xs, ys])
+            q_keys = [(int(xs[i]), int(ys[i])) for i in order[starts[:2]]]
+        else:
+            q_keys = [None]
         bits_a = a_prof.block_product(blk.lo, blk.hi)
         bits_b = b_prof.block_product(blk.lo, blk.hi)
         if bits_a & (bits_a - 1) or bits_b & (bits_b - 1):

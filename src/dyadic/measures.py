@@ -26,6 +26,15 @@ Each ``b * log2(b)`` term is taken on those integer counts and summed with
 ``fsum``, which is exactly rounded, so the floats do not depend on the
 order the kernel visits the buckets in.
 
+``_cell_stats`` is what the entropies, the chain, the fiber bound and the
+projected L2 norms read.  Per (cell level, bucket level, slope) it keeps
+each cell's mass and entropy and the sum of squared bucket masses in a
+memo on the measure, for the life of the measure (the bucket counts are
+not kept).  Level-0 cells are the whole measure when every key lies in
+``[0, 2**n)``, so a chain's left side, a single block term and that
+block's fiber bound share one pass; with a negative key the level-0 cells
+are several and the alias does not apply.
+
 The inequalities checked at run time raise ``CertificateError`` through
 ``certify``, so they hold under ``python -O`` too.
 """
@@ -175,6 +184,11 @@ class DiscreteMeasure:
     def _cell_memo(self) -> dict:
         return {}
 
+    @cached_property
+    def _unit_keys(self) -> bool:
+        """Whether every key lies in ``[0, 2**n)``."""
+        return all(int(k.min()) >= 0 and int(k.max()) >> self.n == 0 for k in self._columns[0])
+
     def _cells(self, level: int | None) -> tuple[np.ndarray | None, tuple[np.ndarray, ...]]:
         """The level-``level`` cell grouping, shared by every slope.
 
@@ -246,16 +260,17 @@ def _sort_groups(cols: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cell_counts(
-    mu: DiscreteMeasure, c, cell_level: int | None, bucket_level: int
+    mu: DiscreteMeasure, slope: tuple[int, int] | None, cell_level: int | None, bucket_level: int
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """The measure kernel: exact bucket masses within each cell.
 
     Each level-``cell_level`` cell is rescaled to the unit cell (as
-    ``renormalize_cell`` does), pushed by ``(x, y) -> x + c*y`` when ``c``
-    is given (planar measures), and bucketed at level
-    ``bucket_level - cell_level`` of the rescaled grid, i.e. by the key
-    shifted right ``n - bucket_level`` bits.  ``cell_level=None`` takes the
-    whole measure as one cell without rescaling.
+    ``renormalize_cell`` does), pushed by ``(x, y) -> x + c*y`` when the
+    slope ``c = p / 2**q`` is given as ``(p, q)`` (planar measures), and
+    bucketed at level ``bucket_level - cell_level`` of the rescaled grid,
+    i.e. by the key shifted right ``n - bucket_level`` bits.
+    ``cell_level=None`` takes the whole measure as one cell without
+    rescaling.
 
     Returns ``(counts, starts, keys)``: the numerator mass of every occupied
     bucket, grouped cell by cell; the index of each cell's first bucket; and
@@ -263,10 +278,10 @@ def _cell_counts(
     """
     cell, low = mu._cells(cell_level)
     shift = mu.n - bucket_level
-    if c is None:
+    if slope is None:
         buckets = [k >> shift for k in low]
     else:
-        p, q = dyadic_slope(c)
+        p, q = slope
         buckets = [(low[0] + slope_floor(p, q, low[1])) >> shift]
     order, starts = _sort_groups(buckets if cell is None else [cell, *buckets])
     counts = np.add.reduceat(mu._columns[1][order], starts)
@@ -304,6 +319,28 @@ def _sum_squares(counts: np.ndarray, denom: int) -> int:
     return sum(b * b for b in counts.tolist())
 
 
+def _cell_stats(
+    mu: DiscreteMeasure, c, cell_level: int | None, bucket_level: int
+) -> tuple[list[int], list[float], int]:
+    """Every cell's mass numerator and entropy, and the sum of the squared
+    bucket masses, of the kernel pass for slope ``c`` (None pushes nothing).
+
+    Memoised on ``mu`` per (cell level, bucket level, slope), for the life
+    of the measure; the bucket counts are not kept.  When every key lies in
+    ``[0, 2**n)`` the one level-0 cell is the whole measure, so level 0
+    shares the ``cell_level=None`` entry.
+    """
+    if cell_level == 0 and mu._unit_keys:
+        cell_level = None
+    slope = None if c is None else dyadic_slope(c)
+    key = cell_level, bucket_level, slope
+    memo = mu._cell_memo
+    if key not in memo:
+        counts, starts, _ = _cell_counts(mu, slope, cell_level, bucket_level)
+        memo[key] = (*_cell_entropies(counts, starts), _sum_squares(counts, mu.denom))
+    return memo[key]
+
+
 def _check_level(mu: DiscreteMeasure, j: int) -> None:
     if not 0 <= j <= mu.n:
         raise ValueError("level out of range")
@@ -312,18 +349,16 @@ def _check_level(mu: DiscreteMeasure, j: int) -> None:
 def entropy(mu: DiscreteMeasure, j: int) -> float:
     """Shannon entropy (bits) of mu pushed to the level-j dyadic partition."""
     _check_level(mu, j)
-    counts, starts, _ = _cell_counts(mu, None, None, j)
-    return _cell_entropies(counts, starts)[1][0]
+    return _cell_stats(mu, None, None, j)[1][0]
 
 
 def _projection_l2_entropy(mu: DiscreteMeasure, c) -> tuple[Fraction, float]:
     """Squared L2 density and entropy of ``project(mu, c)`` at level n, from
-    one pass of the kernel (no projected measure is built)."""
+    one memoised pass of the kernel (no projected measure is built)."""
     if mu.dim != 2:
         raise ValueError("expected a planar measure")
-    counts, starts, _ = _cell_counts(mu, c, None, mu.n)
-    l2 = Fraction(_sum_squares(counts, mu.denom) << mu.n, mu.denom * mu.denom)
-    return l2, _cell_entropies(counts, starts)[1][0]
+    _, hs, ssq = _cell_stats(mu, c, None, mu.n)
+    return Fraction(ssq << mu.n, mu.denom * mu.denom), hs[0]
 
 
 def conditional_entropy(mu: DiscreteMeasure, fine: int, coarse: int) -> float:
@@ -387,8 +422,8 @@ def renormalize_cell(mu: DiscreteMeasure, q_key, j: int) -> DiscreteMeasure:
 def discretize_density_l2(mu: DiscreteMeasure, j: int) -> Fraction:
     """Squared L2 norm of the level-j density: ``2**(dim*j) * sum mu(Q)**2``."""
     _check_level(mu, j)
-    counts = _cell_counts(mu, None, None, j)[0]
-    return Fraction(_sum_squares(counts, mu.denom) << (mu.dim * j), mu.denom * mu.denom)
+    ssq = _cell_stats(mu, None, None, j)[2]
+    return Fraction(ssq << (mu.dim * j), mu.denom * mu.denom)
 
 
 def project(mu: DiscreteMeasure, c) -> DiscreteMeasure:
@@ -400,7 +435,7 @@ def project(mu: DiscreteMeasure, c) -> DiscreteMeasure:
     """
     if mu.dim != 2:
         raise ValueError("project expects a planar measure")
-    counts, _, keys = _cell_counts(mu, c, None, mu.n)
+    counts, _, keys = _cell_counts(mu, dyadic_slope(c), None, mu.n)
     return DiscreteMeasure(1, mu.n, _atoms(keys, counts), mu.denom)
 
 
@@ -535,10 +570,10 @@ def entropy_chain(
         b <= a for a, b in zip(cuts, cuts[1:])
     ):
         raise ValueError("cuts must run 0 = j_0 < ... < j_h = n")
-    lhs = _cell_entropies(*_cell_counts(mu, c, None, mu.n)[:2])[1][0]
+    lhs = _cell_stats(mu, c, None, mu.n)[1][0]
     terms = []
     for j, j_next in zip(cuts, cuts[1:]):
-        masses, hs = _cell_entropies(*_cell_counts(mu, c, j, j_next)[:2])
+        masses, hs, _ = _cell_stats(mu, c, j, j_next)
         terms.append(fsum([m * h for m, h in zip(masses, hs)]) / mu.denom)
     h = len(cuts) - 1
     report = ChainReport(
@@ -574,8 +609,7 @@ def uniform_fiber_entropy_bound(
         raise ValueError("expected a planar measure")
     if block_bits < 1 or lo_bits < 0 or lo_bits + block_bits > mu.n:
         raise ValueError("block exceeds the resolution")
-    _, hs = _cell_entropies(*_cell_counts(mu, c, lo_bits, lo_bits + block_bits)[:2])
-    worst = min(hs)
+    worst = min(_cell_stats(mu, c, lo_bits, lo_bits + block_bits)[1])
     bound = log2_branching - 1.0
     certify("uniform-fiber", worst - bound, _IDENTITY_TOL)
     return worst, bound

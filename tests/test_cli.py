@@ -349,6 +349,28 @@ def test_set_file_without_width_gives_one_line_error(tmp_path, runner):
     assert lines[0].startswith(f"Error: {path}:1: header must read 'n=<int> W=<int>'")
 
 
+@pytest.mark.parametrize(
+    "drop, change, reason",
+    [
+        ("scales", {}, "missing key 'scales'"),
+        (None, {"gamma": "1/2"}, "gamma must exceed (alpha - beta) / (1 - beta)"),
+        ("ell", {}, "block length too short for the xi margin"),  # the default ell is 16
+    ],
+)
+def test_malformed_sweep_config_gives_one_line_error(tmp_path, runner, drop, change, reason):
+    cfg = {
+        "alpha": "3/4", "beta": "1/2", "gamma": "3/4", "zeta": "1/8", "ell": 32,
+        "scales": [[1, 8, 1]], "gammas": ["1/2"], **change,
+    }
+    cfg.pop(drop, None)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    res = runner.invoke(main, ["sweep", str(path)])
+    assert res.exit_code == 1
+    lines = res.output.strip().splitlines()
+    assert lines == [f"Error: {path}: {reason}"]
+
+
 def test_sumset_past_the_byte_budget_gives_one_line_error(tmp_path, runner):
     path = tmp_path / "wide.txt"
     rng = np.random.default_rng(40)

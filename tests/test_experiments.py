@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -291,6 +292,25 @@ def test_sweep_translation_invariance_explicit():
     assert len(sumset(a, c, b, max_width=4)) == len(sumset(moved, c, b, max_width=4))
 
 
+def test_sweep_past_the_byte_budget_raises_before_allocating():
+    # at n = 40 the scatter buffers would take 2**40 and 2**41 bytes
+    params = ParameterSet(
+        alpha=Fraction(1, 10), beta=Fraction(1, 20), gamma=Fraction(1, 2),
+        kappa=Fraction(1, 2), eta=Fraction(1, 2), zeta=Fraction(1, 8),
+        ell=32,
+    )
+    cfg = _config(params=params, scales=(ScaleSpec(1, 40, 1),), gammas=(Fraction(1, 4),))
+    tracemalloc.start()
+    try:
+        with pytest.raises(dyadic.BudgetError) as info:
+            run_expansion_sweep(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.value.budget == dyadic.SUMSET_BYTE_BUDGET < info.value.needed
+    assert peak < 1 << 20
+
+
 def test_expansion_record_rejects_impossible_exponent():
     with pytest.raises(ValueError):
         ExpansionRecord(
@@ -395,6 +415,32 @@ def test_assembly_hand_sized_one_low_interval():
     assert all(a.failures == () for a in rep.cell_audits)
 
 
+def test_assembly_audit_cells_past_32_bits(monkeypatch):
+    # the low interval starts at level 20 of 2 bits and A branches from
+    # level 5: the audited cells' keys take 40 bits a coordinate, their x
+    # up to 30 of them, and must still be mu's first two cells
+    from dyadic import experiments
+
+    built = []
+    real = experiments.product_measure
+    monkeypatch.setattr(
+        experiments, "product_measure", lambda a, b: built.append(real(a, b)) or built[-1]
+    )
+    params = AssemblyParams(
+        m=2, ell=5, big_n=6, eta=Fraction(1, 2), zeta=Fraction(1, 4),
+        xi=Fraction(1, 4), gamma_cap=Fraction(3, 4), c_bits=4,
+        pattern="tbttbt", trivial_a_bits=0, branch_b_bits=1,
+    )
+    rep = run_final_assembly(params, seed=0)
+    ((lo, _),) = {a.block for a in rep.cell_audits}
+    assert rep.n == 60 and params.m * lo == 40
+    (mu,) = built
+    shift = rep.n - params.m * lo
+    assert max(kx >> shift for kx, _ in mu.atoms) >> 23  # past a packed 63-bit key
+    expected = sorted({(kx >> shift, ky >> shift) for kx, ky in mu.atoms})[:2]
+    assert [a.cell for a in rep.cell_audits] == expected
+
+
 def test_assembly_seeded_run_is_deterministic():
     a = run_final_assembly(seed=3)
     b = run_final_assembly(seed=3)
@@ -453,6 +499,56 @@ def test_assembly_bound_survives_python_O():
     optimize, name, slack = out.stdout.split()
     assert optimize == "1"
     assert name == "assembly-block-average" and float(slack) < -20
+
+
+def test_assembly_makes_one_kernel_pass_per_slope_on_2_16_atoms(monkeypatch):
+    # seed 9 draws the "bb" pattern, cuts [0, 16]: the chain's left side, its
+    # one block term and the fiber bound share each slope's pass
+    from dyadic import measures
+
+    passes = []
+    real = measures._sort_groups
+    monkeypatch.setattr(measures, "_sort_groups", lambda cols: passes.append(1) or real(cols))
+    rep = run_final_assembly(seed=9)
+    assert rep.size_a * rep.size_b_collapsed == 1 << 16 and len(rep.cs) == 64
+    assert [(b.lo, b.hi) for b in rep.blocks] == [(0, 7)]
+    assert 0 < len(passes) <= 64
+
+
+def test_memoised_entropies_are_certified_under_python_O():
+    # a memo hit skips the kernel, not the certificate: the first hit's
+    # entropies, lowered by 100 bits in the memo, must fail a certificate
+    code = (
+        "import sys\n"
+        "from fractions import Fraction as F\n"
+        "from dyadic import AssemblyParams, CertificateError, experiments, measures\n"
+        "params = AssemblyParams(m=3, ell=4, big_n=4, eta=F(1, 3), zeta=F(1, 4), xi=F(1, 4),\n"
+        "                        gamma_cap=F(3, 4), c_bits=4, pattern='ttbt', trivial_a_bits=0,\n"
+        "                        branch_b_bits=2)\n"
+        "real = measures._cell_stats\n"
+        "hits = []\n"
+        "def corrupt(mu, c, cell_level, bucket_level):\n"
+        "    size = len(mu._cell_memo)\n"
+        "    stats = real(mu, c, cell_level, bucket_level)\n"
+        "    if len(mu._cell_memo) == size and not hits:\n"
+        "        hits.append(1)\n"
+        "        stats[1][:] = [h - 100.0 for h in stats[1]]\n"
+        "    return stats\n"
+        "measures._cell_stats = corrupt\n"
+        "try:\n"
+        "    experiments.run_final_assembly(params, seed=0)\n"
+        "    print(sys.flags.optimize, 'accepted', 0)\n"
+        "except CertificateError as exc:\n"
+        "    print(sys.flags.optimize, exc.name, exc.slack)\n"
+    )
+    src = str(Path(dyadic.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    optimize, name, slack = out.stdout.split()
+    assert optimize == "1"
+    assert name == "uniform-fiber" and float(slack) < -50
 
 
 # ------------------------------------------------------------ writers

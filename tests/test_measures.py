@@ -35,6 +35,7 @@ from dyadic.measures import (
     symmetrize,
     uniform_fiber_entropy_bound,
 )
+from dyadic.measures import _projection_l2_entropy
 
 TOL = 2.0**-40
 
@@ -489,6 +490,52 @@ def test_kernel_matches_dict_reference_bit_for_bit(args):
         )
         for c, h, _ in report.per_c:
             assert h == reference_cells(mu, c, None, mu.n)[0][1]
+
+
+@st.composite
+def memo_instances(draw):
+    """A measure, chain cuts and slopes with one repeated, whose keys may be
+    negative and whose numerators may be Python integers (a denominator
+    past 2**63)."""
+    n = draw(st.integers(4, 10))
+    count = draw(st.integers(1, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    flat = rng.choice(1 << (2 * n), size=count, replace=False)
+    offset = (1 << (n - 1)) if draw(st.booleans()) else 0  # negative keys
+    keys = zip((flat >> n).tolist(), ((flat & ((1 << n) - 1)) - offset).tolist())
+    nums = rng.integers(1, 1 << 20, size=count).tolist()
+    nums[0] += (1 << 64) if draw(st.booleans()) else 0
+    mu = DiscreteMeasure(2, n, dict(zip(keys, nums)), sum(nums))
+    q = draw(st.integers(0, n))
+    ps = rng.integers(-(1 << q), (1 << q) + 1, size=draw(st.integers(1, 6))).tolist()
+    cuts = [0] + sorted(draw(st.sets(st.integers(1, n - 1), max_size=2))) + [n]
+    return mu, cuts, [Fraction(p, 1 << q) for p in ps + ps[:1]]
+
+
+@given(memo_instances())
+@settings(max_examples=40, deadline=None)
+def test_memoised_results_match_fresh_passes(args):
+    mu, cuts, slopes = args
+    assert (mu._columns[1].dtype == object) == (mu.denom >= 1 << 63)
+    assert mu._unit_keys == all(ky >= 0 for _, ky in mu.atoms)
+    pairs = list(zip(cuts, cuts[1:]))
+    for c in slopes:  # fill the memo; the repeated slope reads it back
+        entropy_chain(mu, c, cuts)
+        for j, j_next in pairs:
+            uniform_fiber_entropy_bound(mu, c, j, j_next - j, 0.0)
+        _projection_l2_entropy(mu, c)
+    for c in slopes:
+        fresh = DiscreteMeasure(2, mu.n, mu.atoms, mu.denom)
+        assert entropy_chain(mu, c, cuts) == entropy_chain(fresh, c, cuts)
+        for j, j_next in pairs:
+            assert uniform_fiber_entropy_bound(mu, c, j, j_next - j, 0.0) == (
+                uniform_fiber_entropy_bound(fresh, c, j, j_next - j, 0.0)
+            )
+        assert _projection_l2_entropy(mu, c) == _projection_l2_entropy(fresh, c)
+    # a negative key splits level 0 into several cells: the dict reference
+    # groups them, so the whole-measure alias must not have fired
+    rep = entropy_chain(mu, slopes[0], cuts)
+    assert (rep.lhs, list(rep.block_terms)) == reference_chain(mu, slopes[0], cuts)
 
 
 # ------------------------------------------------------- the kernel's domain
