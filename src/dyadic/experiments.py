@@ -439,23 +439,51 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        """Read a parsed sweep config; a value of the wrong JSON type raises
+        ValueError naming it."""
+        if not isinstance(data, dict):
+            raise ValueError("a sweep config must be a JSON object")
+
+        def scalar(what, value):
+            if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+                raise ValueError(f"{what} must be a string or a number, not {json.dumps(value)}")
+            return value
+
+        def listed(what, value, size=None):
+            if not isinstance(value, list) or size not in (None, len(value)):
+                shape = "a list" if size is None else f"a list of {size} numbers"
+                raise ValueError(f"{what} must be {shape}, not {json.dumps(value)}")
+            return value
+
+        def fraction(key, default=None):
+            value = data[key] if default is None else data.get(key, default)
+            return Fraction(scalar(repr(key), value))
+
         params = ParameterSet(
-            alpha=Fraction(data["alpha"]),
-            beta=Fraction(data["beta"]),
-            gamma=Fraction(data["gamma"]),
-            kappa=Fraction(data.get("kappa", "1/2")),
-            eta=Fraction(data.get("eta", "1/2")),
-            zeta=Fraction(data.get("zeta", "1/16")),
-            ell=int(data.get("ell", 16)),
+            alpha=fraction("alpha"),
+            beta=fraction("beta"),
+            gamma=fraction("gamma"),
+            kappa=fraction("kappa", "1/2"),
+            eta=fraction("eta", "1/2"),
+            zeta=fraction("zeta", "1/16"),
+            ell=int(scalar("'ell'", data.get("ell", 16))),
         )
+        scales = [
+            ScaleSpec(*(int(scalar("a scale entry", v)) for v in listed("a scale row", row, 3)))
+            for row in listed("'scales'", data["scales"])
+        ]
+        out = data.get("out")
+        if out is not None and not isinstance(out, str):
+            raise ValueError(f"'out' must be a path string, not {json.dumps(out)}")
+        gammas = [Fraction(scalar("a gamma", g)) for g in listed("'gammas'", data["gammas"])]
         return cls(
             params=params,
             family=data.get("family", "aligned-triple"),
-            scales=tuple(ScaleSpec(*map(int, row)) for row in data["scales"]),
-            gammas=tuple(Fraction(g) for g in data["gammas"]),
+            scales=tuple(scales),
+            gammas=tuple(gammas),
             nu=data.get("nu", "counting"),
-            seed=int(data.get("seed", 0)),
-            out=data.get("out"),
+            seed=int(scalar("'seed'", data.get("seed", 0))),
+            out=out,
         )
 
     @classmethod

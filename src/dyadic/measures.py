@@ -13,12 +13,18 @@ evaluates the fiberwise definition directly, which the chain rule says must
 equal the difference of the two plain entropies -- the test suite holds the
 two routes to within ``2**-40``.
 
-Bucketing, projection and the per-cell entropies of the chain run on a
-column view of the atoms, built once per measure: one int64 column per
-coordinate, and the numerators as int64 while the denominator is below
-``2**63`` (every partial sum then fits) and as Python integers past that.
-One kernel, ``_cell_counts``, groups the atoms into cells, pushes each
-rescaled cell by a slope and sorts and reduces the bucket keys; exact
+A measure is stored as columns: one int64 key column per coordinate, and
+the numerators as int64 while the denominator is below ``2**63`` (every
+partial sum then fits) and as Python integers past that.  The counting
+measure, the product measure, cell restriction, coarsening and projection
+build their columns directly; ``atoms`` is a read-only dict view of the
+columns, built only when something reads it.  Both constructors, the public
+one from a mapping and the private ``_from_columns``, go through one
+vectorised validation.
+
+Bucketing, projection and the per-cell entropies of the chain run on the
+columns.  One kernel, ``_cell_counts``, groups the atoms into cells, pushes
+each rescaled cell by a slope and sorts and reduces the bucket keys; exact
 integer masses come out.  Keys are therefore bounded: ``n <= 62`` and
 ``|k| < 2**62``, so a projected key ``kx + floor(c * ky)`` fits int64; a
 slope product ``p * ky`` past 63 bits falls back to Python integers.
@@ -47,8 +53,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from math import fsum, gcd
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -94,58 +100,105 @@ _IDENTITY_TOL = 2.0**-30
 _MAX_N = 62
 _KEY_LIMIT = 1 << 62
 _INT64_LIMIT = 1 << 63
+_KEY_ERROR = "atom keys must lie strictly within the 62-bit limit +-2**62"
 
 
-def _as_key(dim: int, key) -> int | tuple[int, int]:
-    if dim == 1:
-        if isinstance(key, tuple):
-            (key,) = key
-        return int(key)
-    kx, ky = key
-    return int(kx), int(ky)
+def _exact_sum(nums: np.ndarray) -> int:
+    """The exact sum of a numerator column of positive values."""
+    if nums.dtype == object:
+        return int(nums.sum())
+    # below 2**31 values, the sums of the high and low 32-bit halves fit int64
+    return (int((nums >> 32).sum()) << 32) + int((nums & 0xFFFFFFFF).sum())
 
 
-@dataclass(frozen=True)
 class DiscreteMeasure:
     """A probability measure on grid cells, exact by construction.
 
     ``atoms`` maps cell keys (an int in dimension 1, an ``(x, y)`` index
     pair in dimension 2) to positive integer numerators that sum to
     ``denom`` exactly.  ``n`` is at most 62 and every key coordinate lies
-    strictly between ``-2**62`` and ``2**62``.
+    strictly between ``-2**62`` and ``2**62``.  The stored form is the
+    columns ``_columns = (keys, nums)``; ``atoms`` is a read-only view of
+    them, built on first read.
     """
 
-    dim: int
-    n: int
-    atoms: Mapping
-    denom: int
+    def __init__(self, dim: int, n: int, atoms: Mapping, denom: int):
+        try:  # one row per key; numpy cannot infer the width of no rows
+            keys = np.array(list(atoms), dtype=np.int64)
+            keys = keys.reshape(len(atoms), -1 if atoms else dim).T
+        except OverflowError:
+            raise ValueError(_KEY_ERROR) from None
+        try:
+            nums = np.array(list(atoms.values()), dtype=np.int64)
+        except OverflowError:
+            nums = np.array([int(v) for v in atoms.values()], dtype=object)
+        keys = tuple(np.ascontiguousarray(k) for k in keys)
+        self.__dict__.update(dim=dim, n=n, denom=denom, _columns=(keys, nums))
+        self.__post_init__()
 
-    def __post_init__(self):
-        if self.dim not in (1, 2):
+    @classmethod
+    def _from_columns(
+        cls, dim: int, n: int, keys: tuple[np.ndarray, ...], nums: np.ndarray, denom: int
+    ) -> "DiscreteMeasure":
+        """Build from int64 key columns with distinct rows and a numerator
+        column, validated as the public constructor validates a mapping."""
+        mu = cls.__new__(cls)
+        mu.__dict__.update(dim=dim, n=n, denom=denom, _columns=(keys, nums))
+        mu.__post_init__()
+        return mu
+
+    def __post_init__(self) -> None:
+        """The one validation of both constructors; it also settles the
+        numerator dtype by the denominator."""
+        dim, n, denom, (keys, nums) = self.dim, self.n, self.denom, self._columns
+        if dim not in (1, 2):
             raise ValueError("dim must be 1 or 2")
-        if self.n < 1:
+        if n < 1:
             raise ValueError("resolution exponent n must be >= 1")
-        if self.n > _MAX_N:
-            raise ValueError(
-                f"resolution exponent n={self.n} exceeds the 62-bit limit of int64 keys"
-            )
-        if self.denom < 1:
+        if n > _MAX_N:
+            raise ValueError(f"resolution exponent n={n} exceeds the 62-bit limit of int64 keys")
+        if denom < 1:
             raise ValueError("denominator must be positive")
-        if self.dim == 1:
-            atoms = {_as_key(1, key): int(num) for key, num in self.atoms.items()}
-            coords = atoms
-        else:
-            atoms = {(int(kx), int(ky)): int(num) for (kx, ky), num in self.atoms.items()}
-            coords = list(chain.from_iterable(atoms))
-        if not atoms:
+        if len(keys) != dim:
+            raise ValueError(f"atom keys must have {dim} coordinates")
+        if nums.size == 0:
             raise ValueError("a measure needs at least one atom")
-        if min(atoms.values()) <= 0:
+        if nums.min() <= 0:
             raise ValueError("atom weights must be positive")
-        if min(coords) <= -_KEY_LIMIT or max(coords) >= _KEY_LIMIT:
-            raise ValueError("atom keys must lie strictly within the 62-bit limit +-2**62")
-        if sum(atoms.values()) != self.denom:
+        if any(int(k.min()) <= -_KEY_LIMIT or int(k.max()) >= _KEY_LIMIT for k in keys):
+            raise ValueError(_KEY_ERROR)
+        if _exact_sum(nums) != denom:
             raise ValueError("weights must sum to exactly 1")
-        object.__setattr__(self, "atoms", atoms)
+        wide = denom >= _INT64_LIMIT
+        if nums.dtype != (object if wide else np.int64):
+            nums = nums.astype(object if wide else np.int64)
+        self.__dict__.update(denom=int(denom), _columns=(keys, nums))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("DiscreteMeasure is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, DiscreteMeasure):
+            return NotImplemented
+        return (self.dim, self.n, self.denom) == (other.dim, other.n, other.denom) and all(
+            map(np.array_equal, self._sorted_columns(), other._sorted_columns())
+        )
+
+    def __repr__(self) -> str:
+        size = self.support_size()
+        return f"DiscreteMeasure(dim={self.dim}, n={self.n}, atoms=<{size}>, denom={self.denom})"
+
+    def _sorted_columns(self) -> list[np.ndarray]:
+        keys, nums = self._columns
+        order = np.lexsort(keys[::-1])
+        return [k[order] for k in keys] + [nums[order]]
+
+    @cached_property
+    def atoms(self) -> Mapping:
+        """The atoms as a read-only dict, in column order, built on first read."""
+        keys, nums = self._columns
+        cols = [k.tolist() for k in keys]
+        return MappingProxyType(dict(zip(cols[0] if self.dim == 1 else zip(*cols), nums.tolist())))
 
     @classmethod
     def from_weights(cls, dim: int, n: int, weights: Mapping) -> "DiscreteMeasure":
@@ -165,20 +218,10 @@ class DiscreteMeasure:
         return cls(dim, n, atoms, den)
 
     def weight(self, key) -> Fraction:
-        num = self.atoms.get(_as_key(self.dim, key), 0)
-        return Fraction(num, self.denom)
+        return Fraction(self.atoms.get(key, 0), self.denom)
 
     def support_size(self) -> int:
-        return len(self.atoms)
-
-    @cached_property
-    def _columns(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-        """Key columns (one int64 array per coordinate) and numerators, in
-        atom order; numerators are Python ints once denom reaches 2**63."""
-        keys = np.array(list(self.atoms), dtype=np.int64).reshape(-1, self.dim)
-        wide = self.denom >= _INT64_LIMIT
-        nums = np.array(list(self.atoms.values()), dtype=object if wide else np.int64)
-        return tuple(np.ascontiguousarray(col) for col in keys.T), nums
+        return self._columns[1].size
 
     @cached_property
     def _cell_memo(self) -> dict:
@@ -213,17 +256,19 @@ class DiscreteMeasure:
 
 def counting_measure(A: DeltaSet) -> DiscreteMeasure:
     """Uniform weights on the points of a grid set."""
-    return DiscreteMeasure(1, A.n, {int(k): 1 for k in A.indices}, len(A))
+    ones = np.ones(len(A), dtype=np.int64)
+    return DiscreteMeasure._from_columns(1, A.n, (A.indices,), ones, len(A))
 
 
 def product_measure(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeasure:
     if mu.dim != 1 or nu.dim != 1 or mu.n != nu.n:
         raise ValueError("product needs two 1-d measures at one resolution")
-    atoms = {}
-    for ka, na in mu.atoms.items():
-        for kb, nb in nu.atoms.items():
-            atoms[(ka, kb)] = na * nb
-    return DiscreteMeasure(2, mu.n, atoms, mu.denom * nu.denom)
+    ((ka,), na), ((kb,), nb) = mu._columns, nu._columns
+    denom = mu.denom * nu.denom
+    if denom >= _INT64_LIMIT:  # Python ints before multiplying: int64 would wrap
+        na, nb = na.astype(object), nb.astype(object)
+    keys = np.repeat(ka, kb.size), np.tile(kb, ka.size)
+    return DiscreteMeasure._from_columns(2, mu.n, keys, np.multiply.outer(na, nb).ravel(), denom)
 
 
 def _coarse_key(dim: int, key, shift: int):
@@ -307,11 +352,6 @@ def _cell_entropies(counts: np.ndarray, starts: np.ndarray) -> tuple[list[int], 
     ]
 
 
-def _atoms(keys: list[np.ndarray], counts: np.ndarray) -> dict:
-    cols = [k.tolist() for k in keys]
-    return dict(zip(cols[0] if len(cols) == 1 else zip(*cols), counts.tolist()))
-
-
 def _sum_squares(counts: np.ndarray, denom: int) -> int:
     # the squares sum to at most denom**2: int64 below 2**63, else Python ints
     if denom * denom < _INT64_LIMIT:
@@ -392,7 +432,7 @@ def coarsen(mu: DiscreteMeasure, j: int) -> DiscreteMeasure:
         raise ValueError("coarsen to j >= 1")
     _check_level(mu, j)
     counts, _, keys = _cell_counts(mu, None, None, j)
-    return DiscreteMeasure(mu.dim, j, _atoms(keys, counts), mu.denom)
+    return DiscreteMeasure._from_columns(mu.dim, j, tuple(keys), counts, mu.denom)
 
 
 def renormalize_cell(mu: DiscreteMeasure, q_key, j: int) -> DiscreteMeasure:
@@ -404,19 +444,17 @@ def renormalize_cell(mu: DiscreteMeasure, q_key, j: int) -> DiscreteMeasure:
     """
     if not 1 <= j < mu.n:
         raise ValueError("need 1 <= j < n")
-    q_key = _as_key(mu.dim, q_key)
+    corner = np.array(q_key, dtype=np.int64).reshape(-1).tolist()
+    if len(corner) != mu.dim:
+        raise ValueError(f"the cell key needs {mu.dim} coordinates")
     shift = mu.n - j
-    atoms = {}
-    for key, num in mu.atoms.items():
-        if _coarse_key(mu.dim, key, shift) != q_key:
-            continue
-        if mu.dim == 1:
-            atoms[key - (q_key << shift)] = num
-        else:
-            atoms[(key[0] - (q_key[0] << shift), key[1] - (q_key[1] << shift))] = num
-    if not atoms:
+    keys, nums = mu._columns
+    inside = np.logical_and.reduce([k >> shift == q for k, q in zip(keys, corner)])
+    if not inside.any():
         raise ValueError("cell has zero mass")
-    return DiscreteMeasure(mu.dim, shift, atoms, sum(atoms.values()))
+    low = tuple(k[inside] - (q << shift) for k, q in zip(keys, corner))
+    sub = nums[inside]
+    return DiscreteMeasure._from_columns(mu.dim, shift, low, sub, _exact_sum(sub))
 
 
 def discretize_density_l2(mu: DiscreteMeasure, j: int) -> Fraction:
@@ -436,38 +474,29 @@ def project(mu: DiscreteMeasure, c) -> DiscreteMeasure:
     if mu.dim != 2:
         raise ValueError("project expects a planar measure")
     counts, _, keys = _cell_counts(mu, dyadic_slope(c), None, mu.n)
-    return DiscreteMeasure(1, mu.n, _atoms(keys, counts), mu.denom)
+    return DiscreteMeasure._from_columns(1, mu.n, tuple(keys), counts, mu.denom)
 
 
 def convolve(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeasure:
     """Additive convolution of two 1-d measures on one grid (exact: index
-    sums stay on the grid)."""
+    sums stay on the grid), as the product measure projected at slope 1."""
     if mu.dim != 1 or nu.dim != 1 or mu.n != nu.n:
         raise ValueError("convolve needs two 1-d measures at one resolution")
-    atoms: dict = {}
-    for ka, na in mu.atoms.items():
-        for kb, nb in nu.atoms.items():
-            k = ka + kb
-            atoms[k] = atoms.get(k, 0) + na * nb
-    return DiscreteMeasure(1, mu.n, atoms, mu.denom * nu.denom)
+    return project(product_measure(mu, nu), 1)
 
 
 def symmetrize(nu: DiscreteMeasure, max_atoms: int = 1 << 12) -> DiscreteMeasure:
-    """The difference measure ``nu * (-nu)``: exact autocorrelation.
+    """The difference measure ``nu * (-nu)``: exact autocorrelation, as
+    ``nu x nu`` projected at slope -1.
 
     Supports land in ``(-1, 1)``, hence negative indices; the quadratic
-    pair loop is guarded by ``max_atoms``.
+    product is guarded by ``max_atoms``.
     """
     if nu.dim != 1:
         raise ValueError("symmetrize expects a 1-d measure")
-    if len(nu.atoms) > max_atoms:
-        raise ValueError("support too large for the quadratic pair loop")
-    atoms: dict = {}
-    for ka, na in nu.atoms.items():
-        for kb, nb in nu.atoms.items():
-            k = ka - kb
-            atoms[k] = atoms.get(k, 0) + na * nb
-    return DiscreteMeasure(1, nu.n, atoms, nu.denom * nu.denom)
+    if nu.support_size() > max_atoms:
+        raise ValueError("support too large for the quadratic product")
+    return project(product_measure(nu, nu), -1)
 
 
 def autocorrelation_peak_ratio(

@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import pow2_ge, pow2_le
+from .grid import _distinct, pow2_ge, pow2_le
 from .measures import DiscreteMeasure, _projection_l2_entropy, certify
 
 __all__ = [
@@ -155,21 +155,23 @@ def audit_hypotheses(
     n = mu.n
     failures = []
 
-    worst = Fraction(max(mu.atoms.values()), mu.denom)
+    (_, ys), nums = mu._columns
+    worst = Fraction(int(nums.max()), mu.denom)
     if not _mass_le(worst, params.big_c, n * (params.gamma_a + params.gamma_b)):
         failures.append("cell-mass")
 
     windows: dict[int, int] = {}
-    for k, num in nu.atoms.items():
+    (ks,), nu_nums = nu._columns
+    for k, num in zip(ks.tolist(), nu_nums.tolist()):
         cell = (k << n) >> nu.n  # floor(c * 2**n), exact for either sign
         windows[cell] = windows.get(cell, 0) + num
     heaviest = Fraction(max(windows.values()), nu.denom)
     if not _mass_le(heaviest, params.big_c, n * params.gamma):
         failures.append("nu-mass")
 
-    ys = sorted({ky for _, ky in mu.atoms})
-    if len(ys) > 1:
-        gap = min(b - a for a, b in zip(ys, ys[1:]))
+    ys = _distinct(np.sort(ys))
+    if ys.size > 1:
+        gap = int(np.diff(ys).min())
         # dist of cells k and k + gap is (gap - 1) * Delta >= Delta**xi
         if not pow2_le(n * (1 - params.xi), gap - 1):
             failures.append("separation")
@@ -178,7 +180,8 @@ def audit_hypotheses(
 
 def _projected_cells(mu: DiscreteMeasure, c: Fraction) -> list[int]:
     # independent of project(): exact rational floor of the image value
-    return [math.floor(kx + c * ky) for kx, ky in mu.atoms]
+    xs, ys = (k.tolist() for k in mu._columns[0])
+    return [math.floor(kx + c * ky) for kx, ky in zip(xs, ys)]
 
 
 def _pair_total(mu: DiscreteMeasure, related) -> int:
@@ -189,8 +192,7 @@ def _pair_total(mu: DiscreteMeasure, related) -> int:
     2**63; the products are int64 only while ``denom**2 < 2**63`` and
     Python integers past that.
     """
-    wide = mu.denom >= 1 << 63
-    wts = np.array(list(mu.atoms.values()), dtype=object if wide else np.int64)
+    wts = mu._columns[1]
     total = 0
     for lo in range(0, wts.size, 512):
         rows = slice(lo, lo + 512)
@@ -219,7 +221,7 @@ def l2_of_projection(mu: DiscreteMeasure, c, check="auto") -> Fraction:
     c = Fraction(c)
     value = _projection_l2_entropy(mu, c)[0]
 
-    size = len(mu.atoms)
+    size = mu.support_size()
     if check == "auto":
         check = size <= PAIR_PATH_LIMIT
     elif check and size > PAIR_PATH_LIMIT:
@@ -235,9 +237,11 @@ def l2_of_projection(mu: DiscreteMeasure, c, check="auto") -> Fraction:
 
 def _nu_atoms_as_slopes(nu: DiscreteMeasure) -> list[tuple[Fraction, Fraction]]:
     scale = 1 << nu.n
+    (ks,), nums = nu._columns
+    order = np.argsort(ks)
     return [
         (Fraction(k, scale), Fraction(num, nu.denom))
-        for k, num in sorted(nu.atoms.items())
+        for k, num in zip(ks[order].tolist(), nums[order].tolist())
     ]
 
 
@@ -453,9 +457,9 @@ def near_pair_mass(mu: DiscreteMeasure, radius_cells: int = 10) -> Fraction:
     """
     if mu.dim != 2:
         raise ValueError("near_pair_mass expects a planar measure")
-    if len(mu.atoms) > PAIR_PATH_LIMIT:
+    if mu.support_size() > PAIR_PATH_LIMIT:
         raise ValueError(f"quadratic scan refused above {PAIR_PATH_LIMIT} atoms")
-    xs, ys = np.array(list(mu.atoms), dtype=np.int64).reshape(-1, 2).T
+    xs, ys = mu._columns[0]
     r = radius_cells
 
     def near(rows):

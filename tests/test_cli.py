@@ -371,6 +371,30 @@ def test_malformed_sweep_config_gives_one_line_error(tmp_path, runner, drop, cha
     assert lines == [f"Error: {path}: {reason}"]
 
 
+@pytest.mark.parametrize(
+    "change, reason",
+    [
+        ({"scales": [[1, 8]]}, "a scale row must be a list of 3 numbers, not [1, 8]"),
+        ({"alpha": None}, "'alpha' must be a string or a number, not null"),
+        ({"gammas": [None]}, "a gamma must be a string or a number, not null"),
+        ({"scales": 7}, "'scales' must be a list, not 7"),
+        ({"out": 1}, "'out' must be a path string, not 1"),  # open(1) is stdout
+    ],
+)
+def test_sweep_config_value_of_wrong_json_type_gives_one_line_error(
+    tmp_path, runner, change, reason
+):
+    cfg = {
+        "alpha": "3/4", "beta": "1/2", "gamma": "3/4", "zeta": "1/8", "ell": 32,
+        "scales": [[1, 8, 1]], "gammas": ["1/2"], **change,
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    res = runner.invoke(main, ["sweep", str(path)])
+    assert res.exit_code == 1
+    assert res.output.strip().splitlines() == [f"Error: {path}: {reason}"]
+
+
 def test_sumset_past_the_byte_budget_gives_one_line_error(tmp_path, runner):
     path = tmp_path / "wide.txt"
     rng = np.random.default_rng(40)

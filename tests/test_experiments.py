@@ -515,6 +515,36 @@ def test_assembly_makes_one_kernel_pass_per_slope_on_2_16_atoms(monkeypatch):
     assert 0 < len(passes) <= 64
 
 
+def test_assembly_never_builds_the_atom_dict_of_mu_or_its_audited_cells(monkeypatch):
+    # the n24-bt instance of the benchmark: 2**14 atoms and a low block, so
+    # the cell audits run; the planar measure and its cells stay columns
+    from functools import cached_property
+
+    from dyadic import experiments
+    from dyadic.measures import DiscreteMeasure
+
+    built = []
+    real_view = DiscreteMeasure.atoms.func
+    view = cached_property(lambda mu: built.append(mu) or real_view(mu))
+    view.__set_name__(DiscreteMeasure, "atoms")
+    monkeypatch.setattr(DiscreteMeasure, "atoms", view)
+    made = []
+    for name in ("product_measure", "_conditioned_block_measure"):
+        real = getattr(experiments, name)
+        monkeypatch.setattr(
+            experiments, name, lambda *a, real=real: made.append(real(*a)) or made[-1]
+        )
+    params = AssemblyParams(
+        m=3, ell=4, big_n=2, eta=Fraction(1, 3), zeta=Fraction(1, 4), xi=Fraction(1, 4),
+        gamma_cap=Fraction(3, 4), c_bits=4, pattern="bt", trivial_a_bits=0, branch_b_bits=2,
+    )
+    rep = run_final_assembly(params, seed=0)
+    mu, *cells = made
+    assert mu.support_size() == 1 << 14 and len(cells) == len(rep.cell_audits) > 0
+    assert len(built) == 0  # no measure of the run, mu and its cells included
+    assert mu.atoms and built == [mu]  # the counter sees a read
+
+
 def test_memoised_entropies_are_certified_under_python_O():
     # a memo hit skips the kernel, not the certificate: the first hit's
     # entropies, lowered by 100 bits in the memo, must fail a certificate

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dyadic
@@ -593,6 +593,135 @@ def test_denominators_past_62_bits_run_exactly(top):
     # each atom has a cell of its own in the plane, and a column of its own
     ((_, h),) = reference_cells(mu, 0, None, 4)
     assert entropy(mu, 4) == h
+
+
+# ------------------------------------- column constructors against dicts
+
+
+def assert_columns_match(got, dim, n, ref, denom):
+    """``got`` equals the measure the dict ``ref`` describes: same atoms,
+    and the same columns (int64 keys, numerators int64 below 2**63 and
+    Python ints past it) as the mapping constructor stores."""
+    assert (got.dim, got.n, got.denom) == (dim, n, denom)
+    assert got.atoms == ref
+    want = DiscreteMeasure(dim, n, ref, denom)
+    assert all(k.dtype == np.int64 for k in got._columns[0])
+    assert got._columns[1].dtype == (object if denom >= 1 << 63 else np.int64)
+    for a, b in zip(got._sorted_columns(), want._sorted_columns()):
+        assert a.dtype == b.dtype and a.tolist() == b.tolist()
+
+
+_NUMS = st.one_of(st.integers(1, 50), st.integers(1 << 30, 1 << 40), st.integers(1 << 62, 1 << 66))
+
+
+@st.composite
+def line_measures(draw, n):
+    signed = st.integers(-(1 << n), (1 << n) - 1)
+    keys = draw(st.lists(signed, min_size=1, max_size=12, unique=True))
+    nums = draw(st.lists(_NUMS, min_size=len(keys), max_size=len(keys)))
+    return DiscreteMeasure(1, n, dict(zip(keys, nums)), sum(nums))
+
+
+@st.composite
+def column_cases(draw):
+    """A grid set, two line measures, a cell level, an atom index (taken
+    modulo the product's size) and a slope, all at one resolution."""
+    n = draw(st.integers(2, 10))
+    ks = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=12, unique=True))
+    q = draw(st.integers(0, n))
+    c = Fraction(draw(st.integers(-(1 << q), 1 << q)), 1 << q)
+    return (
+        DeltaSet.from_indices(n, ks),
+        draw(line_measures(n)),
+        draw(line_measures(n)),
+        draw(st.integers(1, n - 1)),
+        draw(st.integers(0, 143)),
+        c,
+    )
+
+
+# a wide measure (denominator past 2**63) whose cell (0, 0) at level 2 is
+# narrow, and two int64-denominator factors whose product would wrap int64
+_WIDE = DiscreteMeasure(1, 4, {-3: 1 << 64, 2: 5, 3: 7}, (1 << 64) + 12)
+_NARROW = DiscreteMeasure(1, 4, {-16: (1 << 40) + 1, 5: 1 << 41}, (1 << 40) + 1 + (1 << 41))
+
+
+@given(column_cases())
+@example((DeltaSet.from_indices(4, [1, 9]), _WIDE, _WIDE, 2, 4, Fraction(-3, 4)))
+@example((DeltaSet.from_indices(4, [0]), _NARROW, _NARROW, 1, 3, Fraction(1)))
+@settings(max_examples=150, deadline=None)
+def test_column_constructors_match_dict_references(case):
+    A, mu, nu, j, i, c = case
+    n = A.n
+    assert_columns_match(counting_measure(A), 1, n, {k: 1 for k in A.indices.tolist()}, len(A))
+
+    plane = product_measure(mu, nu)
+    ref = {(ka, kb): wa * wb for ka, wa in mu.atoms.items() for kb, wb in nu.atoms.items()}
+    assert_columns_match(plane, 2, n, ref, mu.denom * nu.denom)
+
+    shift = n - j
+    kx, ky = list(plane.atoms)[i % plane.support_size()]
+    qx, qy = kx >> shift, ky >> shift
+    cell = {
+        (x - (qx << shift), y - (qy << shift)): w
+        for (x, y), w in plane.atoms.items()
+        if (x >> shift, y >> shift) == (qx, qy)
+    }
+    assert_columns_match(renormalize_cell(plane, (qx, qy), j), 2, shift, cell, sum(cell.values()))
+
+    for measure in (mu, plane):
+        coarse: dict = {}
+        for key, w in measure.atoms.items():
+            key = key >> shift if measure.dim == 1 else (key[0] >> shift, key[1] >> shift)
+            coarse[key] = coarse.get(key, 0) + w
+        assert_columns_match(coarsen(measure, j), measure.dim, j, coarse, measure.denom)
+
+    image: dict = {}
+    for (x, y), w in plane.atoms.items():
+        k = math.floor(x + c * y)
+        image[k] = image.get(k, 0) + w
+    assert_columns_match(project(plane, c), 1, n, image, plane.denom)
+
+
+def test_wide_product_and_narrow_cell_examples_reach_their_edge():
+    assert _WIDE.denom >= 1 << 63 and _NARROW.denom < 1 << 63 <= _NARROW.denom**2
+    cell = renormalize_cell(product_measure(_WIDE, _WIDE), (0, 0), 2)
+    assert cell.denom == 25 + 35 + 35 + 49 and cell._columns[1].dtype == np.int64
+
+
+@pytest.mark.parametrize(
+    "atoms, denom, reason",
+    [
+        ({0: 1, 1: 0}, 1, "atom weights must be positive"),
+        ({(3, 1 << 62): 1}, 1, "62-bit limit"),
+        ({(-(1 << 62), 0): 1}, 1, "62-bit limit"),
+        ({(0, 0): 1, (1, 1): 1}, 3, "weights must sum to exactly 1"),
+        ({(0, 0): 1 << 64, (1, 1): 1}, 1 << 64, "weights must sum to exactly 1"),
+    ],
+)
+def test_column_constructor_refuses_as_the_mapping_one(atoms, denom, reason):
+    dim = 1 if isinstance(next(iter(atoms)), int) else 2
+    with pytest.raises(ValueError, match=reason) as by_mapping:
+        DiscreteMeasure(dim, 8, atoms, denom)
+    keys = np.array(list(atoms), dtype=np.int64).reshape(len(atoms), dim).T
+    nums = np.array(list(atoms.values()), dtype=object if denom >= 1 << 63 else np.int64)
+    with pytest.raises(ValueError) as by_columns:
+        DiscreteMeasure._from_columns(dim, 8, tuple(keys), nums, denom)
+    assert str(by_columns.value) == str(by_mapping.value)
+
+
+def test_column_built_and_mapping_built_measures_are_equal_in_any_order(tmp_path):
+    line = DiscreteMeasure(1, 3, {0: 1, 5: 2, -2: 4}, 7)
+    plane = product_measure(line, counting_measure(DeltaSet.from_indices(3, [1, 6])))
+    shuffled = dict(reversed(list(plane.atoms.items())))
+    assert DiscreteMeasure(2, 3, shuffled, plane.denom) == plane
+    assert plane != DiscreteMeasure(2, 4, shuffled, plane.denom)
+    weights = list(shuffled.values())
+    swapped = dict(zip(shuffled, weights[1:] + weights[:1]))
+    assert plane != DiscreteMeasure(2, 3, swapped, plane.denom)
+    path = tmp_path / "plane.json"
+    save_measure(plane, path)
+    assert load_measure(path) == plane
 
 
 # -------------------------------------------------------------- certificates
