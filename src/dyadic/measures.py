@@ -111,6 +111,39 @@ def _exact_sum(nums: np.ndarray) -> int:
     return (int((nums >> 32).sum()) << 32) + int((nums & 0xFFFFFFFF).sum())
 
 
+def _key_columns(keys: list, dim: int) -> tuple[np.ndarray, ...]:
+    """One int64 column per coordinate of a list of keys (ints in dimension
+    1, int pairs in dimension 2)."""
+    try:  # one row per key; numpy cannot infer the width of no rows
+        cols = np.array(keys, dtype=np.int64).reshape(len(keys), -1 if keys else dim).T
+    except OverflowError:
+        raise ValueError(_KEY_ERROR) from None
+    return tuple(np.ascontiguousarray(k) for k in cols)
+
+
+def _num_column(nums: list) -> np.ndarray:
+    """A numerator column: int64, or Python integers past 63 bits."""
+    try:
+        return np.array(nums, dtype=np.int64)
+    except OverflowError:
+        return np.array([int(v) for v in nums], dtype=object)
+
+
+def _ratio_of(w) -> tuple[int, int]:
+    """``(p, q)`` with ``w == p / q`` and ``q > 0``: a ``"p/q"`` string of
+    digits (a sign before p only) by ``int``, any other form by ``Fraction``,
+    which also refuses what it does not read (``"1/-2"``, ``"1/0"``)."""
+    if type(w) is str:
+        num, _, den = w.partition("/")
+        if den.isdecimal() and (
+            num.isdecimal() or num[:1] in ("+", "-") and num[1:].isdecimal()
+        ):
+            q = int(den)
+            if q:
+                return int(num), q
+    return Fraction(w).as_integer_ratio()
+
+
 class DiscreteMeasure:
     """A probability measure on grid cells, exact by construction.
 
@@ -123,16 +156,7 @@ class DiscreteMeasure:
     """
 
     def __init__(self, dim: int, n: int, atoms: Mapping, denom: int):
-        try:  # one row per key; numpy cannot infer the width of no rows
-            keys = np.array(list(atoms), dtype=np.int64)
-            keys = keys.reshape(len(atoms), -1 if atoms else dim).T
-        except OverflowError:
-            raise ValueError(_KEY_ERROR) from None
-        try:
-            nums = np.array(list(atoms.values()), dtype=np.int64)
-        except OverflowError:
-            nums = np.array([int(v) for v in atoms.values()], dtype=object)
-        keys = tuple(np.ascontiguousarray(k) for k in keys)
+        keys, nums = _key_columns(list(atoms), dim), _num_column(list(atoms.values()))
         self.__dict__.update(dim=dim, n=n, denom=denom, _columns=(keys, nums))
         self.__post_init__()
 
@@ -202,20 +226,34 @@ class DiscreteMeasure:
 
     @classmethod
     def from_weights(cls, dim: int, n: int, weights: Mapping) -> "DiscreteMeasure":
-        """Build from Fraction-valued weights; they must sum to 1 exactly
-        (a defect below 2**-40 is repaired by exact renormalization)."""
-        fracs = {k: Fraction(w) for k, w in weights.items()}
-        total = sum(fracs.values())
+        """Build from rational weights, in any form ``Fraction`` accepts; they
+        must sum to 1 exactly (a defect below 2**-40 is repaired by exact
+        renormalization), in the integer arithmetic of ``_from_ratios``."""
+        return cls._from_ratios(dim, n, list(weights), list(map(_ratio_of, weights.values())))
+
+    @classmethod
+    def _from_ratios(
+        cls, dim: int, n: int, keys: list, ratios: list[tuple[int, int]]
+    ) -> "DiscreteMeasure":
+        """The measure with weight ``p / q`` at each key, divided by the total.
+
+        Over ``L``, the lcm of the ``q``, the weights are ``nums = p * L // q``
+        with total ``S``; a total more than ``2**-40`` from 1 (``|S - L| > L /
+        2**40``) is refused.  The lcm of the reduced ``nums_i / S`` is ``S /
+        gcd(S, nums...)``, so dividing by that gcd gives the least denominator.
+        """
+        dens = {q for _, q in ratios}
+        big = math.lcm(*dens)
+        scale = {q: big // q for q in dens}
+        nums = [p * scale[q] for p, q in ratios]
+        total = sum(nums)
         if total <= 0:
             raise ValueError("total weight must be positive")
-        if total != 1 and abs(total - 1) > Fraction(1, 1 << 40):
+        if abs(total - big) << 40 > big:
             raise ValueError("weights must sum to 1 (within 2**-40)")
-        scaled = {k: f / total for k, f in fracs.items()}
-        den = 1
-        for f in scaled.values():
-            den = den * f.denominator // gcd(den, f.denominator)
-        atoms = {k: f.numerator * (den // f.denominator) for k, f in scaled.items()}
-        return cls(dim, n, atoms, den)
+        g = gcd(total, *nums)
+        nums = _num_column([v // g for v in nums] if g > 1 else nums)
+        return cls._from_columns(dim, n, _key_columns(keys, dim), nums, total // g)
 
     def weight(self, key) -> Fraction:
         return Fraction(self.atoms.get(key, 0), self.denom)
@@ -645,35 +683,44 @@ def uniform_fiber_entropy_bound(
 
 
 def save_measure(mu: DiscreteMeasure, path) -> None:
-    """JSON with exact rational weights (strings "num/den")."""
-    entries = []
-    for key, num in sorted(mu.atoms.items()):
-        ks = [key] if mu.dim == 1 else list(key)
-        w = Fraction(num, mu.denom)
-        entries.append([ks, f"{w.numerator}/{w.denominator}"])
+    """JSON with exact rational weights (strings "num/den"), keys ascending."""
+    *keys, nums = mu._sorted_columns()
+    denom, entries = mu.denom, []
+    for key, num in zip(zip(*(k.tolist() for k in keys)), nums.tolist()):
+        g = gcd(num, denom)
+        entries.append([list(key), f"{num // g}/{denom // g}"])
     with open(path, "w") as fh:
         json.dump({"dim": mu.dim, "n": mu.n, "atoms": entries}, fh)
         fh.write("\n")
 
 
 def load_measure(path) -> DiscreteMeasure:
-    """Read the JSON of ``save_measure``; a malformed file raises FormatError."""
+    """Read the JSON of ``save_measure``; a malformed file raises FormatError.
+
+    A key is ``dim`` JSON integers, repeated by no other atom; the weights
+    go through ``_ratio_of`` and the integer core of ``from_weights``.
+    """
     data = load_json(path)
     try:
         dim, n, entries = int(data["dim"]), int(data["n"]), list(data["atoms"])
     except (KeyError, TypeError, ValueError):
         raise FormatError(path, None, "needs integer 'dim' and 'n' and an 'atoms' list") from None
-    weights = {}
+    keys, ratios, first = [], [], {}
     for i, entry in enumerate(entries):
         try:
             ks, w = entry
             if len(ks) != dim:
                 raise ValueError(f"key {ks!r} needs {dim} coordinates")
-            key = int(ks[0]) if dim == 1 else (int(ks[0]), int(ks[1]))
-            weights[key] = Fraction(w)
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            if set(map(type, ks)) != {int}:  # not a float, nor a bool
+                raise ValueError(f"key {ks!r} must hold JSON integers")
+            j = first.setdefault(tuple(ks), i)
+            if j != i:
+                raise ValueError(f"key {ks!r} repeats atom {j}")
+            ratios.append(_ratio_of(w))
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise FormatError(path, None, f"atom {i}: {exc}") from None
+        keys.append(ks)
     try:
-        return DiscreteMeasure.from_weights(dim, n, weights)
+        return DiscreteMeasure._from_ratios(dim, n, keys, ratios)
     except ValueError as exc:
         raise FormatError(path, None, str(exc)) from None

@@ -178,29 +178,42 @@ def audit_hypotheses(
     return failures
 
 
-def _projected_cells(mu: DiscreteMeasure, c: Fraction) -> list[int]:
-    # independent of project(): exact rational floor of the image value
-    xs, ys = (k.tolist() for k in mu._columns[0])
-    return [math.floor(kx + c * ky) for kx, ky in zip(xs, ys)]
+def _projected_cells(mu: DiscreteMeasure, c: Fraction) -> np.ndarray:
+    """Each atom's image cell ``(kx * q + p * ky) // q`` for ``c = p / q``,
+    independent of ``project()``; in int64 while ``max|k| * 2q`` (``|p| <=
+    q``) stays below 2**63, else in Python integers."""
+    p, q = c.numerator, c.denominator
+    xs, ys = mu._columns[0]
+    k_max = max(int(np.abs(xs).max()), int(np.abs(ys).max()))
+    if k_max.bit_length() + q.bit_length() + 1 < 64:
+        return (xs * q + p * ys) // q
+    return np.array([(kx * q + p * ky) // q for kx, ky in zip(xs.tolist(), ys.tolist())])
 
 
-def _pair_total(mu: DiscreteMeasure, related) -> int:
+def _pair_total(mu: DiscreteMeasure, key: np.ndarray, reach: int, related) -> int:
     """Exact ``sum w_i * w_j`` over the atom pairs that ``related`` marks.
 
-    ``related(rows)`` is the boolean block of pairs (i in ``rows``, any j).
-    A row's weight sum is at most the denominator, so it is int64 below
-    2**63; the products are int64 only while ``denom**2 < 2**63`` and
-    Python integers past that.
+    Only atoms whose ``key`` values differ by at most ``reach`` may be
+    related.  The atoms are sorted by ``key`` once; each block of 512 rows
+    is then compared with the window of atoms whose keys lie within
+    ``reach`` of the block's, and ``related(rows, cols)`` gives the boolean
+    block of pairs for those two index arrays.  A row's weight sum is at
+    most the denominator, so it is int64 below 2**63; the products are
+    int64 only while ``denom**2 < 2**63`` and Python integers past that.
     """
-    wts = mu._columns[1]
+    order = np.argsort(key)
+    key = key[order]
+    wts = mu._columns[1][order]
     total = 0
-    for lo in range(0, wts.size, 512):
-        rows = slice(lo, lo + 512)
-        sums = related(rows) @ wts
+    for lo in range(0, key.size, 512):
+        hi = min(lo + 512, key.size)
+        a = np.searchsorted(key, key[lo] - reach, "left")
+        b = np.searchsorted(key, key[hi - 1] + reach, "right")
+        sums = related(order[lo:hi], order[a:b]) @ wts[a:b]
         if mu.denom * mu.denom < 1 << 63:
-            total += int(wts[rows] @ sums)
+            total += int(wts[lo:hi] @ sums)
         else:
-            total += sum(map(operator.mul, wts[rows].tolist(), sums.tolist()))
+            total += sum(map(operator.mul, wts[lo:hi].tolist(), sums.tolist()))
     return total
 
 
@@ -211,10 +224,11 @@ def l2_of_projection(mu: DiscreteMeasure, c, check="auto") -> Fraction:
     ``mu`` under ``(x, y) -> x + c*y`` and I runs over grid cells.  Two
     evaluation routes are compared when ``check`` permits: the pushforward
     route (bit-shift projection, then bucket-and-square) and a pair-counting
-    route that floors each image value with Fraction arithmetic and counts
-    weighted same-cell pairs with a quadratic scan.  ``check="auto"`` runs
-    the second route up to 10**4 support atoms; ``check=True`` insists and
-    raises beyond the limit; ``check=False`` skips it.
+    route that floors each image value by integer division and counts
+    weighted same-cell pairs, scanning each atom against the atoms of its
+    image cell only.  ``check="auto"`` runs the second route up to 10**4
+    support atoms; ``check=True`` insists and raises beyond the limit;
+    ``check=False`` skips it.
     """
     if mu.dim != 2:
         raise ValueError("l2_of_projection expects a planar measure")
@@ -227,8 +241,8 @@ def l2_of_projection(mu: DiscreteMeasure, c, check="auto") -> Fraction:
     elif check and size > PAIR_PATH_LIMIT:
         raise ValueError(f"pair-counting path refused above {PAIR_PATH_LIMIT} atoms")
     if check:
-        cells = np.array(_projected_cells(mu, c), dtype=np.int64)
-        pair_total = _pair_total(mu, lambda rows: cells[rows, None] == cells[None, :])
+        cells = _projected_cells(mu, c)
+        pair_total = _pair_total(mu, cells, 0, lambda i, j: cells[i, None] == cells[None, j])
         pair_value = Fraction(pair_total << mu.n, mu.denom**2)
         # the two exact routes must agree: any difference is a negative slack
         certify("l2-dual-route", -abs(pair_value - value))
@@ -462,13 +476,14 @@ def near_pair_mass(mu: DiscreteMeasure, radius_cells: int = 10) -> Fraction:
     xs, ys = mu._columns[0]
     r = radius_cells
 
-    def near(rows):
+    def near(i, j):
         # gaps clipped at r before squaring, so no square overflows int64
-        dx = np.minimum(np.abs(xs[rows, None] - xs[None, :]), r)
-        dy = np.minimum(np.abs(ys[rows, None] - ys[None, :]), r)
+        dx = np.minimum(np.abs(xs[i, None] - xs[None, j]), r)
+        dy = np.minimum(np.abs(ys[i, None] - ys[None, j]), r)
         return dx * dx + dy * dy < r * r
 
-    return Fraction(_pair_total(mu, near), mu.denom**2)
+    # a near pair has |dx| < r: the x-window of each row block suffices
+    return Fraction(_pair_total(mu, xs, r - 1, near), mu.denom**2)
 
 
 def _common_window(px, py, qx, qy, k, shift) -> bool:

@@ -339,6 +339,24 @@ def test_malformed_measure_file_gives_one_line_error(tmp_path, runner):
     assert "atom 1" in lines[0] and "2 coordinates" in lines[0]
 
 
+@pytest.mark.parametrize(
+    "atoms, reason",
+    [
+        # the third atom repeats the second: loaded, it hid a total of 3/2
+        ('[[[0], "1/2"], [[1], "1/2"], [[1], "1/2"]]', "atom 2: key [1] repeats atom 1"),
+        ('[[[0], "1/2"], [[1.7], "1/2"]]', "atom 1: key [1.7] must hold JSON integers"),
+        ('[[[true], "1/2"], [[1], "1/2"]]', "atom 0: key [True] must hold JSON integers"),
+    ],
+)
+def test_repeated_or_non_integer_measure_key_gives_one_line_error(tmp_path, runner, atoms, reason):
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"dim": 1, "n": 2, "atoms": {atoms}}}\n')
+    res = runner.invoke(main, ["project-avg", str(path), str(path), "--gamma-a", "1/2",
+                               "--gamma-b", "1/2", "--gamma", "1/2", "--xi", "1"])
+    assert res.exit_code == 1
+    assert res.output.strip().splitlines() == [f"Error: {path}: {reason}"]
+
+
 def test_set_file_without_width_gives_one_line_error(tmp_path, runner):
     path = tmp_path / "bad.txt"
     path.write_text("n=6\n0\n5\n")

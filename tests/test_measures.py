@@ -1,5 +1,6 @@
 """Measures and entropy: exact identities and their frozen oracles."""
 
+import json
 import math
 import os
 import subprocess
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 import dyadic
 from dyadic import DeltaSet, gen_uniform_tree, BranchingProfile
+from dyadic.grid import FormatError
 from dyadic.measures import (
     ChainReport,
     DiscreteMeasure,
@@ -403,6 +405,123 @@ def test_measure_roundtrip_planar(tmp_path):
     save_measure(mu, path)
     back = load_measure(path)
     assert back.dim == 2 and back.atoms == mu.atoms
+
+
+# ------------------------------------------------- loader against Fraction
+
+
+def reference_load(path):
+    """The loader as a Fraction per atom and the Fraction-valued
+    renormalisation of ``from_weights``; returns the measure or the reason
+    of its refusal."""
+    data = json.loads(Path(path).read_text())
+    dim, n = data["dim"], data["n"]
+    fracs = {}
+    for i, (ks, w) in enumerate(data["atoms"]):
+        try:
+            fracs[ks[0] if dim == 1 else tuple(ks)] = Fraction(w)
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+            return f"atom {i}: {exc}"
+    total = sum(fracs.values())
+    if total <= 0:
+        return "total weight must be positive"
+    if total != 1 and abs(total - 1) > Fraction(1, 1 << 40):
+        return "weights must sum to 1 (within 2**-40)"
+    scaled = {k: f / total for k, f in fracs.items()}
+    den = math.lcm(*(f.denominator for f in scaled.values()))
+    atoms = {k: f.numerator * (den // f.denominator) for k, f in scaled.items()}
+    try:
+        return DiscreteMeasure(dim, n, atoms, den)
+    except ValueError as exc:
+        return str(exc)
+
+
+def reference_save(mu):
+    """The bytes ``save_measure`` wrote from the atom dict, one Fraction per atom."""
+    entries = []
+    for key, num in sorted(mu.atoms.items()):
+        w = Fraction(num, mu.denom)
+        entries.append([[key] if mu.dim == 1 else list(key), f"{w.numerator}/{w.denominator}"])
+    return json.dumps({"dim": mu.dim, "n": mu.n, "atoms": entries}) + "\n"
+
+
+def weight_forms(draw, f):
+    """One JSON form of the weight ``f`` that ``Fraction`` reads as ``f``."""
+    p, q = f.numerator, f.denominator
+    k = draw(st.integers(1, 4))  # unreduced when k > 1
+    forms = [f"{p * k}/{q * k}", f"+{p * k}/{q * k}" if p >= 0 else f"{p}/{q}"]
+    if q == 1:
+        forms += [str(p), p]
+    if q & (q - 1) == 0 and abs(p) < 1 << 53:
+        forms.append(float(f))  # a JSON number, exact in binary
+    digits = q.bit_length()  # 2**a * 5**b divides 10**digits when it is q
+    if 10**digits % q == 0:
+        scaled = abs(p) * 10**digits // q
+        forms.append(f"{'-' if p < 0 else ''}{scaled // 10**digits}.{scaled % 10**digits:0{digits}d}")
+    return draw(st.sampled_from(forms))
+
+
+# refused by Fraction (JSON Infinity with an OverflowError), except the last
+# four, which it reads as 1/2, 1/2, 10/3, 1/2
+ODD_WEIGHTS = ["1/-2", "1/+2", "1/0", " 1 / 2", "--1/2", "+-1/2", "0/0", "1//2", "", "abc",
+               None, [1], math.inf, " 1/2", "1/2\n", "1_0/3", "\u0661/\u0662"]
+DEFECTS = [0, Fraction(1, 1 << 41), -Fraction(1, 3 << 40), Fraction(1, 1 << 40),
+           -Fraction(1, 1 << 40), Fraction((1 << 10) + 1, 1 << 50), Fraction(1, 1 << 39),
+           Fraction(1, 3), -Fraction(1, 7)]
+
+
+@st.composite
+def measure_files(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(1, 8))
+    count = draw(st.integers(1, 10))
+    coord = st.integers(-(1 << n), (1 << n) - 1)
+    keys = draw(st.lists(st.tuples(*[coord] * dim), min_size=count, max_size=count, unique=True))
+    parts = draw(st.lists(st.one_of(st.integers(1, 9), st.integers(1, 1 << 70)),
+                          min_size=count, max_size=count))
+    weights = [Fraction(a, sum(parts)) for a in parts]  # past 2**63 with a wide part
+    weights[-1] += draw(st.sampled_from(DEFECTS))
+    forms = [weight_forms(draw, w) for w in weights]
+    if draw(st.booleans()):
+        forms[draw(st.integers(0, count - 1))] = draw(st.sampled_from(ODD_WEIGHTS))
+    return {"dim": dim, "n": n, "atoms": [[list(k), w] for k, w in zip(keys, forms)]}
+
+
+@given(measure_files())
+@example({"dim": 2, "n": 3, "atoms": [[[-8, 5], f"{1 << 64}/{(1 << 64) + 3}"],
+                                      [[2, -1], f"3/{(1 << 64) + 3}"]]})
+@example({"dim": 1, "n": 2, "atoms": [[[-3], "0.25"], [[1], 0.5], [[2], "1/4"]]})
+@settings(max_examples=300, deadline=None)
+def test_integer_loader_matches_the_fraction_route(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("load") / "mu.json"
+    path.write_text(json.dumps(data))
+    ref = reference_load(path)
+    if isinstance(ref, str):
+        with pytest.raises(FormatError) as refused:
+            load_measure(path)
+        assert refused.value.reason == ref
+        return
+    mu = load_measure(path)
+    assert mu == ref
+    save_measure(mu, path)
+    assert path.read_text() == reference_save(ref)  # columns, then Python-int gcd
+    assert load_measure(path) == mu
+
+
+def test_loading_builds_no_atom_dict(tmp_path, monkeypatch):
+    from functools import cached_property
+
+    built = []
+    real_view = DiscreteMeasure.atoms.func
+    view = cached_property(lambda mu: built.append(mu) or real_view(mu))
+    view.__set_name__(DiscreteMeasure, "atoms")
+    monkeypatch.setattr(DiscreteMeasure, "atoms", view)
+    line = DiscreteMeasure.from_weights(1, 4, {-3: "1/3", 5: Fraction(1, 6), 9: 0.5})
+    path = tmp_path / "mu.json"
+    save_measure(product_measure(line, line), path)
+    mu = load_measure(path)
+    assert mu.support_size() == 9 and built == []
+    assert mu.atoms and built == [mu]  # the counter sees a read
 
 
 # ------------------------------------------- kernel against a dict reference

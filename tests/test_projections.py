@@ -1,13 +1,18 @@
 """Projection averages: two-path norms, hypothesis audits, tube geometry."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dyadic
 from dyadic import DeltaSet, counting_measure, gen_ap, product_measure
 from dyadic.experiments import write_json
 from dyadic.measures import DiscreteMeasure, discretize_density_l2, project
@@ -348,6 +353,93 @@ def test_l2_pair_route_exact_past_int64_products():
             cells[k] = cells.get(k, 0) + w
         expect = Fraction(sum(v * v for v in cells.values()) << 4, mu.denom**2)
         assert value == expect
+
+
+def reference_pair_totals(mu, c, radius):
+    """Same-cell and near pair totals by the Fraction floor and a full N**2 scan."""
+    atoms = list(mu.atoms.items())
+    cells = [math.floor(kx + c * ky) for (kx, ky), _ in atoms]
+    same = near = 0
+    for ((xi, yi), wi), ci in zip(atoms, cells):
+        for ((xj, yj), wj), cj in zip(atoms, cells):
+            same += wi * wj if ci == cj else 0
+            near += wi * wj if (xi - xj) ** 2 + (yi - yj) ** 2 < radius * radius else 0
+    return same, near
+
+
+@st.composite
+def pair_scan_cases(draw):
+    n = draw(st.integers(2, 10))
+    width = draw(st.sampled_from([1, 2, 5, 1 << n]))  # width 1: one x, one cell at c = 0
+    lo = draw(st.integers(-(1 << n), (1 << n) - width))
+    coord = st.integers(lo, lo + width - 1)
+    keys = draw(st.lists(st.tuples(coord, st.integers(-(1 << n), (1 << n) - 1)),
+                         min_size=1, max_size=30, unique=True))
+    wide = draw(st.booleans())  # numerators past 2**63: Python integers
+    nums = draw(st.lists(st.integers(1, (1 << 70) if wide else 9),
+                         min_size=len(keys), max_size=len(keys)))
+    mu = DiscreteMeasure(2, n, dict(zip(keys, nums)), sum(nums))
+    q = draw(st.sampled_from([0, 1, n, 70]))  # 70: the floor past int64
+    c = draw(st.sampled_from([Fraction(0), Fraction(1), Fraction(-1),
+                              Fraction(draw(st.integers(-(1 << q), 1 << q)), 1 << q)]))
+    return mu, c, draw(st.sampled_from([1, 2, 10]))
+
+
+@given(pair_scan_cases())
+@settings(max_examples=200, deadline=None)
+def test_windowed_pair_scans_match_the_full_scan(case):
+    mu, c, radius = case
+    same, near = reference_pair_totals(mu, c, radius)
+    # the windowed same-cell total is certified equal to the bucket route
+    assert l2_of_projection(mu, c, check=True) == Fraction(same << mu.n, mu.denom**2)
+    assert near_pair_mass(mu, radius) == Fraction(near, mu.denom**2)
+
+
+def test_windowed_pair_scans_across_row_blocks():
+    # 1,300 atoms: three row blocks whose windows overlap, and keys near
+    # 2**61, where the projected floor takes Python integers
+    rng = np.random.default_rng(11)
+    for base in (0, 1 << 61):
+        xs = base + rng.integers(0, 40, size=1300)
+        ys = rng.integers(-40, 40, size=1300)
+        atoms = dict(zip(zip(xs.tolist(), ys.tolist()), rng.integers(1, 9, size=1300).tolist()))
+        mu = DiscreteMeasure(2, 62, atoms, sum(atoms.values()))
+        xs, ys, ws = (np.array(v) for v in zip(*((x, y, w) for (x, y), w in atoms.items())))
+        near = (xs[:, None] - xs) ** 2 + (ys[:, None] - ys) ** 2 < 100
+        assert near_pair_mass(mu) == Fraction(int(ws @ near @ ws), mu.denom**2)
+        c = Fraction(-3, 8)
+        cells = np.array([math.floor(x + c * y) for x, y in zip(xs.tolist(), ys.tolist())])
+        same = int(ws @ (cells[:, None] == cells) @ ws)
+        assert l2_of_projection(mu, c, check=True) == Fraction(same << mu.n, mu.denom**2)
+
+
+def test_l2_dual_route_certifies_under_python_O():
+    # the bucket route off by 1/denom**2 must fail the certificate, under -O too
+    code = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "from dyadic import CertificateError, counting_measure, gen_ap, product_measure\n"
+        "from dyadic import projections\n"
+        "mu = product_measure(counting_measure(gen_ap(6, 8)), counting_measure(gen_ap(6, 4)))\n"
+        "real = projections._projection_l2_entropy\n"
+        "def off(mu, c):\n"
+        "    l2, h = real(mu, c)\n"
+        "    return l2 + Fraction(1, mu.denom**2), h\n"
+        "projections._projection_l2_entropy = off\n"
+        "try:\n"
+        "    projections.l2_of_projection(mu, Fraction(1, 4), check=True)\n"
+        "    print(sys.flags.optimize, 'accepted', 0)\n"
+        "except CertificateError as exc:\n"
+        "    print(sys.flags.optimize, exc.name, exc.slack)\n"
+    )
+    src = str(Path(dyadic.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    optimize, name, slack = out.stdout.split()
+    assert (optimize, name) == ("1", "l2-dual-route")
+    assert Fraction(slack) == -Fraction(1, 32**2)
 
 
 def test_pair_routes_with_python_int_numerators():
