@@ -84,13 +84,16 @@ def _seed(ctx) -> int:
 class _Main(click.Group):
     """The command group; a malformed input file, a sumset past the byte
     budget, an instance that cannot be generated or a failed certificate
-    ends the run with one line."""
+    ends the run with one line, and so does any other ValueError, an
+    argument outside the library's domain, as a usage error (exit 2)."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except (FormatError, BudgetError, InstanceGenerationError, CertificateError) as exc:
             raise click.ClickException(str(exc)) from exc
+        except ValueError as exc:
+            raise click.UsageError(str(exc)) from exc
 
 
 @click.group(cls=_Main)
@@ -424,14 +427,11 @@ def sweep_cmd(ctx, config_path):
 def assemble_cmd(ctx, m, ell, big_n, eta, zeta, xi, gamma_cap, c_bits, c0_bits,
                  pattern):
     """One full multiscale assembly run with every bound verified."""
-    try:
-        params = AssemblyParams(
-            m=m, ell=ell, big_n=big_n, eta=Fraction(eta), zeta=Fraction(zeta),
-            xi=Fraction(xi), gamma_cap=Fraction(gamma_cap), c_bits=c_bits,
-            c0_bits=c0_bits, pattern=pattern,
-        )
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+    params = AssemblyParams(
+        m=m, ell=ell, big_n=big_n, eta=Fraction(eta), zeta=Fraction(zeta),
+        xi=Fraction(xi), gamma_cap=Fraction(gamma_cap), c_bits=c_bits,
+        c0_bits=c0_bits, pattern=pattern,
+    )
     rep = run_final_assembly(params, seed=_seed(ctx))
     _emit(ctx, rep, [dataclasses.asdict(b) for b in rep.blocks])
 

@@ -42,7 +42,23 @@ on the error of every convolution entry (``_fft_error_bound``, about
 every call certifies through ``certify`` that each entry lies within 1/4
 of an integer and that the rounded counts add up to ``|A| |V|``.  The
 support of the rounded counts is then the sumset.  ``certify`` raises
-``CertificateError``, which ``python -O`` keeps.
+``CertificateError``, which ``python -O`` keeps.  A self-sum ``A + A``
+(each step of the doubling ladder) transforms its indicator once and
+squares the spectrum.
+
+Iterated sums.  ``iterated_sum(B, k)`` takes ``kB`` as the support of
+``irfft(rfft(1_B, N)**k)`` with N the power of two at or above
+``k (b_max - b_min) + 1``: two transforms in place of three per pairwise
+step.  The power is taken by k - 1 complex multiplies, and Percival's
+argument carried through them bounds every entry's error
+(``_power_error_bound``, derived there).  Its leading term is
+``eta |B|**(k - 1/2)``, with ``eta`` about ``5.2 log2(2N) 2**-53`` the
+growth of one transform: 1.2e-5 for 4,097 points at k = 3 and
+``N = 2**18``.  The route runs where that bound is below
+1/4, its ``40 N`` bytes fit the budget, ``k b_max < 2**63`` and the cost
+model above prices it below the pairwise steps; each call certifies as the
+FFT route does, with ``|B|**k`` pairs.  Elsewhere the k - 1 pairwise
+sumsets run.
 
 Memory.  Each route's scratch is estimated before anything is allocated:
 17 bytes per pair for the outer sums, 40 per FFT point, and for the
@@ -408,30 +424,74 @@ _OUTER_BYTES, _FFT_BYTES = 17, 40
 _EPS = 2.0**-53  # unit roundoff of float64
 
 
+def _fft_growth(nfft: int, transforms: int, products: int) -> float:
+    """Percival's relative error growth, minus one, of ``transforms``
+    radix-2 transforms of length ``nfft`` and ``products`` complex
+    multiplies per entry, in arithmetic of unit roundoff eps:
+    ``(1+eps)**tk (1+eps*sqrt5)**(tk+p) (1+beta)**tk - 1`` with ``t``
+    transforms of ``k`` levels and ``p`` products (Percival, Math. Comp. 72,
+    2003; a complex product is within ``sqrt5 eps`` of the exact one).
+    numpy's real transforms are not literally that complex radix-2 FFT, so
+    ``k`` is taken one level deeper and the twiddle error beta as 2 eps;
+    every call of the FFT routes is also checked after the fact.
+    """
+    k = nfft.bit_length()
+    return math.expm1(
+        transforms * k * math.log1p(_EPS)
+        + (transforms * k + products) * math.log1p(_EPS * math.sqrt(5))
+        + transforms * k * math.log1p(2 * _EPS)
+    )
+
+
 def _fft_error_bound(pairs: int, nfft: int) -> float:
     """A-priori bound on ``max |conv - exact|`` of the FFT route.
 
-    Percival (Math. Comp. 72, 2003): a cyclic convolution of x and y through
-    radix-2 FFTs of length ``2**k``, in arithmetic of unit roundoff eps with
-    twiddle factors accurate to beta, is off by less than
-    ``|x| |y| ((1+eps)**3k (1+eps*sqrt5)**(3k+1) (1+beta)**3k - 1)`` in
-    every entry, with Euclidean norms; for 0/1 indicators
-    ``|x| |y| = sqrt(|a| |v|)``.  numpy's real transforms are not literally
-    that complex radix-2 FFT, so the bound is taken one level deeper and
-    with beta = 2 eps; every call is also checked after the fact.
+    Percival: a cyclic convolution of x and y through two forward
+    transforms, one product and one inverse transform is off by less than
+    ``|x| |y| _fft_growth(nfft, 3, 1)`` in every entry, with Euclidean
+    norms; for 0/1 indicators ``|x| |y| = sqrt(|a| |v|)``.
     """
-    k = nfft.bit_length()
-    log_growth = (
-        3 * k * math.log1p(_EPS)
-        + (3 * k + 1) * math.log1p(_EPS * math.sqrt(5))
-        + 3 * k * math.log1p(2 * _EPS)
-    )
-    return math.sqrt(pairs) * math.expm1(log_growth)
+    return math.sqrt(pairs) * _fft_growth(nfft, 3, 1)
 
 
-def _plan(na: int, nv: int, span: int) -> str:
-    """The cheapest route for a sumset of ``na`` by ``nv`` points (nv <= na)
-    whose sums fill a window of ``span`` indices, within the byte budget."""
+def _power_error_bound(size: int, k: int, nfft: int) -> float:
+    """A-priori bound on ``max |z~ - z|`` of the powered-spectrum route,
+    ``z~ = irfft(rfft(x)**k)`` for the 0/1 indicator x of ``size = |B|``
+    points and the k-fold self-convolution ``z``, k >= 2:
+
+        |B| M**(k-2) (k eta + (k-1) eta**2 + d (1+eta)**2)
+            + eta (1+eta) (1+d) M**(k-1) sqrt|B|
+
+    with ``eta = _fft_growth(nfft, 1, 0)`` the growth of one transform,
+    ``d = _fft_growth(nfft, 0, k-1)`` that of the k-1 complex multiplies,
+    and ``M = |B| + sqrt(N |B|) eta``.
+
+    Derivation, for the unnormalised DFT F of length N and ``X = F x``:
+    Parseval gives ``|X|_2 = sqrt(N |B|)``, and every ``|X_i| <= |B|``.
+    The computed spectrum X~ has ``|X~ - X|_2 <= eta sqrt(N |B|)``, hence
+    ``|X~|_2 <= (1+eta) sqrt(N |B|)`` and ``|X~_i| <= M``.  The computed
+    power is ``P~_i = X~_i**k (1 + d_i)`` with ``|d_i| <= d``.  Then
+    ``|X~_i**k - X_i**k| <= |X~_i - X_i| M**(k-2) ((k-1)|X~_i| + |X_i|)``
+    (each term of the difference quotient), so by Cauchy-Schwarz
+    ``|X~**k - X**k|_1 <= N |B| M**(k-2) eta (k + (k-1) eta)``, and
+    ``|X~**k d|_1 <= d M**(k-2) |X~|_2**2``.  An inverse transform maps a
+    spectrum error E to an entry error of at most ``|E|_1 / N``: the first
+    term.  Its own rounding is at most ``eta |F^-1 P~|_2 = eta |P~|_2 /
+    sqrt N``, and ``|P~|_2 <= (1+d) M**(k-1) |X~|_2``: the second term.
+    """
+    eta = _fft_growth(nfft, 1, 0)
+    d = _fft_growth(nfft, 0, k - 1)
+    m = size + math.sqrt(nfft * size) * eta
+    if (k - 1) * math.log2(m) > 60:
+        return math.inf  # eta > 2**-51: the second term alone is past 1/4
+    propagated = size * m ** (k - 2) * (k * eta + (k - 1) * eta**2 + d * (1 + eta) ** 2)
+    return propagated + eta * (1 + eta) * (1 + d) * m ** (k - 1) * math.sqrt(size)
+
+
+def _fitting_routes(na: int, nv: int, span: int) -> list[tuple[float, int, str]]:
+    """``(ns, bytes, route)`` of each route of ``_sum_support`` for ``na`` by
+    ``nv`` points (nv <= na) whose sums fill a window of ``span`` indices,
+    where the scratch fits the byte budget; BudgetError where none does."""
     pairs = na * nv
     nfft = 1 << (span - 1).bit_length()
     routes = [
@@ -447,7 +507,32 @@ def _plan(na: int, nv: int, span: int) -> str:
     fits = [r for r in routes if r[1] <= SUMSET_BYTE_BUDGET]
     if not fits:
         raise BudgetError(min(r[1] for r in routes), SUMSET_BYTE_BUDGET)
-    return min(fits)[2]
+    return fits
+
+
+def _plan(na: int, nv: int, span: int) -> str:
+    """The cheapest route for a sumset of ``na`` by ``nv`` points (nv <= na)
+    whose sums fill a window of ``span`` indices, within the byte budget."""
+    return min(_fitting_routes(na, nv, span))[2]
+
+
+def _indicator_spectrum(s: np.ndarray, nfft: int) -> np.ndarray:
+    """``rfft`` at length ``nfft`` of the 0/1 indicator of ``s - s[0]``."""
+    ind = np.zeros(int(s[-1] - s[0]) + 1)
+    ind[s - s[0]] = 1.0
+    return np.fft.rfft(ind, nfft)
+
+
+def _count_support(conv: np.ndarray, pairs: int) -> np.ndarray:
+    """The offsets of the nonzero counts of ``conv``, a float convolution
+    of 0/1 indicators with ``pairs`` pairs in all (overwritten)."""
+    counts = np.rint(conv)
+    conv -= counts
+    # every count is within 1/4 of its integer, and the counts add up to the
+    # number of pairs: the support of the rounded counts is the sumset
+    certify("fft-rounding", np.nextafter(0.25, 0.0) - float(np.abs(conv, out=conv).max()))
+    certify("fft-pair-count", -abs(int(counts.sum(dtype=np.int64)) - pairs))
+    return np.flatnonzero(counts)
 
 
 def _sum_support(a: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -469,23 +554,59 @@ def _sum_support(a: np.ndarray, v: np.ndarray) -> np.ndarray:
             seen[base + s] = True
         return np.flatnonzero(seen) + lo
     nfft = 1 << (span - 1).bit_length()
-
-    def indicator_spectrum(s):
-        ind = np.zeros(int(s[-1] - s[0]) + 1)
-        ind[s - s[0]] = 1.0
-        return np.fft.rfft(ind, nfft)
-
-    spectrum = indicator_spectrum(a)
-    spectrum *= indicator_spectrum(v)
+    spectrum = _indicator_spectrum(a, nfft)
+    # a self-sum (each step of the doubling ladder) squares its one spectrum
+    spectrum *= spectrum if np.array_equal(a, v) else _indicator_spectrum(v, nfft)
     conv = np.fft.irfft(spectrum, nfft)[:span]
     del spectrum
-    counts = np.rint(conv)
-    conv -= counts
-    # every count is within 1/4 of its integer, and the counts add up to the
-    # number of pairs: the support of the rounded counts is the sumset
-    certify("fft-rounding", np.nextafter(0.25, 0.0) - float(np.abs(conv, out=conv).max()))
-    certify("fft-pair-count", -abs(int(counts.sum(dtype=np.int64)) - a.size * v.size))
-    return np.flatnonzero(counts) + lo
+    return _count_support(conv, a.size * v.size) + lo
+
+
+def _power_nfft(B: DeltaSet, k: int, max_width: int) -> int | None:
+    """The transform length N of the powered-spectrum route to ``kB`` (k >=
+    2), or None where the pairwise steps run instead.
+
+    N is the power of two at or above the window ``k (b_max - b_min) + 1``.
+    The route is taken where ``k b_max < 2**63``, kB is no wider than
+    ``max_width``, the ``_FFT_BYTES * N`` scratch fits the byte budget,
+    ``_power_error_bound`` is below 1/4, and the cost model prices it below
+    the pairwise steps.  It is priced as one FFT step of ``_plan`` at N
+    (three transforms, for its two) plus one butterfly pass per further
+    complex multiply.  Each pairwise step ``(j-1)B + B`` is priced at its
+    cheapest route with ``|(j-1)B|`` at its least possible size
+    ``(j-1)(|B|-1) + 1``, so the pairwise side is never overpriced.
+    """
+    b = B.indices
+    size, lo, hi = b.size, int(b[0]), int(b[-1])
+    nfft = 1 << (k * (hi - lo)).bit_length()
+    if (
+        k * hi >= 1 << 63
+        or ((k * hi) >> B.n) + 1 > max_width
+        or _FFT_BYTES * nfft > SUMSET_BYTE_BUDGET
+        or not _power_error_bound(size, k, nfft) < 0.25
+    ):
+        return None
+    price = _FFT_CALL_NS + _FFT_NS * nfft * (nfft.bit_length() + k - 2)
+    pairwise = 0.0
+    for j in range(2, k + 1):
+        pairwise += min(_fitting_routes((j - 1) * (size - 1) + 1, size, j * (hi - lo) + 1))[0]
+        if pairwise > price:
+            return nfft
+    return None
+
+
+def _power_support(b: np.ndarray, k: int, nfft: int) -> np.ndarray:
+    """The sorted distinct values of the k-fold sum of ``b`` (k >= 2), as the
+    support of ``irfft(rfft(1_b)**k)``; the power is taken by k - 1 complex
+    multiplies, the rounding ``_power_error_bound`` counts."""
+    spectrum = _indicator_spectrum(b, nfft)
+    power = spectrum * spectrum
+    for _ in range(k - 2):
+        power *= spectrum
+    del spectrum
+    conv = np.fft.irfft(power, nfft)[: k * int(b[-1] - b[0]) + 1]
+    del power
+    return _count_support(conv, b.size**k) + k * int(b[0])
 
 
 def sumset(A: DeltaSet, c, B: DeltaSet, max_width: int = 1 << 12) -> DeltaSet:
@@ -515,15 +636,25 @@ def sumset(A: DeltaSet, c, B: DeltaSet, max_width: int = 1 << 12) -> DeltaSet:
 def iterated_sum(B: DeltaSet, k: int, max_width: int = 1 << 12) -> DeltaSet:
     """k-fold sumset ``B + B + ... + B`` on the grid.
 
-    With ``c = 1`` every partial sum is already a grid point, so repeated
-    pairwise sumsets compute the k-fold sum exactly.  ``|kB| <= k * 2**n``
-    always (the result sits inside ``[0, k)``).
+    With ``c = 1`` every partial sum is already a grid point, so the k-fold
+    sum is exact.  Where ``_power_nfft`` allows, it is the support of
+    ``irfft(rfft(1_B, N)**k)``: two transforms in place of three per
+    pairwise step, certified like the FFT route of ``sumset`` (every entry
+    within 1/4 of an integer, the counts adding up to ``|B|**k``) under the
+    a-priori bound of ``_power_error_bound``.  Elsewhere it is k - 1
+    pairwise sumsets, whose first step past ``max_width`` raises.
+    ``|kB| <= k * 2**n`` always (the result sits inside ``[0, k)``).
     """
     if k < 1:
         raise ValueError("need k >= 1")
-    out = B
-    for _ in range(k - 1):
-        out = sumset(out, 1, B, max_width=max_width)
+    nfft = _power_nfft(B, k, max_width) if k > 1 else None
+    if nfft is None:
+        out = B
+        for _ in range(k - 1):
+            out = sumset(out, 1, B, max_width=max_width)
+    else:
+        width = ((k * int(B.indices[-1])) >> B.n) + 1
+        out = DeltaSet(B.n, _power_support(B.indices, k, nfft), width)
     certify("iterated-sum-size", (k << B.n) - len(out))
     return out
 

@@ -702,9 +702,11 @@ def load_measure(path) -> DiscreteMeasure:
     """
     data = load_json(path)
     try:
-        dim, n, entries = int(data["dim"]), int(data["n"]), list(data["atoms"])
-    except (KeyError, TypeError, ValueError):
+        dim, n, entries = data["dim"], data["n"], list(data["atoms"])
+    except (KeyError, TypeError):
         raise FormatError(path, None, "needs integer 'dim' and 'n' and an 'atoms' list") from None
+    if {type(dim), type(n)} != {int}:  # a float, string or bool is refused, not truncated
+        raise FormatError(path, None, f"'dim' and 'n' must be JSON integers, got {dim!r} and {n!r}")
     keys, ratios, first = [], [], {}
     for i, entry in enumerate(entries):
         try:

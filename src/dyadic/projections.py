@@ -204,11 +204,12 @@ def _pair_total(mu: DiscreteMeasure, key: np.ndarray, reach: int, related) -> in
     order = np.argsort(key)
     key = key[order]
     wts = mu._columns[1][order]
-    total = 0
+    total, first, last = 0, int(key[0]), int(key[-1])
     for lo in range(0, key.size, 512):
         hi = min(lo + 512, key.size)
-        a = np.searchsorted(key, key[lo] - reach, "left")
-        b = np.searchsorted(key, key[hi - 1] + reach, "right")
+        # the window's ends, in Python ints clipped to the keys: no overflow
+        a = np.searchsorted(key, max(int(key[lo]) - reach, first), "left")
+        b = np.searchsorted(key, min(int(key[hi - 1]) + reach, last), "right")
         sums = related(order[lo:hi], order[a:b]) @ wts[a:b]
         if mu.denom * mu.denom < 1 << 63:
             total += int(wts[lo:hi] @ sums)
@@ -477,9 +478,15 @@ def near_pair_mass(mu: DiscreteMeasure, radius_cells: int = 10) -> Fraction:
     r = radius_cells
 
     def near(i, j):
-        # gaps clipped at r before squaring, so no square overflows int64
-        dx = np.minimum(np.abs(xs[i, None] - xs[None, j]), r)
-        dy = np.minimum(np.abs(ys[i, None] - ys[None, j]), r)
+        # the gaps (below 2**63, as keys lie within +-2**62) are clipped at r
+        # before squaring, so dx**2 + dy**2 <= 2 r**2 fits int64 while
+        # r < 2**31; past that they square as Python ints
+        dx = np.abs(xs[i, None] - xs[None, j])
+        dy = np.abs(ys[i, None] - ys[None, j])
+        if r < 1 << 31:
+            dx, dy = np.minimum(dx, r), np.minimum(dy, r)
+        else:
+            dx, dy = dx.astype(object), dy.astype(object)
         return dx * dx + dy * dy < r * r
 
     # a near pair has |dx| < r: the x-window of each row block suffices

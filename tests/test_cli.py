@@ -357,6 +357,21 @@ def test_repeated_or_non_integer_measure_key_gives_one_line_error(tmp_path, runn
     assert res.output.strip().splitlines() == [f"Error: {path}: {reason}"]
 
 
+@pytest.mark.parametrize(
+    "header", ['"dim": 2.9, "n": 12.7', '"dim": 2, "n": "12"', '"dim": true, "n": 12',
+               '"dim": 2, "n": 12.0']
+)
+def test_measure_header_of_non_integers_gives_one_line_error(tmp_path, runner, header):
+    # "dim": 2.9, "n": 12.7 used to load as dim 2 and n 12
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{{header}, "atoms": [[[0, 0], "1"]]}}\n')
+    res = runner.invoke(main, ["entropy", str(path), "--c", "1/4", "--cuts", "0,12"])
+    assert res.exit_code == 1
+    dim, n = json.loads(f"{{{header}}}").values()
+    reason = f"'dim' and 'n' must be JSON integers, got {dim!r} and {n!r}"
+    assert res.output.strip().splitlines() == [f"Error: {path}: {reason}"]
+
+
 def test_set_file_without_width_gives_one_line_error(tmp_path, runner):
     path = tmp_path / "bad.txt"
     path.write_text("n=6\n0\n5\n")
@@ -422,6 +437,29 @@ def test_sumset_past_the_byte_budget_gives_one_line_error(tmp_path, runner):
     lines = res.output.strip().splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("Error: sumset needs ") and "over the budget of" in lines[0]
+
+
+@pytest.mark.parametrize(
+    "args, reason",
+    [
+        (["ladder", "{set}", "--steps", "1"], "need n_steps >= 2"),
+        (["greedy", "{set}", "{set}", "--steps", "0"], "need n_steps >= 2"),
+        (["entropy", "{mu}", "--c", "3", "--cuts", "0,4,8"], "|c| must be at most 1"),
+        (["entropy", "{mu}", "--c", "1/4", "--cuts", "0,5"],
+         "cuts must run 0 = j_0 < ... < j_h = n"),
+        (["uniformize", "{set}", "{out}", "--m", "0", "--levels", "6"],
+         "resolution does not match m * levels"),
+    ],
+)
+def test_argument_outside_the_domain_gives_a_one_line_usage_error(tmp_path, runner, args, reason):
+    files = {"set": tmp_path / "s.txt", "mu": tmp_path / "mu.json", "out": tmp_path / "out.txt"}
+    save_set(gen_ap(6, 16), files["set"])
+    mu = product_measure(counting_measure(gen_ap(8, 16)), counting_measure(gen_ap(8, 4)))
+    save_measure(mu, files["mu"])
+    res = runner.invoke(main, [arg.format(**files) for arg in args])
+    assert res.exit_code == 2
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert res.output.strip().splitlines() == [f"Error: {reason}"]
 
 
 def test_assemble_bad_params_give_a_usage_error(runner):

@@ -4,13 +4,16 @@ Expected values in the oracle tests were computed by hand (or by the brute
 force written inline) before the library code existed and are frozen here.
 """
 
+import functools
 import math
+import operator
 import os
 import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -432,6 +435,17 @@ def test_sumset_certificate_survives_python_O():
     assert name == "fft-rounding" and float(slack) < 0
 
 
+def test_fft_self_sum_takes_one_transform_and_equal_sizes_take_two():
+    rng = np.random.default_rng(6)
+    A, V = (DeltaSet(12, np.sort(rng.choice(2048, 1024, replace=False))) for _ in range(2))
+    assert _route_of(A.indices, V.indices) == _route_of(A.indices, A.indices) == "fft"
+    for B, transforms in ((A, 1), (dset(12, A.indices.tolist()), 1), (V, 2)):
+        with mock.patch.object(np.fft, "rfft", wraps=np.fft.rfft) as rfft:
+            out = sumset(A, 1, B)
+        assert rfft.call_count == transforms
+        assert out.indices.tolist() == brute_sumset(A, 1, 0, B)
+
+
 def test_doubling_a_full_interval_gives_the_full_interval():
     # 2**15 points at n = 16: the per-shift bitmap loop took seconds here
     B = gen_ap(16, 1 << 15, step=1)
@@ -453,6 +467,180 @@ def test_iterated_sum_size_bound(B, k):
     out = iterated_sum(B, k)
     assert len(out) <= k << B.n
     assert len(out) >= len(B)
+
+
+def brute_iterated(B: DeltaSet, k: int) -> list[int]:
+    """The sorted k-fold sums of B in Python integers, B's offsets from its
+    least point held as the bits of one int."""
+    base = int(B.indices[0])
+    offsets = (B.indices - base).tolist()
+    mask = 1
+    for _ in range(k):
+        mask = functools.reduce(operator.or_, (mask << o for o in offsets))
+    return [k * base + i for i, bit in enumerate(reversed(bin(mask)[2:])) if bit == "1"]
+
+
+def _traced_iterated_sum(B, k):
+    """``iterated_sum(B, k)``, the number of power-route and pairwise calls."""
+    with mock.patch.object(grid, "_power_support", wraps=grid._power_support) as power, \
+            mock.patch.object(grid, "sumset", wraps=grid.sumset) as pairwise:
+        out = iterated_sum(B, k)
+    return out, power.call_count, pairwise.call_count
+
+
+@st.composite
+def iterated_instances(draw):
+    """(B, k, kind): an interval, random points in a window 2 to 64 times
+    their size, or a window twice their size holding about as many points
+    as ``_power_error_bound`` allows below 1/4 at k = 4 or 5."""
+    kind = draw(st.sampled_from(["interval", "window", "window", "near-bound"]))
+    if kind == "near-bound":
+        k = draw(st.sampled_from([4, 5]))
+        size = draw(st.integers(*{4: (6300, 7000), 5: (880, 1010)}[k]))
+        span = 2 * size
+    else:
+        k = draw(st.integers(2, 5))
+        size = draw(st.integers(1, 600))
+        span = size if kind == "interval" else size * draw(st.sampled_from([2, 8, 64]))
+    n = draw(st.integers(max(span.bit_length(), 1), 20))
+    start = draw(st.integers(0, (1 << n) - span))
+    if kind == "interval":
+        return DeltaSet(n, start + np.arange(size, dtype=np.int64)), k, kind
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return DeltaSet(n, start + np.sort(rng.choice(span, size, replace=False))), k, kind
+
+
+@given(iterated_instances())
+@example((gen_ap(14, 900, step=2), 5, "near-bound"))  # power route
+@example((gen_ap(14, 1000, step=2), 5, "near-bound"))  # bound past 1/4: pairwise
+@example((gen_ap(12, 1024, step=1), 3, "interval"))  # power route
+@example((dset(6, [3]), 4, "interval"))  # one point: pairwise
+@settings(max_examples=60, deadline=None)
+def test_iterated_sum_matches_python_int_brute_force(args):
+    B, k, kind = args
+    out, power, pairwise = _traced_iterated_sum(B, k)
+    expect = brute_iterated(B, k)
+    assert out.indices.dtype == np.int64
+    assert out.indices.tolist() == expect
+    assert out.n == B.n and out.width == (expect[-1] >> B.n) + 1
+    nfft = grid._power_nfft(B, k, 1 << 12)
+    assert (power, pairwise) == ((1, 0) if nfft is not None else (0, k - 1))
+    if kind == "near-bound":  # dense: the cost model prefers the power, the bound decides
+        bound = grid._power_error_bound(len(B), k, 1 << (k * (2 * len(B) - 1)).bit_length())
+        assert (nfft is not None) == (bound < 0.25)
+
+
+def test_power_error_bound_covers_the_measured_rounding(monkeypatch):
+    errors = []
+    count_support = grid._count_support
+
+    def measured(conv, pairs):
+        errors.append(float(np.abs(conv - np.rint(conv)).max()))
+        return count_support(conv, pairs)
+
+    monkeypatch.setattr(grid, "_count_support", measured)
+    rng = np.random.default_rng(2003)
+    checked = 0
+    while checked < 50:
+        k, size = int(rng.integers(3, 6)), int(rng.integers(2, 2000))
+        span = size * int(rng.choice([1, 2, 8]))
+        B = DeltaSet(max(span - 1, 1).bit_length(), np.sort(rng.choice(span, size, replace=False)))
+        nfft = grid._power_nfft(B, k, 1 << 12)
+        if nfft is None:
+            continue
+        errors.clear()
+        iterated_sum(B, k)
+        assert errors[0] <= grid._power_error_bound(size, k, nfft)
+        checked += 1
+
+
+@pytest.mark.parametrize("size", [2, 65, 1024, 4097, 1 << 16])
+@pytest.mark.parametrize("nfft", [1 << 4, 1 << 12, 1 << 20, 1 << 25])
+def test_power_error_bound_lies_between_percival_and_a_coarser_form(size, nfft):
+    eps = 2.0**-53
+    eta = grid._fft_growth(nfft, 1, 0)
+    m = size + math.sqrt(nfft * size) * eta
+    # at k = 2 the power is one product: never tighter than Percival's convolution bound
+    assert grid._power_error_bound(size, 2, nfft) >= grid._fft_error_bound(size * size, nfft)
+    for k in range(2, 7):
+        coarser = (1 + eta) * (
+            k * m ** (k - 1) * math.sqrt(size) * eta
+            + ((1 + math.sqrt(5) * eps) ** (k - 1) - 1) * m ** (k - 1) * math.sqrt(size) * (1 + eta)
+        ) + size ** (k - 0.5) * eta
+        assert min(grid._power_error_bound(size, k, nfft), 1.0) <= coarser  # inf past 1/4
+
+
+@pytest.mark.parametrize(
+    "B, k, max_width",
+    [
+        (gen_ap(10, 1024, step=1), 4, 2),  # 3B is the first sum wider than 2
+        (gen_ap(62, 64, step=1, start=(1 << 62) - 64), 3, 1 << 12),  # 3B passes 2**63
+    ],
+)
+def test_iterated_sum_refuses_like_the_pairwise_steps(B, k, max_width):
+    with pytest.raises(ValueError) as pairwise:
+        out = B
+        for _ in range(k - 1):
+            out = sumset(out, 1, B, max_width=max_width)
+    with pytest.raises(ValueError) as iterated:
+        iterated_sum(B, k, max_width=max_width)
+    assert str(iterated.value) == str(pairwise.value)
+    assert k * int(B.indices[-1]) >= 1 << 63 or grid._power_nfft(B, k, 1 << 12) is not None
+
+
+def test_iterated_sum_certificate_survives_python_O():
+    # a powered spectrum whose every entry is off by 0.3 must be refused
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from dyadic import CertificateError, gen_ap, grid, iterated_sum\n"
+        "irfft = np.fft.irfft\n"
+        "np.fft.irfft = lambda *args: irfft(*args) + 0.3\n"
+        "B = gen_ap(12, 1024, step=1)\n"
+        "route = 'power' if grid._power_nfft(B, 3, 1 << 12) else 'pairwise'\n"
+        "try:\n"
+        "    print(sys.flags.optimize, route, 'accepted', len(iterated_sum(B, 3)))\n"
+        "except CertificateError as exc:\n"
+        "    print(sys.flags.optimize, route, exc.name, exc.slack)\n"
+    )
+    src = str(Path(dyadic.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    optimize, route, name, slack = out.stdout.split()
+    assert optimize == "1" and route == "power"
+    assert name == "fft-rounding" and float(slack) < 0
+
+
+# The doubling ladders and iterated sums of the ``ladder`` benchmark workload
+# (perfbench/workloads.py): (n, log2|B|) with 6 steps, and (n, |B|, k).
+LADDER_WORKLOAD_SETS = ((5, 2), (5, 3), (6, 4), (6, 5), (7, 4), (7, 5), (7, 6), (8, 5), (8, 7))
+ITERATED_WORKLOAD_SUMS = ((12, 2049, 4), (16, 4097, 3), (10, 65, 4))
+
+
+def _workload_set(seed: int, purpose: str, n: int, size: int) -> DeltaSet:
+    rng = np.random.default_rng([seed, *purpose.encode()])
+    return DeltaSet(n, np.sort(rng.choice(1 << n, size=size, replace=False)))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_ladder_workload_outputs_equal_the_pairwise_loop(seed):
+    for n, bits in LADDER_WORKLOAD_SETS:
+        B = _workload_set(seed, f"ladder/{n}/{bits}", n, 1 << bits)
+        _, table = run_doubling_ladder(B, 6)
+        sizes, cur = [len(B)], B
+        for _ in range(6):
+            cur = dset(n, brute_iterated(cur, 2))
+            sizes.append(len(cur))
+        assert table == list(enumerate(sizes))
+    for n, size, k in ITERATED_WORKLOAD_SUMS:
+        B = _workload_set(seed, f"iterated/{n}/{k}", n, size)
+        pairwise = B
+        for _ in range(k - 1):
+            pairwise = sumset(pairwise, 1, B)
+        out, power, _ = _traced_iterated_sum(B, k)
+        assert power == 1 and out == pairwise
 
 
 # ---------------------------------------------------------------- regularity

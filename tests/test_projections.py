@@ -338,6 +338,23 @@ def test_vertical_separation_margin_exhaustive():
 WIDE_PAIRS = {(0, 0): 1 << 40, (1, 0): (1 << 40) + 1, (0, 1): 3}
 
 
+@pytest.mark.parametrize(
+    "radius", [(1 << 31) - 1, 1 << 31, 1 << 44, (1 << 45) + 1, 1 << 62, 1 << 63, 1 << 64]
+)
+def test_near_pair_mass_exact_at_any_radius(radius):
+    # int64 squares of gaps clipped at 2**44 wrapped: this pair weighed 1, not 1/2
+    two = DiscreteMeasure(2, 62, {(0, 0): 1, (1 << 45, 0): 1}, 2)
+    assert near_pair_mass(two, 1 << 44) == Fraction(1, 2)
+    # gaps on both sides of 2**31, and the widest pair the keys allow (2**63 - 2)
+    corner = (1 << 62) - 1
+    atoms = {(0, 0): 1, (1 << 45, 0): 1, ((1 << 31) - 2, 1): 1, (-corner, -corner): 1,
+             (corner, corner): 1}
+    near = sum(
+        (px - qx) ** 2 + (py - qy) ** 2 < radius**2 for px, py in atoms for qx, qy in atoms
+    )
+    assert near_pair_mass(DiscreteMeasure(2, 62, atoms, 5), radius) == Fraction(near, 25)
+
+
 def test_near_pair_mass_exact_past_int64_products():
     mu = DiscreteMeasure(2, 4, WIDE_PAIRS, sum(WIDE_PAIRS.values()))
     assert near_pair_mass(mu) == 1  # every pair lies within 10 cells
