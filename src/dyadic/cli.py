@@ -39,7 +39,7 @@ from .grid import (
     load_set,
     save_set,
 )
-from .measures import entropy_chain, load_measure
+from .measures import _chain_stats, entropy_chain, load_measure
 from .projections import (
     ProjectionParams,
     averaged_l2,
@@ -188,6 +188,8 @@ def gen_random_cmd(ctx, n, size, dest):
 @click.pass_context
 def analyze(ctx, set_path, kappa, m):
     """Covering counts, Frostman audit, and branching profile of a set."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
     a = load_set(set_path)
     counts = covering_counts(a)
     report = frostman_check(a, Fraction(kappa), r_min_exp=a.n, r_max_exp=1)
@@ -296,9 +298,11 @@ def entropy_cmd(ctx, measure_path, c_values, cuts):
     """Entropy chain of a planar measure at the given cuts, per slope."""
     mu = load_measure(measure_path)
     cut_list = [int(tok) for tok in cuts.split(",")]
+    cs = [Fraction(c_str) for c_str in c_values]
+    _chain_stats(mu, cs, cut_list)  # every slope's kernel passes, batched
     rows, reports = [], []
-    for c_str in c_values:
-        rep = entropy_chain(mu, Fraction(c_str), cut_list)
+    for c_str, c in zip(c_values, cs):
+        rep = entropy_chain(mu, c, cut_list)
         reports.append(
             {
                 "c": c_str,

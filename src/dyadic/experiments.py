@@ -38,6 +38,7 @@ import numpy as np
 from .grid import DeltaSet, ParameterSet, ScaleSpec, certify, gen_ap, load_json, sumset
 from .grid import SUMSET_BYTE_BUDGET, BudgetError, FormatError, _distinct, _shifts, _sum_support
 from .measures import (
+    _chain_stats,
     _sort_groups,
     counting_measure,
     coarsen,
@@ -941,6 +942,7 @@ def run_final_assembly(params: AssemblyParams | None = None, seed: int = 0) -> A
 
     per_c_lhs: list[float] = []
     per_block_terms: list[list[float]] = [[] for _ in blocks]
+    _chain_stats(mu, cs, cuts)  # every slope's kernel passes, batched, into the memo
     for c in cs:
         rep = entropy_chain(mu, c, cuts)  # certifies its own chain inequality
         per_c_lhs.append(rep.lhs)

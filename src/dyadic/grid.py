@@ -182,10 +182,13 @@ def _ratio(x) -> tuple[int, int]:
 
 
 def _pow2_sign(frac, value) -> int:
-    """The sign of ``2**frac - value``, exactly: with ``frac = num/den`` and
-    ``value = p/q > 0`` that of ``2**num * q**den - p**den``; +1 for value <= 0."""
-    num, den = _ratio(frac)
-    p, q = _ratio(value)
+    """The sign of ``2**frac - value``, exactly (``_pow2_cmp``)."""
+    return _pow2_cmp(*_ratio(frac), *_ratio(value))
+
+
+def _pow2_cmp(num: int, den: int, p: int, q: int) -> int:
+    """The sign of ``2**(num/den) - p/q`` for ``den, q > 0``, exactly: for
+    ``p > 0`` that of ``2**num * q**den - p**den``; +1 for ``p <= 0``."""
     if p <= 0:
         return 1
     lhs, rhs = q**den << max(num, 0), p**den << max(-num, 0)

@@ -24,22 +24,25 @@ vectorised validation.
 
 Bucketing, projection and the per-cell entropies of the chain run on the
 columns.  One kernel, ``_cell_counts``, groups the atoms into cells, pushes
-each rescaled cell by a slope and sorts and reduces the bucket keys; exact
-integer masses come out.  Keys are therefore bounded: ``n <= 62`` and
-``|k| < 2**62``, so a projected key ``kx + floor(c * ky)`` fits int64; a
-slope product ``p * ky`` past 63 bits falls back to Python integers.
-Each ``b * log2(b)`` term is taken on those integer counts and summed with
-``fsum``, which is exactly rounded, so the floats do not depend on the
-order the kernel visits the buckets in.
+each rescaled cell by every slope of a batch and sorts the (slope, cell,
+bucket) keys of all rows at once; exact integer masses come out.  Keys are
+therefore bounded: ``n <= 62`` and ``|k| < 2**62``, so a projected key
+``kx + floor(c * ky)`` fits int64; a slope product ``p * ky`` past 63 bits
+falls back to Python integers.  Each ``b * log2(b)`` is taken once per
+distinct count, and a cell's sum of them is rounded once from its exact
+value: the float the correctly rounded ``fsum`` returns, in any bucket order.
 
-``_cell_stats`` is what the entropies, the chain, the fiber bound and the
+``_slope_stats`` is what the entropies, the chain, the fiber bound and the
 projected L2 norms read.  Per (cell level, bucket level, slope) it keeps
 each cell's mass and entropy and the sum of squared bucket masses in a
 memo on the measure, for the life of the measure (the bucket counts are
-not kept).  Level-0 cells are the whole measure when every key lies in
-``[0, 2**n)``, so a chain's left side, a single block term and that
-block's fiber bound share one pass; with a negative key the level-0 cells
-are several and the alias does not apply.
+not kept).  The slope loops (the final assembly, the averaged projection
+entropy, the ``entropy`` command) hand it their whole slope list first, so
+a level pair costs one pass per 2**14 atom-slope rows.  Level-0 cells are
+the whole measure when every key lies in ``[0, 2**n)``, so a chain's left
+side, a single block term and that block's fiber bound share one pass;
+with a negative key the level-0 cells are several and the alias does not
+apply.
 
 The inequalities checked at run time raise ``CertificateError`` through
 ``certify``, so they hold under ``python -O`` too.
@@ -101,6 +104,9 @@ _MAX_N = 62
 _KEY_LIMIT = 1 << 62
 _INT64_LIMIT = 1 << 63
 _KEY_ERROR = "atom keys must lie strictly within the 62-bit limit +-2**62"
+# atom-slope rows per kernel pass: a limit of 2**16 rows made the assemblies
+# of 2**14-atom measures about 1.5 times slower, 2**13 changed nothing
+_BATCH_ROWS = 1 << 14
 
 
 def _exact_sum(nums: np.ndarray) -> int:
@@ -321,102 +327,179 @@ def _sort_groups(cols: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Sort the rows of int64 key columns lexicographically.
 
     Returns the sorting order and the start of each run of equal rows.  The
-    columns are packed into one int64 key when their value ranges allow it,
-    else sorted with ``lexsort``.
+    columns are packed into one non-negative int64 key when their value
+    ranges allow it.  When the row index also fits in the bits the packed
+    key leaves free, the values ``(packed << bits) | row`` are sorted and
+    each row is read back from the low bits; else the packed key is sorted
+    with ``argsort``, and past 63 bits the columns with ``lexsort``.
     """
-    if len(cols) == 1:
-        packed = cols[0]
-    else:
-        packed, radix = None, 1
-        spans = [(int(c.min()), int(c.max())) for c in cols]
-        for lo, hi in spans:
-            radix *= hi - lo + 1
-        if radix < _INT64_LIMIT:
-            packed = np.zeros(cols[0].size, dtype=np.int64)
-            for c, (lo, hi) in zip(cols, spans):
-                packed = packed * (hi - lo + 1) + (c - lo)
-    if packed is not None:
-        order = np.argsort(packed)
-        return order, _run_starts(packed[order])
-    order = np.lexsort(cols[::-1])
-    return order, _run_starts(*(c[order] for c in cols))
+    spans = [(int(c.min()), int(c.max())) for c in cols]
+    radix = math.prod(hi - lo + 1 for lo, hi in spans)
+    if radix >= _INT64_LIMIT:
+        order = np.lexsort(cols[::-1])
+        return order, _run_starts(*(c[order] for c in cols))
+    packed = cols[0] - spans[0][0]
+    for c, (lo, hi) in zip(cols[1:], spans[1:]):
+        # in place, as in _pushed; int64 arithmetic is exact modulo 2**64, so
+        # a partial sum that wraps comes back to the packed key, below 2**63
+        packed *= hi - lo + 1
+        packed -= lo
+        packed += c
+    bits = (packed.size - 1).bit_length()
+    if radix << bits <= _INT64_LIMIT:
+        packed <<= bits
+        packed |= np.arange(packed.size)
+        packed.sort()
+        order = packed & ((1 << bits) - 1)
+        packed >>= bits
+        return order, _run_starts(packed)
+    order = np.argsort(packed)
+    return order, _run_starts(packed[order])
+
+
+def _pushed(
+    low: tuple[np.ndarray, np.ndarray], slopes: list[tuple[int, int]], shift: int
+) -> np.ndarray:
+    """``(x + floor(c * y)) >> shift`` of every key, slope after slope: one
+    int64 outer product over the largest ``q`` of ``c = p / 2**q`` while
+    ``p * y`` fits 63 bits, ``slope_floor`` per slope past that."""
+    x, y = low
+    q_max = max(q for _, q in slopes)
+    ps = [p << (q_max - q) for p, q in slopes]
+    y_max = max(-int(y.min()), int(y.max()))
+    if max(map(abs, ps)).bit_length() + y_max.bit_length() > 63:
+        out = np.concatenate([x + slope_floor(p, q, y) for p, q in slopes])
+    else:  # in place: every fresh scratch column of 2**14 rows can cost page faults
+        out = np.multiply.outer(np.array(ps, dtype=np.int64), y)
+        out >>= min(q_max, 63)
+        out += x
+    out >>= shift
+    return out.ravel()
 
 
 def _cell_counts(
-    mu: DiscreteMeasure, slope: tuple[int, int] | None, cell_level: int | None, bucket_level: int
+    mu: DiscreteMeasure, slopes: list, cell_level: int | None, bucket_level: int
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """The measure kernel: exact bucket masses within each cell.
+    """The measure kernel: exact bucket masses within each cell, for a batch
+    of slopes in one ``_sort_groups`` call over (slope, cell, bucket).
 
     Each level-``cell_level`` cell is rescaled to the unit cell (as
-    ``renormalize_cell`` does), pushed by ``(x, y) -> x + c*y`` when the
-    slope ``c = p / 2**q`` is given as ``(p, q)`` (planar measures), and
-    bucketed at level ``bucket_level - cell_level`` of the rescaled grid,
-    i.e. by the key shifted right ``n - bucket_level`` bits.
-    ``cell_level=None`` takes the whole measure as one cell without
-    rescaling.
+    ``renormalize_cell`` does), pushed by ``(x, y) -> x + c*y`` for every
+    slope of ``slopes``, given as ``(p, q)`` for ``c = p / 2**q`` (planar
+    measures), or by nothing when ``slopes`` is ``[None]``, and bucketed at
+    level ``bucket_level - cell_level`` of the rescaled grid, i.e. by the
+    key shifted right ``n - bucket_level`` bits.  ``cell_level=None`` takes
+    the whole measure as one cell without rescaling.
 
     Returns ``(counts, starts, keys)``: the numerator mass of every occupied
-    bucket, grouped cell by cell; the index of each cell's first bucket; and
-    the bucket key columns.
+    bucket, grouped slope by slope and within a slope cell by cell; the
+    index of each (slope, cell) group's first bucket, every slope having one
+    group per occupied cell; and the bucket key columns.
     """
     cell, low = mu._cells(cell_level)
     shift = mu.n - bucket_level
-    if slope is None:
+    size, batch = mu.support_size(), len(slopes)
+    if slopes == [None]:
         buckets = [k >> shift for k in low]
     else:
-        p, q = slope
-        buckets = [(low[0] + slope_floor(p, q, low[1])) >> shift]
-    order, starts = _sort_groups(buckets if cell is None else [cell, *buckets])
-    counts = np.add.reduceat(mu._columns[1][order], starts)
-    firsts = order[starts]
-    cell_starts = np.zeros(1, dtype=np.int64) if cell is None else _run_starts(cell[firsts])
-    return counts, cell_starts, [b[firsts] for b in buckets]
+        buckets = [_pushed(low, slopes, shift)]
+    group = None
+    if batch > 1 or cell is not None:  # one column: slope index * cells + cell
+        cells = 1 if cell is None else int(cell.max()) + 1
+        group = np.repeat(np.arange(0, batch * cells, cells), size)
+        if cell is not None:
+            group.reshape(batch, size)[:] += cell
+    order, bucket_starts = _sort_groups(buckets if group is None else [group, *buckets])
+    firsts = order[bucket_starts]
+    starts = np.zeros(1, dtype=np.int64) if group is None else _run_starts(group[firsts])
+    nums = mu._columns[1] if batch == 1 else np.tile(mu._columns[1], batch)  # one per row
+    counts = np.add.reduceat(nums[order], bucket_starts)
+    return counts, starts, [b[firsts] for b in buckets]
 
 
 def _cell_entropies(counts: np.ndarray, starts: np.ndarray) -> tuple[list[int], list[float]]:
-    """Mass numerator and entropy (bits) of every cell's bucket counts.
+    """Mass numerator and entropy (bits) of every group of bucket counts.
 
-    ``H = log2(M) - sum(b log2 b) / M`` with exact integers inside the logs;
-    each ``b log2 b`` is evaluated once per distinct count, and ``fsum``
-    makes each cell's sum independent of the bucket order.
+    ``H = log2(M) - S / M`` with exact integers inside the logs, where ``S``
+    sums ``t = b * log2(b)`` over the group's buckets, each ``t`` evaluated
+    once per distinct count.  ``S`` is rounded once from its exact value,
+    which is what the correctly rounded ``fsum`` of the ``t`` returns, in any
+    bucket order.  Every ``t`` is a multiple of ``2**-k`` (``k`` set by the
+    least positive one); scaled by ``2**(k - L)`` it splits into a whole
+    part and a fraction that is a multiple of ``2**-L``, ``L = frac_bits``
+    keeping ``2**L`` times the most buckets of a group below ``2**53``.
+    While the whole parts of a group also sum below ``2**53`` (bounded
+    through ``S <= M log2 M``), both float64 sums are exact and their one
+    addition rounds ``S``; past that, ``S * 2**k`` is summed as a Python
+    integer and divided once.
     """
-    distinct = _distinct(np.sort(counts))
-    terms = np.array([b * math.log2(b) for b in distinct.tolist()])
-    terms = terms[np.searchsorted(distinct, counts)].tolist()
     masses = np.add.reduceat(counts, starts).tolist()
-    bounds = starts.tolist() + [len(terms)]
-    return masses, [
-        math.log2(m) - fsum(terms[a:b]) / m for m, a, b in zip(masses, bounds, bounds[1:])
-    ]
+    distinct = _distinct(np.sort(counts))
+    table = [b * math.log2(b) for b in distinct.tolist()]
+    least = next((t for t in table if t), 0.0)  # t grows with b: the least positive t
+    k = max(53 - math.frexp(least)[1], 0) if least else 0
+    frac_bits = 53 - int(np.diff(starts, append=counts.size).max()).bit_length()
+    top = max(masses).bit_length()
+    index = np.searchsorted(distinct, counts)
+    if k - frac_bits + top + top.bit_length() <= 53:
+        scaled = np.array(table)[index] * 2.0 ** (k - frac_bits)
+        whole = np.floor(scaled)
+        sums = np.add.reduceat(whole, starts) + np.add.reduceat(scaled - whole, starts)
+        sums = (sums * 2.0 ** (frac_bits - k)).tolist()
+    else:
+        exact = np.array([int(math.ldexp(t, k)) for t in table], dtype=object)[index]
+        sums = [s / (1 << k) for s in np.add.reduceat(exact, starts).tolist()]
+    return masses, [math.log2(m) - s / m for m, s in zip(masses, sums)]
 
 
-def _sum_squares(counts: np.ndarray, denom: int) -> int:
-    # the squares sum to at most denom**2: int64 below 2**63, else Python ints
-    if denom * denom < _INT64_LIMIT:
-        return int(counts @ counts)
-    return sum(b * b for b in counts.tolist())
+def _sum_squares(counts: np.ndarray, bounds: np.ndarray, denom: int) -> list[int]:
+    """The sum of the squared counts of each run that starts at ``bounds``."""
+    # each run's squares sum to at most denom**2: int64 below 2**63, else Python ints
+    if denom * denom >= _INT64_LIMIT:
+        counts = counts.astype(object)
+    return np.add.reduceat(counts * counts, bounds).tolist()
+
+
+def _slope_stats(
+    mu: DiscreteMeasure, slopes: list, cell_level: int | None, bucket_level: int
+) -> list[tuple[list[int], list[float], int]]:
+    """Every cell's mass numerator and entropy, and the sum of the squared
+    bucket masses, of the kernel pass at each slope of ``slopes``: ``(p, q)``
+    pairs, or None, which pushes nothing.
+
+    Memoised on ``mu`` per (cell level, bucket level, slope), for the life
+    of the measure; the bucket counts are not kept.  Missing slopes go
+    through the kernel in batches of at most ``_BATCH_ROWS`` atom-slope rows
+    (or one slope).  When every key lies in ``[0, 2**n)`` the one level-0
+    cell is the whole measure, so level 0 shares the ``cell_level=None`` entries.
+    """
+    if cell_level == 0 and mu._unit_keys:
+        cell_level = None
+    memo = mu._cell_memo
+    try:
+        return [memo[cell_level, bucket_level, s] for s in slopes]
+    except KeyError:  # run the missing slopes through the kernel
+        missing = [s for s in dict.fromkeys(slopes) if (cell_level, bucket_level, s) not in memo]
+    pushed = [s for s in missing if s is not None]
+    per = max(1, _BATCH_ROWS // mu.support_size())
+    batches = [pushed[i : i + per] for i in range(0, len(pushed), per)]
+    for batch in batches + ([[None]] if None in missing else []):
+        counts, starts, _ = _cell_counts(mu, batch, cell_level, bucket_level)
+        masses, hs = _cell_entropies(counts, starts)
+        cells = len(starts) // len(batch)
+        ssqs = _sum_squares(counts, starts[::cells], mu.denom)
+        for i, s in enumerate(batch):
+            part = slice(i * cells, (i + 1) * cells)
+            memo[cell_level, bucket_level, s] = masses[part], hs[part], ssqs[i]
+    return [memo[cell_level, bucket_level, s] for s in slopes]
 
 
 def _cell_stats(
     mu: DiscreteMeasure, c, cell_level: int | None, bucket_level: int
 ) -> tuple[list[int], list[float], int]:
-    """Every cell's mass numerator and entropy, and the sum of the squared
-    bucket masses, of the kernel pass for slope ``c`` (None pushes nothing).
-
-    Memoised on ``mu`` per (cell level, bucket level, slope), for the life
-    of the measure; the bucket counts are not kept.  When every key lies in
-    ``[0, 2**n)`` the one level-0 cell is the whole measure, so level 0
-    shares the ``cell_level=None`` entry.
-    """
-    if cell_level == 0 and mu._unit_keys:
-        cell_level = None
+    """The ``_slope_stats`` of the one slope ``c`` (None pushes nothing)."""
     slope = None if c is None else dyadic_slope(c)
-    key = cell_level, bucket_level, slope
-    memo = mu._cell_memo
-    if key not in memo:
-        counts, starts, _ = _cell_counts(mu, slope, cell_level, bucket_level)
-        memo[key] = (*_cell_entropies(counts, starts), _sum_squares(counts, mu.denom))
-    return memo[key]
+    return _slope_stats(mu, [slope], cell_level, bucket_level)[0]
 
 
 def _check_level(mu: DiscreteMeasure, j: int) -> None:
@@ -430,13 +513,19 @@ def entropy(mu: DiscreteMeasure, j: int) -> float:
     return _cell_stats(mu, None, None, j)[1][0]
 
 
-def _projection_l2_entropy(mu: DiscreteMeasure, c) -> tuple[Fraction, float]:
-    """Squared L2 density and entropy of ``project(mu, c)`` at level n, from
-    one memoised pass of the kernel (no projected measure is built)."""
+def _projection_l2_entropies(mu: DiscreteMeasure, cs: list) -> list[tuple[Fraction, float]]:
+    """Squared L2 density and entropy of ``project(mu, c)`` at level n for
+    each slope of ``cs``, from memoised kernel passes batched over the slopes
+    (no projected measure is built)."""
     if mu.dim != 2:
         raise ValueError("expected a planar measure")
-    _, hs, ssq = _cell_stats(mu, c, None, mu.n)
-    return Fraction(ssq << mu.n, mu.denom * mu.denom), hs[0]
+    stats = _slope_stats(mu, [dyadic_slope(c) for c in cs], None, mu.n)
+    return [(Fraction(ssq << mu.n, mu.denom * mu.denom), hs[0]) for _, hs, ssq in stats]
+
+
+def _projection_l2_entropy(mu: DiscreteMeasure, c) -> tuple[Fraction, float]:
+    """``_projection_l2_entropies`` of the one slope ``c``."""
+    return _projection_l2_entropies(mu, [c])[0]
 
 
 def conditional_entropy(mu: DiscreteMeasure, fine: int, coarse: int) -> float:
@@ -469,7 +558,7 @@ def coarsen(mu: DiscreteMeasure, j: int) -> DiscreteMeasure:
     if j < 1:
         raise ValueError("coarsen to j >= 1")
     _check_level(mu, j)
-    counts, _, keys = _cell_counts(mu, None, None, j)
+    counts, _, keys = _cell_counts(mu, [None], None, j)
     return DiscreteMeasure._from_columns(mu.dim, j, tuple(keys), counts, mu.denom)
 
 
@@ -511,7 +600,7 @@ def project(mu: DiscreteMeasure, c) -> DiscreteMeasure:
     """
     if mu.dim != 2:
         raise ValueError("project expects a planar measure")
-    counts, _, keys = _cell_counts(mu, dyadic_slope(c), None, mu.n)
+    counts, _, keys = _cell_counts(mu, [dyadic_slope(c)], None, mu.n)
     return DiscreteMeasure._from_columns(1, mu.n, tuple(keys), counts, mu.denom)
 
 
@@ -614,6 +703,22 @@ class ChainReport:
         return self.lhs - (self.rhs - self.correction)
 
 
+def _chain_stats(mu: DiscreteMeasure, cs: Iterable, cuts: Iterable[int]) -> tuple:
+    """The validated cuts of the entropy chains at ``cuts`` and, per slope of
+    ``cs``, the ``_slope_stats`` of the left side and of each block; each
+    level pair takes one kernel pass per batch of slopes."""
+    if mu.dim != 2:
+        raise ValueError("entropy_chain expects a planar measure")
+    cuts = tuple(map(int, cuts))
+    if cuts[0] != 0 or cuts[-1] != mu.n or any(
+        b <= a for a, b in zip(cuts, cuts[1:])
+    ):
+        raise ValueError("cuts must run 0 = j_0 < ... < j_h = n")
+    slopes = list(map(dyadic_slope, cs))
+    levels = [(None, mu.n), *zip(cuts, cuts[1:])]
+    return cuts, list(zip(*[_slope_stats(mu, slopes, lo, hi) for lo, hi in levels]))
+
+
 def entropy_chain(
     mu: DiscreteMeasure,
     c,
@@ -630,18 +735,9 @@ def entropy_chain(
     3 coarse cells), which the certificate charges for every one of the
     ``h`` blocks.
     """
-    if mu.dim != 2:
-        raise ValueError("entropy_chain expects a planar measure")
-    cuts = tuple(int(j) for j in cuts)
-    if cuts[0] != 0 or cuts[-1] != mu.n or any(
-        b <= a for a, b in zip(cuts, cuts[1:])
-    ):
-        raise ValueError("cuts must run 0 = j_0 < ... < j_h = n")
-    lhs = _cell_stats(mu, c, None, mu.n)[1][0]
-    terms = []
-    for j, j_next in zip(cuts, cuts[1:]):
-        masses, hs, _ = _cell_stats(mu, c, j, j_next)
-        terms.append(fsum([m * h for m, h in zip(masses, hs)]) / mu.denom)
+    cuts, ((left, *blocks),) = _chain_stats(mu, [c], cuts)
+    lhs = left[1][0]
+    terms = [fsum([m * h for m, h in zip(masses, hs)]) / mu.denom for masses, hs, _ in blocks]
     h = len(cuts) - 1
     report = ChainReport(
         c=Fraction(c),

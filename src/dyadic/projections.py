@@ -38,7 +38,8 @@ from typing import Sequence
 import numpy as np
 
 from .grid import _distinct, pow2_ge, pow2_le
-from .measures import DiscreteMeasure, _projection_l2_entropy, certify
+from .measures import DiscreteMeasure, certify
+from .measures import _projection_l2_entropies, _projection_l2_entropy
 
 __all__ = [
     "ProjectionParams",
@@ -407,8 +408,9 @@ def averaged_projection_entropy(
     value = 0.0
     avg_l2 = Fraction(0)
     log_sum = 0.0
-    for c, weight in _nu_atoms_as_slopes(nu):
-        l2, h = _projection_l2_entropy(mu, c)
+    slopes = _nu_atoms_as_slopes(nu)
+    stats = _projection_l2_entropies(mu, [c for c, _ in slopes])
+    for (c, weight), (l2, h) in zip(slopes, stats):
         certify("entropy-l2", h - (n - math.log2(l2)), _TOL)
         per_c.append((c, h, l2))
         value += float(weight) * h

@@ -25,7 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from .grid import DeltaSet, FormatError, certify, load_json, pow2_ge, pow2_le
-from .grid import _distinct, _run_starts
+from .grid import _distinct, _pow2_cmp, _ratio, _run_starts
 
 __all__ = [
     "BranchingProfile",
@@ -532,13 +532,19 @@ def polarisation_check(
 def find_low_level(
     profile_a: BranchingProfile, profile_b: BranchingProfile, gamma_cap
 ) -> int | None:
-    """First level where B is trivial and A branches at most ``2**(gamma_cap*m)``."""
-    gamma_cap = Fraction(gamma_cap)
+    """First level where B is trivial and A branches at most ``2**(gamma_cap*m)``.
+
+    With ``gamma_cap = num/den`` that is ``r <= 2**(num*m/den)``, decided
+    in integers by ``_pow2_cmp``.
+    """
     if profile_a.m != profile_b.m or profile_a.levels != profile_b.levels:
         raise ValueError("profiles must share geometry")
-    cap = gamma_cap * profile_a.m
-    for s in range(profile_a.levels):
-        if profile_b.r[s] == 1 and pow2_ge(cap, profile_a.r[s]):
+    if not isinstance(gamma_cap, (int, float, Fraction)):
+        gamma_cap = Fraction(gamma_cap)  # a string, or another rational type
+    num, den = _ratio(gamma_cap)
+    exp = num * profile_a.m
+    for s, (r_a, r_b) in enumerate(zip(profile_a.r, profile_b.r)):
+        if r_b == 1 and _pow2_cmp(exp, den, r_a, 1) >= 0:
             return s
     return None
 
@@ -549,11 +555,20 @@ def save_profile(profile: BranchingProfile, path) -> None:
         fh.write("\n")
 
 
+def _json_ints(*values) -> tuple[int, ...]:
+    """``values``, each a JSON integer: a float, a string or a bool is
+    refused, not truncated or read as one."""
+    for x in values:
+        if type(x) is not int:
+            raise TypeError(f"{x!r} is not a JSON integer")
+    return values
+
+
 def load_profile(path) -> BranchingProfile:
     """Read the JSON of ``save_profile``; a malformed file raises FormatError."""
     data = load_json(path)
     try:
-        return BranchingProfile(int(data["m"]), tuple(int(x) for x in data["R"]))
+        return BranchingProfile(*_json_ints(data["m"]), _json_ints(*data["R"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(path, None, f"not a branching profile: {exc}") from None
 
@@ -574,7 +589,7 @@ def load_family(path) -> IntervalFamily:
     data = load_json(path)
     try:
         ivs = tuple(
-            Interval(int(d["lo"]), int(d["hi"]), _WIRE_TO_TAG[d["tag"]])
+            Interval(*_json_ints(d["lo"], d["hi"]), _WIRE_TO_TAG[d["tag"]])
             for d in data["intervals"]
         )
         return IntervalFamily(ivs)

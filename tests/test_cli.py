@@ -449,6 +449,7 @@ def test_sumset_past_the_byte_budget_gives_one_line_error(tmp_path, runner):
          "cuts must run 0 = j_0 < ... < j_h = n"),
         (["uniformize", "{set}", "{out}", "--m", "0", "--levels", "6"],
          "resolution does not match m * levels"),
+        (["analyze", "{set}", "--m", "0"], "m must be >= 1"),
     ],
 )
 def test_argument_outside_the_domain_gives_a_one_line_usage_error(tmp_path, runner, args, reason):

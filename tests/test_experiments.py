@@ -515,6 +515,21 @@ def test_assembly_makes_one_kernel_pass_per_slope_on_2_16_atoms(monkeypatch):
     assert 0 < len(passes) <= 64
 
 
+def test_assembly_batches_the_slopes_of_a_2_10_atom_measure(monkeypatch):
+    # seed 2 draws "tb" with cuts [0, 16] and no cell audit: 2**10 atoms and
+    # 64 slopes are 2**16 atom-slope rows, four passes of 2**14 for the one
+    # level pair that the chain's left side, block term and fiber bound share
+    from dyadic import measures
+
+    passes = []
+    real = measures._sort_groups
+    monkeypatch.setattr(measures, "_sort_groups", lambda cols: passes.append(1) or real(cols))
+    rep = run_final_assembly(seed=2)
+    assert rep.size_a * rep.size_b_collapsed == 1 << 10 and len(rep.cs) == 64
+    assert [(b.lo, b.hi) for b in rep.blocks] == [(0, 7)] and not rep.cell_audits
+    assert 0 < len(passes) <= 4
+
+
 def test_assembly_never_builds_the_atom_dict_of_mu_or_its_audited_cells(monkeypatch):
     # the n24-bt instance of the benchmark: 2**14 atoms and a low block, so
     # the cell audits run; the planar measure and its cells stay columns

@@ -37,7 +37,8 @@ from dyadic.measures import (
     symmetrize,
     uniform_fiber_entropy_bound,
 )
-from dyadic.measures import _projection_l2_entropy
+from dyadic.grid import dyadic_slope
+from dyadic.measures import _projection_l2_entropy, _slope_stats
 
 TOL = 2.0**-40
 
@@ -655,6 +656,124 @@ def test_memoised_results_match_fresh_passes(args):
     # groups them, so the whole-measure alias must not have fired
     rep = entropy_chain(mu, slopes[0], cuts)
     assert (rep.lhs, list(rep.block_terms)) == reference_chain(mu, slopes[0], cuts)
+
+
+# ------------------------------------- batched kernel against one slope at a time
+
+
+def reference_stats(mu, slope, cell_level, bucket_level):
+    """The stats of one slope, one pass: each cell's mass numerator and
+    entropy, and the sum of the squared bucket masses, from dicts, with
+    each cell's ``sum b log2 b`` taken by ``fsum`` over its buckets.
+
+    Cells come in key order; ``cell_level=None`` is the whole measure,
+    unshifted; ``slope`` is ``(p, q)`` for ``c = p / 2**q``, or None.
+    """
+    cells: dict = {}
+    for key, w in mu.atoms.items():
+        key = key if mu.dim == 2 else (key,)
+        cell, low = (), key
+        if cell_level is not None:
+            shift = mu.n - cell_level
+            cell = tuple(k >> shift for k in key)
+            low = tuple(k - (q << shift) for k, q in zip(key, cell))
+        if slope is not None:
+            p, q = slope
+            low = (low[0] + ((p * low[1]) >> q),)
+        bucket = tuple(k >> (mu.n - bucket_level) for k in low)
+        sub = cells.setdefault(cell, {})
+        sub[bucket] = sub.get(bucket, 0) + w
+    masses, hs, ssq = [], [], 0
+    for cell in sorted(cells):
+        counts = list(cells[cell].values())
+        m = sum(counts)
+        masses.append(m)
+        hs.append(math.log2(m) - math.fsum([b * math.log2(b) for b in counts]) / m)
+        ssq += sum(b * b for b in counts)
+    return masses, hs, ssq
+
+
+@st.composite
+def slope_batches(draw):
+    """A fresh measure, a slope list and a level pair for ``_slope_stats``.
+
+    1-d measures take the slope list ``[None]``; planar ones up to 70 slopes
+    (repeats, None, both signs, mixed dyadic denominators, some past 63
+    bits), so that a few hundred atoms cross the batch limit of 2**14
+    atom-slope rows.  Keys may be negative, and range up to 2**62 so that
+    the sort leaves the value route; numerators mix 1 with 2**40, so that
+    some group sums pass 2**53, or a denominator passes 2**63.
+    """
+    dim = draw(st.sampled_from([1, 2]))
+    n = draw(st.one_of(st.integers(2, 12), st.integers(40, 62)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.integers(0, 1 << n, size=(draw(st.integers(1, 400)), dim)).tolist()
+    keys = list(dict.fromkeys(map(tuple, rows)))
+    if draw(st.booleans()):  # negative keys: several level-0 cells
+        keys = [(*k[:-1], k[-1] - (1 << (n - 1))) for k in keys]
+    nums = [int(rng.integers(1, 1 << int(rng.integers(1, 41)))) for _ in keys]
+    nums[0] += (1 << 64) if draw(st.booleans()) else 0
+    atoms = dict(zip(keys if dim == 2 else [k for (k,) in keys], nums))
+    mu = DiscreteMeasure(dim, n, atoms, sum(nums))
+    slopes = [None]
+    if dim == 2:
+        slopes = []
+        for _ in range(draw(st.integers(1, 70))):
+            q = draw(st.one_of(st.integers(0, n + 2), st.just(70)))
+            slopes.append(dyadic_slope(Fraction(draw(st.integers(-(1 << q), 1 << q)), 1 << q)))
+        slopes += slopes[:1] + ([None] if draw(st.booleans()) else [])
+    cell_level = draw(st.one_of(st.none(), st.integers(0, n - 1)))
+    return mu, slopes, cell_level, draw(st.integers(cell_level or 0, n))
+
+
+def _past_2_53(big, cell_level):
+    # one count ``big`` among a thousand counts 1 to 3 in one group: the sum
+    # of b log2 b in units of 2**-51 passes 2**53 by far, so the kernel takes
+    # the exact route; 2**64 also makes the numerators Python ints
+    atoms = {(x, x % 5): 1 + x % 3 for x in range(1, 1000)}
+    atoms[0, 0] = big
+    mu = DiscreteMeasure(2, 10, atoms, sum(atoms.values()))
+    return mu, [None, (1, 1), (-3, 2), (1, 0)], cell_level, 10
+
+
+@given(slope_batches())
+@example(_past_2_53(1 << 40, None))
+@example(_past_2_53(1 << 64, 1))
+@settings(max_examples=60, deadline=None)
+def test_batched_slope_stats_match_one_slope_at_a_time(case):
+    mu, slopes, cell_level, bucket_level = case
+    want = [reference_stats(mu, s, cell_level, bucket_level) for s in slopes]
+    assert _slope_stats(mu, slopes, cell_level, bucket_level) == want
+    assert _slope_stats(mu, slopes[::-1], cell_level, bucket_level) == want[::-1]  # memo reads
+
+
+@given(slope_batches())
+@settings(max_examples=30, deadline=None)
+def test_project_and_coarsen_columns_match_the_sorted_dict_reference(case):
+    # the columns come out in key order, as from the one-slope sort; an image
+    # key past the 62-bit limit is refused, as the constructors refuse it
+    mu, slopes, _, level = case
+    level = max(level, 1)
+    pushes = [None] + ([s for s in slopes[:3] if s] if mu.dim == 2 else [])
+    for slope in pushes:
+        ref: dict = {}
+        for key, w in mu.atoms.items():
+            key = key if mu.dim == 2 else (key,)
+            if slope:
+                key = (key[0] + ((slope[0] * key[1]) >> slope[1]),)
+            else:
+                key = tuple(k >> (mu.n - level) for k in key)
+            ref[key] = ref.get(key, 0) + w
+        image = (lambda: coarsen(mu, level)) if slope is None else (
+            lambda: project(mu, Fraction(slope[0], 1 << slope[1]))
+        )
+        if any(abs(k) >= 1 << 62 for key in ref for k in key):
+            with pytest.raises(ValueError, match="62-bit limit"):
+                image()
+            continue
+        keys, nums = image()._columns
+        assert [k.tolist() for k in keys] == [list(col) for col in zip(*sorted(ref))]
+        assert nums.tolist() == [ref[k] for k in sorted(ref)]
 
 
 # ------------------------------------------------------- the kernel's domain

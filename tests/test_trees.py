@@ -36,6 +36,7 @@ from dyadic import (
     trivial_intervals,
     uniformize,
 )
+from dyadic.grid import FormatError
 
 
 @st.composite
@@ -400,6 +401,39 @@ def test_profile_roundtrip(tmp_path):
     path = tmp_path / "p.json"
     save_profile(p, path)
     assert load_profile(path) == p
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"m": 2.9, "R": [1.7, "3", true]}',  # once read as m=2, R=(1, 3, 1)
+        '{"m": 2, "R": [1, "3"]}',
+        '{"m": true, "R": [1]}',
+        '{"m": 2, "R": "12"}',
+    ],
+)
+def test_load_profile_refuses_values_that_are_not_json_integers(tmp_path, text):
+    path = tmp_path / "p.json"
+    path.write_text(text)
+    with pytest.raises(FormatError, match="not a JSON integer") as refused:
+        load_profile(path)
+    assert len(str(refused.value).splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "interval",
+    [
+        '{"lo": 0.9, "hi": "5", "tag": "low"}',  # once read as Interval(0, 5, "low")
+        '{"lo": 0, "hi": 5.0, "tag": "low"}',
+        '{"lo": false, "hi": 2, "tag": "N_B"}',
+    ],
+)
+def test_load_family_refuses_values_that_are_not_json_integers(tmp_path, interval):
+    path = tmp_path / "f.json"
+    path.write_text('{"intervals": [%s]}' % interval)
+    with pytest.raises(FormatError, match="not a JSON integer") as refused:
+        load_family(path)
+    assert len(str(refused.value).splitlines()) == 1
 
 
 def test_family_roundtrip_uses_wire_tags(tmp_path):
