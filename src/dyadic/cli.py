@@ -39,7 +39,7 @@ from .grid import (
     load_set,
     save_set,
 )
-from .measures import _chain_stats, entropy_chain, load_measure
+from .measures import _chain_reports, load_measure
 from .projections import (
     ProjectionParams,
     averaged_l2,
@@ -299,10 +299,8 @@ def entropy_cmd(ctx, measure_path, c_values, cuts):
     mu = load_measure(measure_path)
     cut_list = [int(tok) for tok in cuts.split(",")]
     cs = [Fraction(c_str) for c_str in c_values]
-    _chain_stats(mu, cs, cut_list)  # every slope's kernel passes, batched
     rows, reports = [], []
-    for c_str, c in zip(c_values, cs):
-        rep = entropy_chain(mu, c, cut_list)
+    for c_str, rep in zip(c_values, _chain_reports(mu, cs, cut_list)[0]):
         reports.append(
             {
                 "c": c_str,

@@ -38,14 +38,13 @@ import numpy as np
 from .grid import DeltaSet, ParameterSet, ScaleSpec, certify, gen_ap, load_json, sumset
 from .grid import SUMSET_BYTE_BUDGET, BudgetError, FormatError, _distinct, _shifts, _sum_support
 from .measures import (
-    _chain_stats,
+    _chain_reports,
+    _fiber_bound,
     _sort_groups,
     counting_measure,
     coarsen,
-    entropy_chain,
     product_measure,
     renormalize_cell,
-    uniform_fiber_entropy_bound,
 )
 from .projections import (
     ProjectionParams,
@@ -940,21 +939,18 @@ def run_final_assembly(params: AssemblyParams | None = None, seed: int = 0) -> A
     alpha_bar_bits = math.log2(len(a1))
     cs = [Fraction(k, 1 << params.c_bits) for k in range(1, (1 << params.c_bits) + 1)]
 
-    per_c_lhs: list[float] = []
-    per_block_terms: list[list[float]] = [[] for _ in blocks]
-    _chain_stats(mu, cs, cuts)  # every slope's kernel passes, batched, into the memo
-    for c in cs:
-        rep = entropy_chain(mu, c, cuts)  # certifies its own chain inequality
-        per_c_lhs.append(rep.lhs)
-        for j, term in enumerate(rep.block_terms):
-            per_block_terms[j].append(term)
-        for j, blk in enumerate(blocks):
-            if blk.tag != "useless":
-                continue
-            bits_a = _block_bits(a_prof, blk.lo, blk.hi)
-            worst, bound = uniform_fiber_entropy_bound(
-                mu, c, m * blk.lo, m * len(blk), bits_a
-            )  # certifies worst >= bits_a - 1
+    chains, stats = _chain_reports(mu, cs, cuts)  # certifies every slope's chain
+    per_c_lhs = [rep.lhs for rep in chains]
+    per_block_terms = list(zip(*[rep.block_terms for rep in chains]))
+    useless = [
+        (j, _block_bits(a_prof, blk.lo, blk.hi))
+        for j, blk in enumerate(blocks)
+        if blk.tag == "useless"
+    ]
+    for rep, (_, *block_stats) in zip(chains, stats):
+        for j, bits_a in useless:
+            # block j's cells are the fiber bound's: worst >= bits_a - 1 is certified
+            _, bound = _fiber_bound(block_stats[j][1], bits_a)
             certify("assembly-block-term", rep.block_terms[j] - bound, _TOL)
 
     gain_rate = float(xi * zeta)

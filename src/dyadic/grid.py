@@ -11,10 +11,11 @@ Cells are half-open: the cell of ``x`` at scale ``2**-r`` is
 index ``2**n`` and lives in the cell starting at 1.0, so sets touching 1.0
 simply have ``width = 2``.
 
-One grouping primitive, ``_run_starts`` (the first row of each run of
-equal rows in sorted keys), gives distinct values, covering numbers, tree
-levels and measure cells; one integer sign, ``_pow2_sign``, decides every
-threshold ``2**frac`` against a rational in ``pow2_le`` and ``pow2_ge``.
+One grouping primitive, ``_run_heads`` (whether a row opens a run of
+equal rows in sorted keys, along the last axis), gives distinct values,
+covering numbers, measure cells and every tree level at once; one integer
+sign, ``_pow2_sign``, decides every threshold ``2**frac`` against a
+rational in ``pow2_le`` and ``pow2_ge``.
 
 Sumsets.  ``sumset(A, c, B)`` turns every slope into the integer sumset
 ``A + V`` with ``V = {floor(c * b)}`` and hands it to one kernel,
@@ -72,6 +73,8 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -158,14 +161,17 @@ def as_dyadic(c) -> tuple[int, int]:
     """Return ``(p, q)`` with ``c == p / 2**q``, q >= 0 minimal.
 
     Raises ValueError for values that are not dyadic rationals; binary floats
-    are accepted because they are dyadic by construction.
+    are accepted because they are dyadic by construction.  An ``int``, a
+    ``Fraction`` or a numpy integer is read without building a ``Fraction``;
+    both entries are Python ints.
     """
-    f = Fraction(c)
-    den = f.denominator
+    if not isinstance(c, numbers.Rational):
+        c = Fraction(c)
+    num, den = int(c.numerator), int(c.denominator)
     q = den.bit_length() - 1
     if den != 1 << q:
         raise ValueError(f"{c!r} is not a dyadic rational")
-    return f.numerator, q
+    return num, q
 
 
 def dyadic_slope(c) -> tuple[int, int]:
@@ -389,16 +395,22 @@ def slope_floor(p: int, q: int, ks: np.ndarray) -> np.ndarray:
     return (p * ks) >> min(q, 63)
 
 
-def _run_starts(*cols: np.ndarray) -> np.ndarray:
-    """The index of the first row of each run of equal rows, for columns
-    sorted together (one sorted key, or several ordered by ``lexsort``)."""
+def _run_heads(*cols: np.ndarray) -> np.ndarray:
+    """Whether each row opens a run of equal rows, for columns sorted
+    together (one sorted key, or several ordered by ``lexsort``).  Runs are
+    taken along the last axis, so each row of a 2-d table groups apart."""
     head, *rest = cols
-    new = np.empty(head.size, dtype=bool)
-    new[:1] = True
-    np.not_equal(head[1:], head[:-1], out=new[1:])
+    new = np.empty(head.shape, dtype=bool)
+    new[..., :1] = True
+    np.not_equal(head[..., 1:], head[..., :-1], out=new[..., 1:])
     for col in rest:
-        new[1:] |= col[1:] != col[:-1]
-    return np.flatnonzero(new)
+        new[..., 1:] |= col[..., 1:] != col[..., :-1]
+    return new
+
+
+def _run_starts(*cols: np.ndarray) -> np.ndarray:
+    """The index of the first row of each run of equal rows (``_run_heads``)."""
+    return np.flatnonzero(_run_heads(*cols))
 
 
 def _distinct(s: np.ndarray) -> np.ndarray:
@@ -759,13 +771,24 @@ def save_set(A: DeltaSet, path) -> None:
             fh.write(f"{k}\n")
 
 
+_DECIMAL = re.compile("-?[0-9]+")
+
+
+def _decimal(text: str) -> int:
+    """An integer spelled as ``save_set`` writes one: ASCII digits after an
+    optional minus, with no ``+``, ``_`` or other digit forms."""
+    if not _DECIMAL.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def load_set(path) -> DeltaSet:
     """Read the text format of ``save_set``; a malformed file raises FormatError."""
     with open(path) as fh:
         header = fh.readline()
         try:
             fields = dict(part.split("=", 1) for part in header.split())
-            n, width = int(fields["n"]), int(fields["W"])
+            n, width = _decimal(fields["n"]), _decimal(fields["W"])
         except (KeyError, ValueError):
             raise FormatError(
                 path, 1, f"header must read 'n=<int> W=<int>', got {header.strip()!r}"
@@ -774,7 +797,7 @@ def load_set(path) -> DeltaSet:
         for lineno, line in enumerate(fh, start=2):
             if line.strip():
                 try:
-                    idx.append(int(line))
+                    idx.append(_decimal(line.strip()))
                 except ValueError:
                     raise FormatError(path, lineno, f"not an index: {line.strip()!r}") from None
     try:

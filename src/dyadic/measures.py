@@ -36,9 +36,12 @@ value: the float the correctly rounded ``fsum`` returns, in any bucket order.
 projected L2 norms read.  Per (cell level, bucket level, slope) it keeps
 each cell's mass and entropy and the sum of squared bucket masses in a
 memo on the measure, for the life of the measure (the bucket counts are
-not kept).  The slope loops (the final assembly, the averaged projection
-entropy, the ``entropy`` command) hand it their whole slope list first, so
-a level pair costs one pass per 2**14 atom-slope rows.  Level-0 cells are
+not kept).  It takes a whole slope list at once, so a level pair costs
+one pass per 2**14 atom-slope rows: ``_chain_reports`` builds and
+certifies the chain of every slope from one read (the final assembly and
+the ``entropy`` command; the assembly's fiber bounds read the block
+statistics the chain holds), and the averaged projection entropy reads
+all its slopes through ``_projection_l2_entropies``.  Level-0 cells are
 the whole measure when every key lies in ``[0, 2**n)``, so a chain's left
 side, a single block term and that block's fiber bound share one pass;
 with a negative key the level-0 cells are several and the alias does not
@@ -513,19 +516,21 @@ def entropy(mu: DiscreteMeasure, j: int) -> float:
     return _cell_stats(mu, None, None, j)[1][0]
 
 
-def _projection_l2_entropies(mu: DiscreteMeasure, cs: list) -> list[tuple[Fraction, float]]:
-    """Squared L2 density and entropy of ``project(mu, c)`` at level n for
-    each slope of ``cs``, from memoised kernel passes batched over the slopes
-    (no projected measure is built)."""
+def _projection_l2_entropies(mu: DiscreteMeasure, slopes: list) -> list[tuple[int, float]]:
+    """The sum of squared bucket masses (numerators) and the entropy of
+    ``project(mu, c)`` at level n for each slope of ``slopes``, ``(p, q)``
+    pairs, from memoised kernel passes batched over the slopes (no
+    projected measure is built).  The squared L2 density is ``ssq * 2**n /
+    denom**2``."""
     if mu.dim != 2:
         raise ValueError("expected a planar measure")
-    stats = _slope_stats(mu, [dyadic_slope(c) for c in cs], None, mu.n)
-    return [(Fraction(ssq << mu.n, mu.denom * mu.denom), hs[0]) for _, hs, ssq in stats]
+    return [(ssq, hs[0]) for _, hs, ssq in _slope_stats(mu, slopes, None, mu.n)]
 
 
 def _projection_l2_entropy(mu: DiscreteMeasure, c) -> tuple[Fraction, float]:
-    """``_projection_l2_entropies`` of the one slope ``c``."""
-    return _projection_l2_entropies(mu, [c])[0]
+    """Squared L2 density and entropy of ``project(mu, c)`` at level n."""
+    ((ssq, h),) = _projection_l2_entropies(mu, [dyadic_slope(c)])
+    return Fraction(ssq << mu.n, mu.denom * mu.denom), h
 
 
 def conditional_entropy(mu: DiscreteMeasure, fine: int, coarse: int) -> float:
@@ -703,10 +708,14 @@ class ChainReport:
         return self.lhs - (self.rhs - self.correction)
 
 
-def _chain_stats(mu: DiscreteMeasure, cs: Iterable, cuts: Iterable[int]) -> tuple:
-    """The validated cuts of the entropy chains at ``cuts`` and, per slope of
-    ``cs``, the ``_slope_stats`` of the left side and of each block; each
-    level pair takes one kernel pass per batch of slopes."""
+def _chain_reports(
+    mu: DiscreteMeasure, cs: Iterable, cuts: Iterable[int], c_corr: float = LOG2_3
+) -> tuple[list[ChainReport], list]:
+    """The certified ``entropy_chain`` report of every slope of ``cs``, from
+    one read of the chain statistics for all of them (each level pair takes
+    one kernel pass per batch of slopes).  Also returns, per slope, the
+    ``_slope_stats`` of the left side and of each block, for bounds that
+    read the same cells (``_fiber_bound``)."""
     if mu.dim != 2:
         raise ValueError("entropy_chain expects a planar measure")
     cuts = tuple(map(int, cuts))
@@ -714,9 +723,24 @@ def _chain_stats(mu: DiscreteMeasure, cs: Iterable, cuts: Iterable[int]) -> tupl
         b <= a for a, b in zip(cuts, cuts[1:])
     ):
         raise ValueError("cuts must run 0 = j_0 < ... < j_h = n")
+    cs = list(cs)
     slopes = list(map(dyadic_slope, cs))
     levels = [(None, mu.n), *zip(cuts, cuts[1:])]
-    return cuts, list(zip(*[_slope_stats(mu, slopes, lo, hi) for lo, hi in levels]))
+    stats = list(zip(*[_slope_stats(mu, slopes, lo, hi) for lo, hi in levels]))
+    correction = (len(cuts) - 1) * c_corr
+    reports = []
+    for c, (p, q), (left, *blocks) in zip(cs, slopes, stats):
+        terms = [fsum([m * h for m, h in zip(masses, hs)]) / mu.denom for masses, hs, _ in blocks]
+        report = ChainReport(
+            c=c if type(c) is Fraction else Fraction(p, 1 << q),
+            cuts=cuts,
+            lhs=left[1][0],
+            block_terms=tuple(terms),
+            correction=correction,
+        )
+        certify("entropy-chain", report.slack, _IDENTITY_TOL)
+        reports.append(report)
+    return reports, stats
 
 
 def entropy_chain(
@@ -735,19 +759,7 @@ def entropy_chain(
     3 coarse cells), which the certificate charges for every one of the
     ``h`` blocks.
     """
-    cuts, ((left, *blocks),) = _chain_stats(mu, [c], cuts)
-    lhs = left[1][0]
-    terms = [fsum([m * h for m, h in zip(masses, hs)]) / mu.denom for masses, hs, _ in blocks]
-    h = len(cuts) - 1
-    report = ChainReport(
-        c=Fraction(c),
-        cuts=cuts,
-        lhs=lhs,
-        block_terms=tuple(terms),
-        correction=h * c_corr,
-    )
-    certify("entropy-chain", report.slack, _IDENTITY_TOL)
-    return report
+    return _chain_reports(mu, [c], cuts, c_corr)[0][0]
 
 
 def uniform_fiber_entropy_bound(
@@ -772,7 +784,13 @@ def uniform_fiber_entropy_bound(
         raise ValueError("expected a planar measure")
     if block_bits < 1 or lo_bits < 0 or lo_bits + block_bits > mu.n:
         raise ValueError("block exceeds the resolution")
-    worst = min(_cell_stats(mu, c, lo_bits, lo_bits + block_bits)[1])
+    return _fiber_bound(_cell_stats(mu, c, lo_bits, lo_bits + block_bits)[1], log2_branching)
+
+
+def _fiber_bound(entropies: list[float], log2_branching: float) -> tuple[float, float]:
+    """The least of a block's per-cell projected entropies, certified at or
+    above ``log2_branching - 1`` (``uniform_fiber_entropy_bound``)."""
+    worst = min(entropies)
     bound = log2_branching - 1.0
     certify("uniform-fiber", worst - bound, _IDENTITY_TOL)
     return worst, bound

@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import _distinct, pow2_ge, pow2_le
+from .grid import _distinct, dyadic_slope, pow2_ge, pow2_le
 from .measures import DiscreteMeasure, certify
 from .measures import _projection_l2_entropies, _projection_l2_entropy
 
@@ -251,14 +251,13 @@ def l2_of_projection(mu: DiscreteMeasure, c, check="auto") -> Fraction:
     return value
 
 
-def _nu_atoms_as_slopes(nu: DiscreteMeasure) -> list[tuple[Fraction, Fraction]]:
+def _nu_atoms_as_slopes(nu: DiscreteMeasure) -> list[tuple[Fraction, int]]:
+    """Each atom of nu as its slope and its weight's numerator over
+    ``nu.denom``, by ascending slope."""
     scale = 1 << nu.n
     (ks,), nums = nu._columns
     order = np.argsort(ks)
-    return [
-        (Fraction(k, scale), Fraction(num, nu.denom))
-        for k, num in zip(ks[order].tolist(), nums[order].tolist())
-    ]
+    return [(Fraction(k, scale), num) for k, num in zip(ks[order].tolist(), nums[order].tolist())]
 
 
 @dataclass(frozen=True)
@@ -314,10 +313,10 @@ def averaged_l2(
 
     per_c = []
     average = Fraction(0)
-    for c, weight in _nu_atoms_as_slopes(nu):
+    for c, num in _nu_atoms_as_slopes(nu):
         value = l2_of_projection(mu, c, check=check)
         per_c.append((c, value))
-        average += weight * value
+        average += Fraction(num, nu.denom) * value
 
     n = mu.n
     exp_near = float(params.gamma_a + params.gamma_b - 1)
@@ -406,19 +405,22 @@ def averaged_projection_entropy(
     n = mu.n
     per_c = []
     value = 0.0
-    avg_l2 = Fraction(0)
+    ssq_sum = 0  # nu.denom * mu.denom**2 / 2**n times the nu-average of the squared L2 norms
     log_sum = 0.0
     slopes = _nu_atoms_as_slopes(nu)
-    stats = _projection_l2_entropies(mu, [c for c, _ in slopes])
-    for (c, weight), (l2, h) in zip(slopes, stats):
+    stats = _projection_l2_entropies(mu, [dyadic_slope(c) for c, _ in slopes])
+    l2_denom = mu.denom * mu.denom
+    for (c, num), (ssq, h) in zip(slopes, stats):
+        l2 = Fraction(ssq << n, l2_denom)
         certify("entropy-l2", h - (n - math.log2(l2)), _TOL)
         per_c.append((c, h, l2))
-        value += float(weight) * h
-        avg_l2 += weight * l2
-        log_sum += float(weight) * math.log2(l2)
+        weight = num / nu.denom  # float(Fraction(num, nu.denom)), bit for bit
+        value += weight * h
+        ssq_sum += num * ssq
+        log_sum += weight * math.log2(l2)
 
     jensen_lhs = -log_sum
-    jensen_rhs = -math.log2(avg_l2)
+    jensen_rhs = -math.log2(Fraction(ssq_sum << n, nu.denom * l2_denom))
     certify("jensen", jensen_lhs - jensen_rhs, _TOL)
 
     rhs = (

@@ -8,7 +8,8 @@ subsets, collapse chosen levels to single children, thin children until
 siblings are separated by at least one empty cell, and manipulate the level
 intervals on which a profile is trivial (child count 1).
 
-Levels are grouped by ``_depth_cells`` alone.  The surgeries' cardinality
+Every depth is grouped at once by ``_tree_levels``, from one table of the
+points' cells at all the depths asked for.  The surgeries' cardinality
 and branching claims are exact integer certificates (``grid.certify``,
 kept by ``python -O``); thresholds ``2**(rational)`` are compared in
 integers, never through floats.
@@ -25,7 +26,7 @@ from typing import Iterable
 import numpy as np
 
 from .grid import DeltaSet, FormatError, certify, load_json, pow2_ge, pow2_le
-from .grid import _distinct, _pow2_cmp, _ratio, _run_starts
+from .grid import _pow2_cmp, _ratio, _run_heads
 
 __all__ = [
     "BranchingProfile",
@@ -153,19 +154,34 @@ class IntervalFamily:
         return tuple(iv for iv in self.intervals if iv.tag in tags)
 
 
-def _depth_cells(idx: np.ndarray, n: int, m: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """The occupied cells of sorted indices at a tree depth, sorted, and the
-    index of each parent's first child among them: parent ``i`` has the
-    children ``cells[starts[i]:starts[i + 1]]``."""
-    cells = _distinct(idx >> (n - m * depth))
-    return cells, _run_starts(cells >> m)
+def _tree_levels(
+    idx: np.ndarray, n: int, m: int, lo: int, hi: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The occupied cells of sorted indices at every depth ``lo..hi``, in one pass.
+
+    The table ``idx >> (n - m * d)``, one row per depth ``d = lo - 1..hi``,
+    holds each point's cell.  A point opens a cell where its row changes,
+    and opens a parent where the row one depth up changes.  Returns, over
+    the occupied cells of depth ``lo``, then ``lo + 1`` and so on, each
+    depth sorted: the ``cells``; ``opens``, whether a cell is its parent's
+    first child; ``bounds``, the index of each depth's first cell and the
+    total; and ``ids``, one row per depth ``lo..hi``, each point's index
+    into ``cells``.
+    """
+    shifts = n - m * np.arange(lo - 1, hi + 1)
+    table = idx >> shifts[:, None]
+    new = _run_heads(table)
+    first, parent = new[1:], new[:-1]
+    ids = np.cumsum(first).reshape(first.shape) - 1
+    bounds = np.concatenate(([0], ids[:, -1] + 1))
+    return table[1:][first], parent[first], bounds, ids
 
 
-def _points_in(idx: np.ndarray, shift: int, kept: np.ndarray) -> np.ndarray:
-    """The indices whose cell ``idx >> shift`` is one of the sorted ``kept``."""
-    keys = idx >> shift
-    at = np.minimum(np.searchsorted(kept, keys), kept.size - 1)
-    return idx[kept[at] == keys]
+def _check_tree(A: DeltaSet, m: int, levels: int) -> None:
+    if A.n != m * levels:
+        raise ValueError("resolution does not match m * levels")
+    if A.width != 1:
+        raise ValueError("uniformity is defined for sets inside [0, 1)")
 
 
 def branching_profile_of(A: DeltaSet, m: int, levels: int) -> BranchingProfile | None:
@@ -173,20 +189,15 @@ def branching_profile_of(A: DeltaSet, m: int, levels: int) -> BranchingProfile |
 
     Requires ``A.n == m * levels`` and A inside [0, 1).
     """
-    if A.n != m * levels:
-        raise ValueError("resolution does not match m * levels")
-    if A.width != 1:
-        raise ValueError("uniformity is defined for sets inside [0, 1)")
-    idx = A.indices
-    out = []
-    for depth in range(1, levels + 1):
-        cells, starts = _depth_cells(idx, A.n, m, depth)
-        counts = np.diff(starts, append=cells.size)
-        r = int(counts[0])
-        if not np.all(counts == r):
-            return None
-        out.append(r)
-    return BranchingProfile(m, tuple(out))
+    _check_tree(A, m, levels)
+    _, opens, bounds, _ = _tree_levels(A.indices, A.n, m, 1, levels)
+    firsts = np.flatnonzero(opens)
+    counts = np.diff(firsts, append=opens.size)  # children per parent, depth by depth
+    per_depth = np.searchsorted(firsts, bounds)  # each depth's first parent, and the total
+    r = counts[per_depth[:-1]]
+    if not np.array_equal(counts, np.repeat(r, np.diff(per_depth))):
+        return None
+    return BranchingProfile(m, tuple(r.tolist()))
 
 
 def _choose_offsets(
@@ -254,7 +265,8 @@ def uniformize(A: DeltaSet, m: int, levels: int) -> tuple[DeltaSet, BranchingPro
     idx = A.indices
     chosen = [0] * levels
     for depth in range(levels, 0, -1):
-        cells, starts = _depth_cells(idx, A.n, m, depth)
+        cells, opens, _, ids = _tree_levels(idx, A.n, m, depth, depth)
+        starts = np.flatnonzero(opens)
         counts = np.diff(starts, append=cells.size)
         # counts <= 2**m << 2**53, so float log2 + ceil is exact here
         buckets = np.where(counts == 1, 0, np.ceil(np.log2(counts)).astype(np.int64))
@@ -265,8 +277,9 @@ def uniformize(A: DeltaSet, m: int, levels: int) -> tuple[DeltaSet, BranchingPro
             score = int(sel.sum()) * take
             if score > best_score:
                 best_k, best_score, best_take = int(k), score, take
-        kept = (starts[buckets == best_k][:, None] + np.arange(best_take)).ravel()
-        idx = _points_in(idx, A.n - m * depth, cells[kept])
+        kept = np.zeros(cells.size, dtype=bool)
+        kept[(starts[buckets == best_k][:, None] + np.arange(best_take)).ravel()] = True
+        idx = idx[kept[ids[0]]]
         chosen[depth - 1] = best_take
     profile = BranchingProfile(m, tuple(chosen))
     out = DeltaSet(A.n, idx, width=1)
@@ -296,9 +309,9 @@ def collapse(
         if rem:
             raise ValueError(f"input was not uniform with the given profile at level {s}")
     idx = A.indices
-    for s in S:
-        cells, starts = _depth_cells(idx, n, m, s + 1)
-        idx = _points_in(idx, n - m * (s + 1), cells[starts])
+    if S:  # a point stays when its cell is the first child at every level of S
+        _, opens, _, ids = _tree_levels(idx, n, m, S[0] + 1, S[-1] + 1)
+        idx = idx[opens[ids[[s - S[0] for s in S]]].all(axis=0)]
     collapsed = set(S)
     new_r = tuple(1 if s in collapsed else r for s, r in enumerate(profile.r))
     out = DeltaSet(n, idx, width=1)
@@ -319,30 +332,39 @@ def prune_adjacent(
     ``ceil(r[s]/2)`` children per level and ``|B| / 2**levels`` points
     overall.  Separation propagates downward on its own: parents two cells
     apart put their children ``2**m + 2`` child-cells apart.
+
+    The greedy pass keeps every other cell of each run of adjacent
+    siblings, from the run's first, so it runs on all depths at once; a
+    parent that survives keeps all its children, so only the minimum over
+    the surviving parents is taken depth by depth.  B must sit at ``n = m *
+    levels`` inside [0, 1).
     """
-    m, n = profile.m, profile.n
-    idx = B.indices
+    m, n, levels = profile.m, profile.n, profile.levels
+    _check_tree(B, m, levels)
+    cells, opens, _, ids = _tree_levels(B.indices, n, m, 1, levels)
+    rows = np.arange(cells.size)
+    touching = ~opens  # a cell right after a sibling one cell to its left
+    touching[1:] &= cells[1:] == cells[:-1] + 1
+    run_start = np.maximum.accumulate(np.where(touching, 0, rows))
+    keep = (rows - run_start) % 2 == 0
+    kept_before = np.cumsum(keep)
+    firsts = np.flatnonzero(opens)
+    parent = np.cumsum(opens) - 1
+    rank = kept_before - (kept_before - keep)[firsts][parent]  # 1-based among kept siblings
+    kept = np.add.reduceat(keep, firsts)[parent]  # kept children of each cell's parent
+    alive = np.ones(len(B), dtype=bool)
     kept_counts = []
-    for depth in range(1, profile.levels + 1):
-        cells, starts = _depth_cells(idx, n, m, depth)
-        kept_per_parent = []
-        for group in np.split(cells, starts[1:]):
-            kept = [group[0]]
-            for cell in group[1:].tolist():
-                if cell >= kept[-1] + 2:
-                    kept.append(cell)
-            kept_per_parent.append(kept)
-        take = min(len(k) for k in kept_per_parent)
-        r = profile.r[depth - 1]
+    for depth, r in enumerate(profile.r):
+        row = ids[depth]
+        take = int(kept[row[alive]].min())
         certify("prune-kept-half", min(2 * take - r, r - take))
-        kept = np.array([c for k in kept_per_parent for c in k[:take]], dtype=np.int64)
-        idx = _points_in(idx, n - m * depth, kept)
+        alive &= keep[row] & (rank[row] <= take)
         kept_counts.append(take)
-    out = DeltaSet(n, idx, width=1)
-    certify("prune-size", (len(out) << profile.levels) - len(B))
+    out = DeltaSet(n, B.indices[alive], width=1)
+    certify("prune-size", (len(out) << levels) - len(B))
     new_profile = BranchingProfile(m, tuple(kept_counts))
-    certify("prune-profile", -int(branching_profile_of(out, m, profile.levels) != new_profile))
-    certify("prune-gaps", min(level_min_gaps(out, m, profile.levels)) - 2)
+    certify("prune-profile", -int(branching_profile_of(out, m, levels) != new_profile))
+    certify("prune-gaps", min(level_min_gaps(out, m, levels)) - 2)
     return out, new_profile
 
 
@@ -356,11 +378,10 @@ def level_min_gaps(B: DeltaSet, m: int, levels: int) -> list[int]:
     """
     if B.n != m * levels:
         raise ValueError("resolution does not match m * levels")
-    out = []
-    for depth in range(1, levels + 1):
-        cells, _ = _depth_cells(B.indices, B.n, m, depth)
-        out.append(int(np.diff(cells).min()) if cells.size > 1 else 1 << (m * levels))
-    return out
+    cells, _, bounds, _ = _tree_levels(B.indices, B.n, m, 1, levels)
+    gaps = np.append(np.diff(cells), 1 << (m * levels))
+    gaps[bounds[1:-1] - 1] = gaps[-1]  # a depth's last cell has no right neighbour there
+    return np.minimum.reduceat(gaps, bounds[:-1]).tolist()
 
 
 def trivial_intervals(profile: BranchingProfile) -> IntervalFamily:

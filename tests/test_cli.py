@@ -383,6 +383,28 @@ def test_set_file_without_width_gives_one_line_error(tmp_path, runner):
 
 
 @pytest.mark.parametrize(
+    "text, line, reason",
+    [
+        ("n=1_0 W=1\n0\n5\n", 1, "header must read 'n=<int> W=<int>', got 'n=1_0 W=1'"),
+        ("n=+6 W=1\n0\n5\n", 1, "header must read 'n=<int> W=<int>', got 'n=+6 W=1'"),
+        ("n=6 W=\uff11\n0\n5\n", 1, "header must read 'n=<int> W=<int>', got 'n=6 W=\uff11'"),
+        ("n=12 W=1\n0\n1_000\n", 3, "not an index: '1_000'"),
+        ("n=6 W=1\n0\n+5\n", 3, "not an index: '+5'"),
+        ("n=6 W=1\n\uff15\n", 2, "not an index: '\uff15'"),
+    ],
+)
+def test_set_file_integer_spellings_save_set_never_writes_give_one_line_error(
+    tmp_path, runner, text, line, reason
+):
+    # int() reads "1_0" as 10, "+5" as 5 and a full-width digit as a digit
+    path = tmp_path / "bad.txt"
+    path.write_text(text, encoding="utf-8")
+    res = runner.invoke(main, ["analyze", str(path)])
+    assert res.exit_code == 1
+    assert res.output.strip().splitlines() == [f"Error: {path}:{line}: {reason}"]
+
+
+@pytest.mark.parametrize(
     "drop, change, reason",
     [
         ("scales", {}, "missing key 'scales'"),

@@ -560,40 +560,68 @@ def test_assembly_never_builds_the_atom_dict_of_mu_or_its_audited_cells(monkeypa
     assert mu.atoms and built == [mu]  # the counter sees a read
 
 
-def test_memoised_entropies_are_certified_under_python_O():
-    # a memo hit skips the kernel, not the certificate: the first hit's
-    # entropies, lowered by 100 bits in the memo, must fail a certificate
-    code = (
-        "import sys\n"
-        "from fractions import Fraction as F\n"
-        "from dyadic import AssemblyParams, CertificateError, experiments, measures\n"
-        "params = AssemblyParams(m=3, ell=4, big_n=4, eta=F(1, 3), zeta=F(1, 4), xi=F(1, 4),\n"
-        "                        gamma_cap=F(3, 4), c_bits=4, pattern='ttbt', trivial_a_bits=0,\n"
-        "                        branch_b_bits=2)\n"
-        "real = measures._cell_stats\n"
-        "hits = []\n"
-        "def corrupt(mu, c, cell_level, bucket_level):\n"
-        "    size = len(mu._cell_memo)\n"
-        "    stats = real(mu, c, cell_level, bucket_level)\n"
-        "    if len(mu._cell_memo) == size and not hits:\n"
-        "        hits.append(1)\n"
-        "        stats[1][:] = [h - 100.0 for h in stats[1]]\n"
-        "    return stats\n"
-        "measures._cell_stats = corrupt\n"
-        "try:\n"
-        "    experiments.run_final_assembly(params, seed=0)\n"
-        "    print(sys.flags.optimize, 'accepted', 0)\n"
-        "except CertificateError as exc:\n"
-        "    print(sys.flags.optimize, exc.name, exc.slack)\n"
-    )
+TTBT_SCRIPT = (
+    "import sys\n"
+    "from fractions import Fraction as F\n"
+    "from dyadic import AssemblyParams, CertificateError, experiments, measures\n"
+    "params = AssemblyParams(m=3, ell=4, big_n=4, eta=F(1, 3), zeta=F(1, 4), xi=F(1, 4),\n"
+    "                        gamma_cap=F(3, 4), c_bits=4, pattern='ttbt', trivial_a_bits=0,\n"
+    "                        branch_b_bits=2)\n"
+    "real = measures._slope_stats\n"
+    "{corrupt}"
+    "measures._slope_stats = corrupt\n"
+    "try:\n"
+    "    experiments.run_final_assembly(params, seed=0)\n"
+    "    print(sys.flags.optimize, 'accepted', 0)\n"
+    "except CertificateError as exc:\n"
+    "    print(sys.flags.optimize, exc.name, exc.slack)\n"
+)
+
+
+def run_ttbt_assembly_under_python_O(corrupt: str) -> tuple[str, str, float]:
+    """Run the n = 48 ``ttbt`` assembly under ``python -O`` with
+    ``measures._slope_stats`` replaced by the function ``corrupt`` defines
+    (``real`` is the original); the flag, and the certificate that refused."""
     src = str(Path(dyadic.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     out = subprocess.run(
-        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-O", "-c", TTBT_SCRIPT.format(corrupt=corrupt)],
+        env=env, capture_output=True, text=True, check=True,
     )
     optimize, name, slack = out.stdout.split()
+    return optimize, name, float(slack)
+
+
+def test_memoised_entropies_are_certified_under_python_O():
+    # a memo hit skips the kernel, not the certificate: every block's
+    # entropies, lowered by 100 bits in the memo and then read back from it,
+    # must fail the fiber bound of a useless block
+    corrupt = (
+        "def corrupt(mu, slopes, cell_level, bucket_level):\n"
+        "    stats = real(mu, slopes, cell_level, bucket_level)\n"
+        "    if (cell_level, bucket_level) != (None, mu.n):\n"
+        "        for _, hs, _ in stats:\n"
+        "            hs[:] = [h - 100.0 for h in hs]\n"
+        "    return real(mu, slopes, cell_level, bucket_level)\n"
+    )
+    optimize, name, slack = run_ttbt_assembly_under_python_O(corrupt)
     assert optimize == "1"
-    assert name == "uniform-fiber" and float(slack) < -50
+    assert name == "uniform-fiber" and slack < -50
+
+
+def test_every_slopes_chain_is_certified_under_python_O():
+    # the chains of all slopes come from one batched read; the last slope's
+    # left side, lowered by 100 bits, must still fail its own chain
+    corrupt = (
+        "def corrupt(mu, slopes, cell_level, bucket_level):\n"
+        "    stats = real(mu, slopes, cell_level, bucket_level)\n"
+        "    if (cell_level, bucket_level) == (None, mu.n) and len(slopes) > 1:\n"
+        "        stats[-1][1][:] = [h - 100.0 for h in stats[-1][1]]\n"
+        "    return stats\n"
+    )
+    optimize, name, slack = run_ttbt_assembly_under_python_O(corrupt)
+    assert optimize == "1"
+    assert name == "entropy-chain" and slack < -50
 
 
 # ------------------------------------------------------------ writers

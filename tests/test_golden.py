@@ -9,7 +9,9 @@ the files with ``PYTHONPATH=src python tests/test_golden.py`` and review
 the diff.
 """
 
+import dataclasses
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -22,6 +24,7 @@ from dyadic import (
     gen_ap,
     gen_uniform_tree,
     product_measure,
+    run_final_assembly,
     save_measure,
     save_profile,
     save_set,
@@ -88,6 +91,25 @@ def run_case(name: str, fmt: str) -> bytes:
     return result.stdout_bytes
 
 
+def plain(x):
+    """A report as JSON values: dataclasses as objects, fractions as
+    ``"p/q"``; ``json`` writes a float as its ``repr``, which reads back
+    exactly."""
+    if dataclasses.is_dataclass(x):
+        return {f.name: plain(getattr(x, f.name)) for f in dataclasses.fields(x)}
+    if isinstance(x, Fraction):
+        return f"{x.numerator}/{x.denominator}"
+    if isinstance(x, (tuple, list)):
+        return [plain(v) for v in x]
+    return x
+
+
+def assembly_reports() -> bytes:
+    """The criterion-12 ``AssemblyReport``s, seeds 0-19, as indented JSON."""
+    reports = [plain(run_final_assembly(seed=seed)) for seed in range(20)]
+    return (json.dumps(reports, indent=1) + "\n").encode()
+
+
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden-inputs")
@@ -104,11 +126,16 @@ def test_report_matches_golden(inputs, monkeypatch, name, fmt):
     assert run_case(name, fmt) == expected
 
 
+def test_assembly_reports_match_golden():
+    assert assembly_reports() == (GOLDEN / "assembly-reports.json").read_bytes()
+
+
 if __name__ == "__main__":
     import os
     import tempfile
 
     GOLDEN.mkdir(exist_ok=True)
+    (GOLDEN / "assembly-reports.json").write_bytes(assembly_reports())
     with tempfile.TemporaryDirectory() as tmp:
         write_inputs(Path(tmp))
         os.chdir(tmp)

@@ -81,6 +81,19 @@ def test_as_dyadic():
         as_dyadic(Fraction(1, 3))
 
 
+def test_as_dyadic_reads_numpy_integers_as_python_ints():
+    for c, want in [(np.int64(1), (1, 0)), (np.int32(-3), (-3, 0)), (Fraction(-5, 16), (-5, 4)),
+                    (7, (7, 0)), (True, (1, 0)), (np.float64(0.25), (1, 2))]:
+        p, q = as_dyadic(c)
+        assert (p, q) == want and type(p) is int and type(q) is int
+    A = dset(4, [0, 3, 5])
+    assert sumset(A, np.int64(1), A) == sumset(A, 1, A)
+    mu = dyadic.product_measure(dyadic.counting_measure(A), dyadic.counting_measure(A))
+    assert dyadic.project(mu, np.int64(1)) == dyadic.project(mu, 1)
+    cuts = [0, 2, 4]
+    assert dyadic.entropy_chain(mu, np.int64(1), cuts) == dyadic.entropy_chain(mu, 1, cuts)
+
+
 def test_pow2_comparisons():
     # 2**1.5 = 2.828...
     assert pow2_le(Fraction(3, 2), 3)

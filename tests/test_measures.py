@@ -38,7 +38,7 @@ from dyadic.measures import (
     uniform_fiber_entropy_bound,
 )
 from dyadic.grid import dyadic_slope
-from dyadic.measures import _projection_l2_entropy, _slope_stats
+from dyadic.measures import _chain_reports, _projection_l2_entropy, _slope_stats
 
 TOL = 2.0**-40
 
@@ -630,6 +630,21 @@ def memo_instances(draw):
     ps = rng.integers(-(1 << q), (1 << q) + 1, size=draw(st.integers(1, 6))).tolist()
     cuts = [0] + sorted(draw(st.sets(st.integers(1, n - 1), max_size=2))) + [n]
     return mu, cuts, [Fraction(p, 1 << q) for p in ps + ps[:1]]
+
+
+@given(memo_instances())
+@settings(max_examples=40, deadline=None)
+def test_batched_chain_reports_match_one_slope_entropy_chain(args):
+    mu, cuts, slopes = args
+    slopes = slopes + [float(slopes[0]), str(slopes[-1]), np.int64(slopes[0] >= 0)]
+    reports, stats = _chain_reports(mu, slopes, cuts)
+    pairs = list(zip(cuts, cuts[1:]))
+    for c, rep, (_, *blocks) in zip(slopes, reports, stats):
+        fresh = DiscreteMeasure(2, mu.n, mu.atoms, mu.denom)  # no memo shared
+        assert rep == entropy_chain(fresh, c, cuts)
+        assert type(rep.c.numerator) is int and type(rep.c.denominator) is int
+        for (j, j_next), (_, hs, _) in zip(pairs, blocks):
+            assert min(hs) == uniform_fiber_entropy_bound(fresh, c, j, j_next - j, 0.0)[0]
 
 
 @given(memo_instances())

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dyadic import (
@@ -36,7 +36,7 @@ from dyadic import (
     trivial_intervals,
     uniformize,
 )
-from dyadic.grid import FormatError
+from dyadic.grid import CertificateError, FormatError, _distinct, _run_starts, certify
 
 
 @st.composite
@@ -195,6 +195,130 @@ def test_prune_adjacent_contracts(profile):
     assert len(out) << profile.levels >= len(B)
     for r_old, r_new in zip(profile.r, new_profile.r):
         assert r_new >= max(1, r_old // 2)
+
+
+# The per-depth versions that the one-table grouping of ``_tree_levels``
+# replaced, one depth and one parent at a time: the reference below.
+
+
+def reference_depth_cells(idx, n, m, depth):
+    cells = _distinct(idx >> (n - m * depth))
+    return cells, _run_starts(cells >> m)
+
+
+def reference_points_in(idx, shift, kept):
+    keys = idx >> shift
+    at = np.minimum(np.searchsorted(kept, keys), kept.size - 1)
+    return idx[kept[at] == keys]
+
+
+def reference_branching_profile_of(A, m, levels):
+    out = []
+    for depth in range(1, levels + 1):
+        cells, starts = reference_depth_cells(A.indices, A.n, m, depth)
+        counts = np.diff(starts, append=cells.size)
+        r = int(counts[0])
+        if not np.all(counts == r):
+            return None
+        out.append(r)
+    return BranchingProfile(m, tuple(out))
+
+
+def reference_level_min_gaps(B, m, levels):
+    out = []
+    for depth in range(1, levels + 1):
+        cells, _ = reference_depth_cells(B.indices, B.n, m, depth)
+        out.append(int(np.diff(cells).min()) if cells.size > 1 else 1 << (m * levels))
+    return out
+
+
+def reference_prune_adjacent(B, profile):
+    m, n = profile.m, profile.n
+    idx = B.indices
+    kept_counts = []
+    for depth in range(1, profile.levels + 1):
+        cells, starts = reference_depth_cells(idx, n, m, depth)
+        kept_per_parent = []
+        for group in np.split(cells, starts[1:]):
+            kept = [group[0]]
+            for cell in group[1:].tolist():
+                if cell >= kept[-1] + 2:
+                    kept.append(cell)
+            kept_per_parent.append(kept)
+        take = min(len(k) for k in kept_per_parent)
+        r = profile.r[depth - 1]
+        certify("prune-kept-half", min(2 * take - r, r - take))
+        kept = np.array([c for k in kept_per_parent for c in k[:take]], dtype=np.int64)
+        idx = reference_points_in(idx, n - m * depth, kept)
+        kept_counts.append(take)
+    out = DeltaSet(n, idx, width=1)
+    certify("prune-size", (len(out) << profile.levels) - len(B))
+    new_profile = BranchingProfile(m, tuple(kept_counts))
+    certify(
+        "prune-profile",
+        -int(reference_branching_profile_of(out, m, profile.levels) != new_profile),
+    )
+    certify("prune-gaps", min(reference_level_min_gaps(out, m, profile.levels)) - 2)
+    return out, new_profile
+
+
+def reference_collapse(A, profile, S):
+    idx = A.indices
+    for s in sorted(set(S)):
+        cells, starts = reference_depth_cells(idx, profile.n, profile.m, s + 1)
+        idx = reference_points_in(idx, profile.n - profile.m * (s + 1), cells[starts])
+    return idx
+
+
+def outcome(fn, *args):
+    """What a call returns, or the certificate it fails."""
+    try:
+        return fn(*args)
+    except CertificateError as exc:
+        return "refused", exc.name
+
+
+@st.composite
+def placed_trees(draw):
+    """A tree of any placement, m 1-3 and 1-6 levels, with a few points
+    dropped now and then so that it need not be uniform."""
+    placement = draw(st.sampled_from(["left", "random", "spread-random"]))
+    m = draw(st.integers(1, 3))
+    levels = draw(st.integers(1, 6))
+    top = 1 << (m - 1 if placement == "spread-random" else m)
+    r = tuple(draw(st.lists(st.integers(1, top), min_size=levels, max_size=levels)))
+    profile = BranchingProfile(m, r)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    B = gen_uniform_tree(profile, rng=rng, placement=placement)
+    drop = draw(st.sampled_from([0, 0, 1, 3]))
+    if drop and len(B) > drop:
+        keep = np.sort(rng.choice(len(B), len(B) - drop, replace=False))
+        B = DeltaSet(B.n, B.indices[keep], width=1)
+    return B, profile
+
+
+@given(placed_trees())
+@settings(max_examples=300, deadline=None)
+@example((gen_uniform_tree(BranchingProfile(2, (4, 4))), BranchingProfile(2, (4, 4))))
+@example((DeltaSet(4, [0, 1, 2, 5, 6, 7, 9]), BranchingProfile(2, (2, 3))))
+def test_table_grouping_matches_the_per_depth_reference(tree):
+    B, profile = tree
+    m, levels = profile.m, profile.levels
+    assert branching_profile_of(B, m, levels) == reference_branching_profile_of(B, m, levels)
+    assert level_min_gaps(B, m, levels) == reference_level_min_gaps(B, m, levels)
+    got, want = outcome(prune_adjacent, B, profile), outcome(reference_prune_adjacent, B, profile)
+    assert got == want
+    if reference_branching_profile_of(B, m, levels) == profile:
+        S = [s for s in range(levels) if B.indices[-1] >> s & 1]  # levels the tree picks
+        out, _ = collapse(B, profile, S)
+        assert out.indices.tolist() == reference_collapse(B, profile, S).tolist()
+
+
+def test_prune_adjacent_refuses_a_resolution_or_width_mismatch():
+    with pytest.raises(ValueError, match="resolution does not match m \\* levels"):
+        prune_adjacent(DeltaSet(4, [0, 3, 8, 11]), BranchingProfile(2, (2, 2, 2)))
+    with pytest.raises(ValueError, match="uniformity is defined for sets inside"):
+        prune_adjacent(DeltaSet(4, [0, 3, 16, 19], width=2), BranchingProfile(2, (2, 2)))
 
 
 # ---------------------------------------------------------- level intervals
