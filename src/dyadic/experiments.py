@@ -449,6 +449,11 @@ class ExperimentConfig:
                 raise ValueError(f"{what} must be a string or a number, not {json.dumps(value)}")
             return value
 
+        def integer(what, value):
+            if type(value) is not int:  # a float, a string or a bool is not read as one
+                raise ValueError(f"{what} must be an integer, not {json.dumps(value)}")
+            return value
+
         def listed(what, value, size=None):
             if not isinstance(value, list) or size not in (None, len(value)):
                 shape = "a list" if size is None else f"a list of {size} numbers"
@@ -466,10 +471,10 @@ class ExperimentConfig:
             kappa=fraction("kappa", "1/2"),
             eta=fraction("eta", "1/2"),
             zeta=fraction("zeta", "1/16"),
-            ell=int(scalar("'ell'", data.get("ell", 16))),
+            ell=integer("'ell'", data.get("ell", 16)),
         )
         scales = [
-            ScaleSpec(*(int(scalar("a scale entry", v)) for v in listed("a scale row", row, 3)))
+            ScaleSpec(*(integer("a scale entry", v) for v in listed("a scale row", row, 3)))
             for row in listed("'scales'", data["scales"])
         ]
         out = data.get("out")
@@ -482,7 +487,7 @@ class ExperimentConfig:
             scales=tuple(scales),
             gammas=tuple(gammas),
             nu=data.get("nu", "counting"),
-            seed=int(scalar("'seed'", data.get("seed", 0))),
+            seed=integer("'seed'", data.get("seed", 0)),
             out=out,
         )
 

@@ -18,24 +18,35 @@ sign, ``_pow2_sign``, decides every threshold ``2**frac`` against a
 rational in ``pow2_le`` and ``pow2_ge``.
 
 Sumsets.  ``sumset(A, c, B)`` turns every slope into the integer sumset
-``A + V`` with ``V = {floor(c * b)}`` and hands it to one kernel,
-``_sum_support``.  The kernel takes the cheapest of three routes under a
+``A + V`` with ``V = {floor(c * b)}`` (B's own indices for ``c = 1``, so a
+unit slope takes no floor or dedup pass) and hands it to one kernel,
+``_sum_support``.  The kernel takes the cheapest of four routes under a
 cost model fitted on a 2-core x86-64 VM with numpy 2.4:
 
 * outer sums, sorted, duplicates dropped: small products, and windows too
-  wide for the other two (sparse sets at n >= 32);
+  wide for the others (sparse sets at n >= 32);
 * a scatter into a bitmap over the window, one pass per point of the
-  smaller operand: one operand of tens to hundreds of points;
+  smaller operand: a sparse operand of tens to hundreds of points against
+  up to a few hundred shifts;
+* a packed-bitset OR (``_or_words``): the operand with more points packed
+  once into uint64 words with its 64 bit-shifted copies, one OR of a copy
+  per shift of the other: an operand dense in its span against tens to
+  thousands of shifts;
 * an FFT convolution of the two 0/1 indicators over the window
-  ``[a0 + v0, a_max + v_max]``, in float64 ``numpy.fft`` at the next
-  power of two, then ``rint``: both operands dense in one window.
+  ``[a0 + v0, a_max + v_max]``, in float64 ``numpy.fft`` at the shortest
+  length ``2**a`` or ``3 * 2**a`` covering it (``_fft_length``), then
+  ``rint``: both operands dense in one window.
 
 Crossovers of the model, with times measured there: ``A + A`` on an
-interval leaves the outer sums for the FFT at 67 points (outer 44 us and
-FFT 53 us at 64 points; 149 us and 60 us at 128); an interval plus 8
-shifts 64 apart leaves the outer sums for the scatter at 256 points (33 us
-and 28 us); an interval plus 32 shifts 64 apart leaves the scatter for
-the FFT at 2,054 points (225 us and 205 us).
+interval leaves the outer sums for the FFT at 66 points (outer 53 us and
+FFT 58 us at 66 points; 183 us and 55 us at 128); an interval plus 8
+shifts 64 apart leaves the outer sums for the scatter at 256 points (39 us
+and 37 us); an interval plus 32 shifts 64 apart leaves the scatter for
+the bitset at 511 points (147 us and 116 us; 206 us and 122 us at 1,024);
+an interval of 4,096 points plus an interval of x points leaves the bitset
+for the FFT at x = 136 (338 us and 360 us; 588 us and 360 us at 256).  Two
+random 2,048-point sets at n = 16 take the bitset: 4.6 ms against 9.3 ms
+for their FFT (medians of 20 alternating runs).
 
 The FFT route is exact.  It is taken only where Percival's a-priori bound
 on the error of every convolution entry (``_fft_error_bound``, about
@@ -45,26 +56,29 @@ of an integer and that the rounded counts add up to ``|A| |V|``.  The
 support of the rounded counts is then the sumset.  ``certify`` raises
 ``CertificateError``, which ``python -O`` keeps.  A self-sum ``A + A``
 (each step of the doubling ladder) transforms its indicator once and
-squares the spectrum.
+squares the spectrum.  The other three routes are integer logic and need
+no certificate.
 
 Iterated sums.  ``iterated_sum(B, k)`` takes ``kB`` as the support of
-``irfft(rfft(1_B, N)**k)`` with N the power of two at or above
+``irfft(rfft(1_B, N)**k)`` with N the ``_fft_length`` of the window
 ``k (b_max - b_min) + 1``: two transforms in place of three per pairwise
 step.  The power is taken by k - 1 complex multiplies, and Percival's
 argument carried through them bounds every entry's error
 (``_power_error_bound``, derived there).  Its leading term is
-``eta |B|**(k - 1/2)``, with ``eta`` about ``5.2 log2(2N) 2**-53`` the
-growth of one transform: 1.2e-5 for 4,097 points at k = 3 and
-``N = 2**18``.  The route runs where that bound is below
+``eta |B|**(k - 1/2)``, with ``eta`` about ``5.2 (ceil(log2 N) + 1) 2**-53``
+the growth of one transform: 1.2e-5 for 4,097 points at k = 3 and
+``N = 3 * 2**16``.  The route runs where that bound is below
 1/4, its ``40 N`` bytes fit the budget, ``k b_max < 2**63`` and the cost
 model above prices it below the pairwise steps; each call certifies as the
 FFT route does, with ``|B|**k`` pairs.  Elsewhere the k - 1 pairwise
 sumsets run.
 
 Memory.  Each route's scratch is estimated before anything is allocated:
-17 bytes per pair for the outer sums, 40 per FFT point, and for the
-scatter one per window index plus 16 per point of the larger operand and
-16 per point of the result.  A route past
+17 bytes per pair for the outer sums, 40 per FFT point; for the scatter
+one per window index plus 16 per point of the larger operand and 16 per
+point of the result; for the bitset 576 per word of the packed operand
+(its 64 copies and their build), two per window index and 16 per point
+of the result.  A route past
 ``SUMSET_BYTE_BUDGET`` (1 GiB) is not taken, and when none fits,
 ``BudgetError`` (a ValueError) is raised before allocating.
 """
@@ -423,6 +437,8 @@ def _shifts(c, B: DeltaSet) -> np.ndarray:
     p, q = dyadic_slope(c)
     if q > B.n:
         raise ValueError("c is finer than the grid resolution")
+    if q == 0:  # c in {-1, 0, 1}: B's own indices, already distinct
+        return B.indices if p == 1 else -B.indices[::-1] if p else np.zeros(1, dtype=np.int64)
     v = slope_floor(p, q, B.indices)  # monotone in b: ascending, or descending for p < 0
     return _distinct(v[::-1] if p < 0 else v)
 
@@ -431,12 +447,21 @@ def _shifts(c, B: DeltaSet) -> np.ndarray:
 # with numpy 2.4: sorting the outer sums takes about 1 ns per pair per bit
 # of log2(pairs); the FFT route about 40 us plus 3.5 ns * N * log2(N) for
 # N-point transforms; the scatter about 2.5 ns per write, 1 us per shift and 2 ns
-# per window byte.  The scratch bytes per pair, per FFT point and per window
-# byte bound what tracemalloc read.
+# per window byte; the bitset OR 40 us per call, 2 us per shift, 0.6 ns per
+# word ORed, 1.2 ns per word of the 64 shifted copies and 2 ns per window bit
+# unpacked.  The scratch bytes per pair, per FFT point, per packed word and
+# per window byte bound what tracemalloc read.
 _OUTER_NS, _FFT_NS, _SCATTER_NS, _SHIFT_NS, _WINDOW_NS = 1.0, 3.5, 2.5, 2000.0, 2.0
 _FFT_CALL_NS = 50_000.0
-_OUTER_BYTES, _FFT_BYTES = 17, 40
+_BITSET_CALL_NS, _BITSET_SHIFT_NS, _WORD_NS, _COPY_NS, _BIT_NS = 40_000.0, 2000.0, 0.6, 1.2, 2.0
+_OUTER_BYTES, _FFT_BYTES, _WORD_BYTES = 17, 40, 8 * 72
 _EPS = 2.0**-53  # unit roundoff of float64
+
+
+def _fft_length(window: int) -> int:
+    """The shortest transform length of the form ``2**a`` or ``3 * 2**a``
+    at or above ``window``."""
+    return min(1 << (window - 1).bit_length(), 3 << ((window + 2) // 3 - 1).bit_length())
 
 
 def _fft_growth(nfft: int, transforms: int, products: int) -> float:
@@ -447,10 +472,14 @@ def _fft_growth(nfft: int, transforms: int, products: int) -> float:
     transforms of ``k`` levels and ``p`` products (Percival, Math. Comp. 72,
     2003; a complex product is within ``sqrt5 eps`` of the exact one).
     numpy's real transforms are not literally that complex radix-2 FFT, so
-    ``k`` is taken one level deeper and the twiddle error beta as 2 eps;
-    every call of the FFT routes is also checked after the fact.
+    ``k`` is taken one level deeper, ``ceil(log2 N) + 1``, and the twiddle
+    error beta as 2 eps; every call of the FFT routes is also checked after
+    the fact.  At ``N = 2**a`` that is ``a + 1`` levels.  At ``N = 3 * 2**a``
+    it is ``a + 3``: the a radix-2 levels, the radix-3 pass counted as two
+    (one such pass does about ``log2 3 = 1.58`` levels' arithmetic), and the
+    same one level of hedge.
     """
-    k = nfft.bit_length()
+    k = (nfft - 1).bit_length() + 1
     return math.expm1(
         transforms * k * math.log1p(_EPS)
         + (transforms * k + products) * math.log1p(_EPS * math.sqrt(5))
@@ -503,18 +532,28 @@ def _power_error_bound(size: int, k: int, nfft: int) -> float:
     return propagated + eta * (1 + eta) * (1 + d) * m ** (k - 1) * math.sqrt(size)
 
 
-def _fitting_routes(na: int, nv: int, span: int) -> list[tuple[float, int, str]]:
+def _fitting_routes(na: int, nv: int, span: int, a_span: int) -> list[tuple[float, int, str]]:
     """``(ns, bytes, route)`` of each route of ``_sum_support`` for ``na`` by
     ``nv`` points (nv <= na) whose sums fill a window of ``span`` indices,
-    where the scratch fits the byte budget; BudgetError where none does."""
+    the ``na`` points spanning ``a_span``, where the scratch fits the byte
+    budget; BudgetError where none does."""
     pairs = na * nv
-    nfft = 1 << (span - 1).bit_length()
+    nfft = _fft_length(span)
+    words = ((a_span - 1) >> 6) + 2  # _or_words: a's words and one spare
     routes = [
         (_OUTER_NS * pairs * pairs.bit_length(), _OUTER_BYTES * pairs, "outer"),
         (
             _SCATTER_NS * pairs + _SHIFT_NS * nv + _WINDOW_NS * span,
             span + 16 * na + 16 * min(span, pairs),
             "scatter",
+        ),
+        (
+            _BITSET_CALL_NS
+            + (_BITSET_SHIFT_NS + _WORD_NS * words) * nv
+            + _COPY_NS * 64 * words
+            + _BIT_NS * span,
+            _WORD_BYTES * words + 2 * span + 16 * min(span, pairs),
+            "bitset",
         ),
     ]
     if _fft_error_bound(pairs, nfft) < 0.25:
@@ -525,10 +564,11 @@ def _fitting_routes(na: int, nv: int, span: int) -> list[tuple[float, int, str]]
     return fits
 
 
-def _plan(na: int, nv: int, span: int) -> str:
+def _plan(na: int, nv: int, span: int, a_span: int) -> str:
     """The cheapest route for a sumset of ``na`` by ``nv`` points (nv <= na)
-    whose sums fill a window of ``span`` indices, within the byte budget."""
-    return min(_fitting_routes(na, nv, span))[2]
+    whose sums fill a window of ``span`` indices, the ``na`` points spanning
+    ``a_span``, within the byte budget."""
+    return min(_fitting_routes(na, nv, span, a_span))[2]
 
 
 def _indicator_spectrum(s: np.ndarray, nfft: int) -> np.ndarray:
@@ -547,7 +587,36 @@ def _count_support(conv: np.ndarray, pairs: int) -> np.ndarray:
     # number of pairs: the support of the rounded counts is the sumset
     certify("fft-rounding", np.nextafter(0.25, 0.0) - float(np.abs(conv, out=conv).max()))
     certify("fft-pair-count", -abs(int(counts.sum(dtype=np.int64)) - pairs))
-    return np.flatnonzero(counts)
+    return np.flatnonzero(counts != 0)  # a bool mask scans faster than the floats
+
+
+def _or_words(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The offsets ``(a - a[0]) + (v - v[0])`` as a bitset of little-endian
+    uint64 words (offset i is bit ``i & 63`` of word ``i >> 6``).
+
+    ``a`` is packed once, with its 64 copies shifted by 0 to 63 bits; for
+    each offset s of ``v``, copy ``s & 63`` is ORed in at word ``s >> 6``.
+    """
+    offsets = a - a[0]
+    words = (int(offsets[-1]) >> 6) + 2  # the spare word takes the bits shifted out
+    bits = np.zeros(words << 6, dtype=bool)
+    bits[offsets] = True
+    packed = np.packbits(bits, bitorder="little").view("<u8")
+    del bits
+    # copies[k, r] is the copy shifted by 8k + r bits: r by word shifts, then k whole bytes
+    copies = np.zeros((8, 8, words << 3), dtype=np.uint8)
+    low = copies[0].view("<u8")
+    low[0] = packed
+    r = np.arange(1, 8, dtype=np.uint64)[:, None]
+    np.left_shift(packed, r, out=low[1:])
+    low[1:, 1:] |= packed[:-1] >> (64 - r)
+    for k in range(1, 8):
+        copies[k, :, k:] = copies[0, :, :-k]
+    copies = copies.reshape(64, words << 3).view("<u8")
+    out = np.zeros(((int(v[-1]) - int(v[0])) >> 6) + words, dtype="<u8")
+    for s in (v - v[0]).tolist():
+        out[s >> 6 : (s >> 6) + words] |= copies[s & 63]
+    return out
 
 
 def _sum_support(a: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -557,7 +626,7 @@ def _sum_support(a: np.ndarray, v: np.ndarray) -> np.ndarray:
         a, v = v, a
     lo = int(a[0]) + int(v[0])
     span = int(a[-1]) + int(v[-1]) - lo + 1
-    route = _plan(a.size, v.size, span)
+    route = _plan(a.size, v.size, span, int(a[-1]) - int(a[0]) + 1)
     if route == "outer":
         s = (a[:, None] + v).ravel()
         s.sort()
@@ -568,10 +637,13 @@ def _sum_support(a: np.ndarray, v: np.ndarray) -> np.ndarray:
         for s in v.tolist():
             seen[base + s] = True
         return np.flatnonzero(seen) + lo
-    nfft = 1 << (span - 1).bit_length()
+    if route == "bitset":
+        seen = np.unpackbits(_or_words(a, v).view(np.uint8), count=span, bitorder="little")
+        return np.flatnonzero(seen.view(bool)) + lo
+    nfft = _fft_length(span)
     spectrum = _indicator_spectrum(a, nfft)
     # a self-sum (each step of the doubling ladder) squares its one spectrum
-    spectrum *= spectrum if np.array_equal(a, v) else _indicator_spectrum(v, nfft)
+    spectrum *= spectrum if a is v or np.array_equal(a, v) else _indicator_spectrum(v, nfft)
     conv = np.fft.irfft(spectrum, nfft)[:span]
     del spectrum
     return _count_support(conv, a.size * v.size) + lo
@@ -581,19 +653,20 @@ def _power_nfft(B: DeltaSet, k: int, max_width: int) -> int | None:
     """The transform length N of the powered-spectrum route to ``kB`` (k >=
     2), or None where the pairwise steps run instead.
 
-    N is the power of two at or above the window ``k (b_max - b_min) + 1``.
-    The route is taken where ``k b_max < 2**63``, kB is no wider than
-    ``max_width``, the ``_FFT_BYTES * N`` scratch fits the byte budget,
-    ``_power_error_bound`` is below 1/4, and the cost model prices it below
-    the pairwise steps.  It is priced as one FFT step of ``_plan`` at N
-    (three transforms, for its two) plus one butterfly pass per further
-    complex multiply.  Each pairwise step ``(j-1)B + B`` is priced at its
-    cheapest route with ``|(j-1)B|`` at its least possible size
+    N is ``_fft_length`` of the window ``k (b_max - b_min) + 1``: the least
+    ``2**a`` or ``3 * 2**a`` at or above it.  The route is taken where
+    ``k b_max < 2**63``, kB is no wider than ``max_width``, the
+    ``_FFT_BYTES * N`` scratch fits the byte budget, ``_power_error_bound``
+    is below 1/4, and the cost model prices it below the pairwise steps.  It
+    is priced as one FFT step of ``_plan`` at N (three transforms, for its
+    two) plus one butterfly pass per further complex multiply.  Each
+    pairwise step ``(j-1)B + B`` is priced at its cheapest route, the
+    bitset's included, with ``|(j-1)B|`` at its least possible size
     ``(j-1)(|B|-1) + 1``, so the pairwise side is never overpriced.
     """
     b = B.indices
     size, lo, hi = b.size, int(b[0]), int(b[-1])
-    nfft = 1 << (k * (hi - lo)).bit_length()
+    nfft = _fft_length(k * (hi - lo) + 1)
     if (
         k * hi >= 1 << 63
         or ((k * hi) >> B.n) + 1 > max_width
@@ -604,7 +677,8 @@ def _power_nfft(B: DeltaSet, k: int, max_width: int) -> int | None:
     price = _FFT_CALL_NS + _FFT_NS * nfft * (nfft.bit_length() + k - 2)
     pairwise = 0.0
     for j in range(2, k + 1):
-        pairwise += min(_fitting_routes((j - 1) * (size - 1) + 1, size, j * (hi - lo) + 1))[0]
+        step = ((j - 1) * (size - 1) + 1, size, j * (hi - lo) + 1, (j - 1) * (hi - lo) + 1)
+        pairwise += min(_fitting_routes(*step))[0]
         if pairwise > price:
             return nfft
     return None

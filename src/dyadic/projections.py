@@ -574,27 +574,24 @@ def tube_diameter_ok(p, q, n: int) -> bool:
 def vertical_separation_margin(n: int, radius_cells: int = 10) -> float:
     """Minimal image-value gap (in cells) over all nearly-horizontal far pairs.
 
-    Scans the difference space exhaustively: x-gap dx and y-gap dky with
-    dx**2 + dky**2 >= radius_cells**2 and |dky| <= 1, against every dyadic
-    slope j / 2**n in [-1, 1].  The image values of such a pair differ by
-    |dx + j * dky / 2**n| cells; a margin >= 1 certifies, for every actual
-    position pair with those gaps, that no common cell exists, hence a far
-    pair threading a common tube must have |y-gap| >= 2 cells.  Covering
-    all (dx, dky, j) covers all position pairs, so this is stronger than
-    enumerating positions.
+    Over the difference space: x-gap dx and y-gap dky with ``dx**2 +
+    dky**2 >= radius_cells**2``, ``|dky| <= 1`` and ``|dx| <= 2**n``, against
+    every dyadic slope ``j / 2**n`` in [-1, 1].  The image values of such a
+    pair differ by ``|dx + j * dky / 2**n|`` cells; a margin >= 1 certifies,
+    for every actual position pair with those gaps, that no common cell
+    exists, hence a far pair threading a common tube must have |y-gap| >= 2
+    cells.  Covering all (dx, dky, j) covers all position pairs, so this is
+    stronger than enumerating positions.
+
+    The minimum has a closed form, with ``r = radius_cells``.  For
+    ``|dky| = 1`` the gap ``|dx| - |j| / 2**n`` is least at the least
+    admissible ``|dx|``, ``isqrt(r*r - 2) + 1 = r``, against the extreme
+    slope ``|j| = 2**n``: ``isqrt(r*r - 2)`` cells.  A pair with ``dky = 0``
+    keeps its whole gap ``|dx| >= r``.  Where ``2**n < r`` no admissible
+    x-gap exists and the margin is ``inf``.  Raises ValueError for ``r < 2``.
     """
-    scale = 1 << n
-    js = np.arange(-scale, scale + 1, dtype=np.int64)
-    worst = math.inf
-    for dky in (-1, 0, 1):
-        min_dx2 = radius_cells * radius_cells - dky * dky
-        dx_lo = math.isqrt(min_dx2 - 1) + 1
-        dxs = np.arange(dx_lo, scale + 1, dtype=np.int64)
-        if dxs.size == 0:
-            continue
-        # |dx| and |j * dky| interact only through signs: the minimum of
-        # |dx * 2**n + j * dky| over both signs of dx is attained with
-        # opposite signs, so scanning positive dx suffices.
-        gaps = np.abs(dxs[:, None] * scale - np.abs(js[None, :] * dky))
-        worst = min(worst, float(gaps.min()) / scale)
-    return worst
+    if radius_cells < 2:
+        raise ValueError(f"radius_cells must be at least 2, not {radius_cells}")
+    if (1 << n) < radius_cells:
+        return math.inf
+    return float(math.isqrt(radius_cells * radius_cells - 2))

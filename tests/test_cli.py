@@ -434,6 +434,13 @@ def test_malformed_sweep_config_gives_one_line_error(tmp_path, runner, drop, cha
         ({"gammas": [None]}, "a gamma must be a string or a number, not null"),
         ({"scales": 7}, "'scales' must be a list, not 7"),
         ({"out": 1}, "'out' must be a path string, not 1"),  # open(1) is stdout
+        # integers are read as JSON integers, never truncated or parsed from strings
+        ({"ell": 32.9}, "'ell' must be an integer, not 32.9"),
+        ({"ell": True}, "'ell' must be an integer, not true"),
+        ({"seed": 3.7}, "'seed' must be an integer, not 3.7"),
+        ({"seed": "5"}, "'seed' must be an integer, not \"5\""),
+        ({"scales": [[1.9, 8.5, 1]]}, "a scale entry must be an integer, not 1.9"),
+        ({"scales": [[1, "8", 1]]}, "a scale entry must be an integer, not \"8\""),
     ],
 )
 def test_sweep_config_value_of_wrong_json_type_gives_one_line_error(

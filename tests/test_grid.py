@@ -357,6 +357,10 @@ def wide_sumset_instances(draw):
 @given(wide_sumset_instances())
 @example((gen_ap(62, 700, step=1, start=1 << 61), -3, 2, gen_ap(62, 300, step=1)))  # fft
 @example((gen_ap(40, 900, step=1, start=1 << 39), 1, 0, gen_ap(40, 16, step=200)))  # scatter
+@example((gen_ap(40, 2048, step=1, start=1 << 39), 1, 0, gen_ap(40, 64, step=64)))  # bitset
+@example((gen_ap(62, 1500, step=3, start=1 << 61), -3, 2, gen_ap(62, 100, step=37)))  # bitset
+@example((gen_ap(31, 4000, step=2, start=1 << 30), 5, 12, gen_ap(31, 100, step=50001)))  # bitset
+@example((gen_ap(32, 3000, step=1, start=1 << 31), 1 - (1 << 32), 32, gen_ap(32, 100, step=67)))  # bitset
 @settings(max_examples=150, deadline=None)
 def test_sumset_matches_python_int_brute_force_over_the_domain(args):
     assert_sumset_exact(*args)
@@ -366,14 +370,16 @@ def test_sumset_matches_python_int_brute_force_over_the_domain(args):
 # route changes once, from the first route named to the second.
 CROSSOVERS = {
     "outer-scatter": lambda x: (np.arange(x), np.arange(8) * 64),
-    "scatter-fft": lambda x: (np.arange(x), np.arange(32) * 64),
+    "scatter-bitset": lambda x: (np.arange(x), np.arange(32) * 64),
+    "bitset-fft": lambda x: (np.arange(4096), np.arange(x)),
     "outer-fft": lambda x: (np.arange(x), np.arange(x)),
 }
 
 
 def _route_of(a, b):
-    na, nv = max(a.size, b.size), min(a.size, b.size)
-    return grid._plan(na, nv, int(a[-1] + b[-1] - a[0] - b[0]) + 1)
+    if a.size < b.size:
+        a, b = b, a
+    return grid._plan(a.size, b.size, int(a[-1] + b[-1] - a[0] - b[0]) + 1, int(a[-1] - a[0]) + 1)
 
 
 @pytest.mark.parametrize("n", [31, 32, 40, 62])
@@ -539,11 +545,13 @@ def test_iterated_sum_matches_python_int_brute_force(args):
     nfft = grid._power_nfft(B, k, 1 << 12)
     assert (power, pairwise) == ((1, 0) if nfft is not None else (0, k - 1))
     if kind == "near-bound":  # dense: the cost model prefers the power, the bound decides
-        bound = grid._power_error_bound(len(B), k, 1 << (k * (2 * len(B) - 1)).bit_length())
+        window = k * int(B.indices[-1] - B.indices[0]) + 1
+        bound = grid._power_error_bound(len(B), k, grid._fft_length(window))
         assert (nfft is not None) == (bound < 0.25)
 
 
-def test_power_error_bound_covers_the_measured_rounding(monkeypatch):
+def _measured_rounding(monkeypatch) -> list[float]:
+    """The ``max |conv - rint(conv)|`` of every FFT-route call from now on."""
     errors = []
     count_support = grid._count_support
 
@@ -552,6 +560,11 @@ def test_power_error_bound_covers_the_measured_rounding(monkeypatch):
         return count_support(conv, pairs)
 
     monkeypatch.setattr(grid, "_count_support", measured)
+    return errors
+
+
+def test_power_error_bound_covers_the_measured_rounding(monkeypatch):
+    errors = _measured_rounding(monkeypatch)
     rng = np.random.default_rng(2003)
     checked = 0
     while checked < 50:
@@ -565,6 +578,53 @@ def test_power_error_bound_covers_the_measured_rounding(monkeypatch):
         iterated_sum(B, k)
         assert errors[0] <= grid._power_error_bound(size, k, nfft)
         checked += 1
+
+
+@pytest.mark.parametrize("a", [8, 11])
+def test_both_fft_routes_round_within_their_bounds_at_three_times_a_power_of_two(a, monkeypatch):
+    errors = _measured_rounding(monkeypatch)
+    rng = np.random.default_rng(a)
+    nfft = 3 << a
+
+    def half_of(span):  # about half the points of [0, span), both ends included
+        inner = 1 + rng.choice(span - 2, span // 2, replace=False)
+        return DeltaSet(a + 2, np.sort(np.concatenate([[0, span - 1], inner])))
+
+    # pairwise: a window of 3 * 2**a - 1 indices, past 2**(a+1)
+    A, V = half_of(3 << (a - 1)), half_of(3 << (a - 1))
+    assert _route_of(A.indices, V.indices) == "fft"
+    assert grid._fft_length(2 * (3 << (a - 1)) - 1) == nfft
+    assert sumset(A, 1, V).indices.tolist() == brute_sumset(A, 1, 0, V)
+    assert 0 < errors[-1] <= grid._fft_error_bound(len(A) * len(V), nfft)
+    # powered: 3B over a window of 3 * 2**a - 2 indices
+    B = half_of(1 << a)
+    assert grid._power_nfft(B, 3, 1 << 12) == nfft
+    assert iterated_sum(B, 3).indices.tolist() == brute_iterated(B, 3)
+    assert 0 < errors[-1] <= grid._power_error_bound(len(B), 3, nfft)
+
+
+def test_fft_growth_is_the_radix_2_count_at_powers_of_two_and_one_level_deeper_at_3_2a():
+    eps = 2.0**-53
+
+    def radix_2(nfft, transforms, products):  # the count of every power-of-two length
+        k = nfft.bit_length()
+        return math.expm1(
+            transforms * k * math.log1p(eps)
+            + (transforms * k + products) * math.log1p(eps * math.sqrt(5))
+            + transforms * k * math.log1p(2 * eps)
+        )
+
+    for a in range(63):
+        for transforms, products in ((0, 2), (1, 0), (3, 1), (2, 4)):
+            assert grid._fft_growth(1 << a, transforms, products) == radix_2(1 << a, transforms, products)
+            # 3 * 2**a counts as many levels as 2**(a+2): ceil(log2 N) + 1
+            assert grid._fft_growth(3 << a, transforms, products) == radix_2(4 << a, transforms, products)
+
+
+def test_fft_length_is_the_least_two_power_or_three_two_power_covering_the_window():
+    lengths = sorted({1 << a for a in range(64)} | {3 << a for a in range(63)})
+    for window in [*range(1, 300), 196_500, 196_609, (1 << 40) + 1, 3 << 50, (3 << 50) + 1]:
+        assert grid._fft_length(window) == next(n for n in lengths if n >= window)
 
 
 @pytest.mark.parametrize("size", [2, 65, 1024, 4097, 1 << 16])

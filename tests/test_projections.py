@@ -324,12 +324,45 @@ def test_tube_diameter_brute_force_before_freezing():
         assert hits, "no sampled far pair admitted a tube; audit was vacuous"
 
 
+def scanned_separation_margin(n: int, radius_cells: int) -> float:
+    """The margin of ``vertical_separation_margin`` by scanning every x-gap
+    ``dx <= 2**n``, y-gap ``|dky| <= 1`` and slope ``j / 2**n`` in [-1, 1]
+    (a ``2**n x 2**(n+1)`` table per y-gap)."""
+    scale = 1 << n
+    js = np.arange(-scale, scale + 1, dtype=np.int64)
+    worst = math.inf
+    for dky in (-1, 0, 1):
+        min_dx2 = radius_cells * radius_cells - dky * dky
+        dx_lo = math.isqrt(min_dx2 - 1) + 1
+        dxs = np.arange(dx_lo, scale + 1, dtype=np.int64)
+        if dxs.size == 0:
+            continue
+        # |dx| and |j * dky| interact only through signs: the minimum of
+        # |dx * 2**n + j * dky| over both signs of dx is attained with
+        # opposite signs, so scanning positive dx suffices.
+        gaps = np.abs(dxs[:, None] * scale - np.abs(js[None, :] * dky))
+        worst = min(worst, float(gaps.min()) / scale)
+    return worst
+
+
 def test_vertical_separation_margin_exhaustive():
     for n in (4, 6, 8):
         margin = vertical_separation_margin(n)
         assert margin >= 1.0
     # at n = 8 the minimum is dx = 10 against the extreme slope: 10 - 1
     assert vertical_separation_margin(8) == pytest.approx(9.0)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_vertical_separation_margin_closed_form_matches_the_scan(n):
+    for r in range(2, 20):  # 2**n == r at (2, 4), (3, 8) and (4, 16)
+        assert vertical_separation_margin(n, r) == scanned_separation_margin(n, r)
+
+
+@pytest.mark.parametrize("r", [1, 0, -3])
+def test_vertical_separation_margin_refuses_a_radius_below_two(r):
+    with pytest.raises(ValueError, match="radius_cells must be at least 2"):
+        vertical_separation_margin(8, r)
 
 
 # ------------------------------------------------------------ exact pair sums
