@@ -270,6 +270,8 @@ def prune_cmd(ctx, set_path, dest, m, levels):
 @click.pass_context
 def extend_cmd(ctx, b_profile_path, ell, zeta, a_profile_path, gamma_cap, family_out):
     """Trivial runs -> lifted -> extended intervals (optionally classified)."""
+    if ell < 1:
+        raise ValueError("ell must be >= 1")
     profile = load_profile(b_profile_path)
     if profile.levels % ell:
         raise click.UsageError("profile length must be a multiple of --ell")

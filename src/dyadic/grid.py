@@ -253,7 +253,7 @@ class DeltaSet:
             raise ValueError("indices must be one-dimensional")
         if idx.size == 0:
             raise ValueError("empty sets are not represented")
-        if idx.size > 1 and not np.all(np.diff(idx) > 0):
+        if not (idx[1:] > idx[:-1]).all():
             raise ValueError("indices must be strictly increasing")
         if idx[0] < 0 or idx[-1] >= (self.width << self.n):
             raise ValueError("indices out of [0, width * 2**n)")
@@ -425,6 +425,15 @@ def _run_heads(*cols: np.ndarray) -> np.ndarray:
 def _run_starts(*cols: np.ndarray) -> np.ndarray:
     """The index of the first row of each run of equal rows (``_run_heads``)."""
     return np.flatnonzero(_run_heads(*cols))
+
+
+def _run_lengths(starts: np.ndarray, size: int) -> np.ndarray:
+    """The length of each run of ``size`` rows that starts at ``starts``, as
+    ``np.diff(starts, append=size)`` gives it, without that call's copies."""
+    out = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=out[:-1])
+    out[-1:] = size - starts[-1:]
+    return out
 
 
 def _distinct(s: np.ndarray) -> np.ndarray:

@@ -25,7 +25,9 @@ vectorised validation.
 Bucketing, projection and the per-cell entropies of the chain run on the
 columns.  One kernel, ``_cell_counts``, groups the atoms into cells, pushes
 each rescaled cell by every slope of a batch and sorts the (slope, cell,
-bucket) keys of all rows at once; exact integer masses come out.  Keys are
+bucket) keys of all rows at once, packed into one integer that carries the
+row's numerator, less the least one, in its low bits; exact integer masses
+are read off the sorted keys, with no permutation and no gather.  Keys are
 therefore bounded: ``n <= 62`` and ``|k| < 2**62``, so a projected key
 ``kx + floor(c * ky)`` fits int64; a slope product ``p * ky`` past 63 bits
 falls back to Python integers.  Each ``b * log2(b)`` is taken once per
@@ -61,7 +63,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import fsum, gcd
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -70,6 +72,7 @@ from .grid import (
     DeltaSet,
     FormatError,
     _distinct,
+    _run_lengths,
     _run_starts,
     certify,
     dyadic_slope,
@@ -295,7 +298,7 @@ class DiscreteMeasure:
                 shift = self.n - level
                 order, starts = _sort_groups([k >> shift for k in cols])
                 ids = np.empty(order.size, dtype=np.int64)
-                ids[order] = np.repeat(np.arange(starts.size), np.diff(starts, append=order.size))
+                ids[order] = np.repeat(np.arange(starts.size), _run_lengths(starts, order.size))
                 mask = (1 << shift) - 1
                 memo[level] = ids, tuple(k & mask for k in cols)
         return memo[level]
@@ -326,44 +329,61 @@ def _coarse_key(dim: int, key, shift: int):
     return key[0] >> shift, key[1] >> shift
 
 
+def _pack(
+    cols: list[np.ndarray], low: np.ndarray | None, bits: int
+) -> tuple[np.ndarray, list[tuple[int, int]]] | None:
+    """The rows of int64 key columns as one sorted key; None when the key
+    with its payload bits reaches ``2**63``.
+
+    Each column is offset by its least value and weighted by the product of
+    the value ranges after it, so the key sorts as the rows do.  The last
+    column sets the rows; the others may be any shape that broadcasts to it.
+    ``low`` (values below ``2**bits``, one per row of a block of ``low.size``
+    rows, the blocks repeating) rides in the ``bits`` low bits.  The key is
+    sorted as int32 when it fits 31 bits.  Returns the sorted key and each
+    column's ``(least, greatest)``.
+    """
+    spans = [(int(c.min()), int(c.max())) for c in cols]
+    radix = math.prod(hi - lo + 1 for lo, hi in spans)
+    if radix << bits >= _INT64_LIMIT:  # numpy refuses to unravel a radix of 2**63
+        return None
+    packed = cols[-1] - spans[-1][0]
+    weight = spans[-1][1] - spans[-1][0] + 1
+    for c, (lo, hi) in zip(cols[-2::-1], spans[-2::-1]):
+        packed += (c - lo) * weight  # each partial sum is below the radix
+        weight *= hi - lo + 1
+    packed = packed.reshape(-1)
+    if bits:
+        packed <<= bits
+        blocks = packed.reshape(-1, low.size)
+        blocks |= low
+    if radix << bits <= 1 << 31:
+        packed = packed.astype(np.int32)
+    packed.sort()
+    return packed, spans
+
+
 def _sort_groups(cols: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Sort the rows of int64 key columns lexicographically.
 
     Returns the sorting order and the start of each run of equal rows.  The
-    columns are packed into one non-negative int64 key when their value
-    ranges allow it.  When the row index also fits in the bits the packed
-    key leaves free, the values ``(packed << bits) | row`` are sorted and
-    each row is read back from the low bits; else the packed key is sorted
-    with ``argsort``, and past 63 bits the columns with ``lexsort``.
+    row index rides in the low bits of the packed key (``_pack``) and is read
+    back from them; past 63 bits the columns are sorted with ``lexsort``.
     """
-    spans = [(int(c.min()), int(c.max())) for c in cols]
-    radix = math.prod(hi - lo + 1 for lo, hi in spans)
-    if radix >= _INT64_LIMIT:
+    bits = (cols[0].size - 1).bit_length()
+    packed = _pack(cols, np.arange(cols[0].size), bits)
+    if packed is None:
         order = np.lexsort(cols[::-1])
         return order, _run_starts(*(c[order] for c in cols))
-    packed = cols[0] - spans[0][0]
-    for c, (lo, hi) in zip(cols[1:], spans[1:]):
-        # in place, as in _pushed; int64 arithmetic is exact modulo 2**64, so
-        # a partial sum that wraps comes back to the packed key, below 2**63
-        packed *= hi - lo + 1
-        packed -= lo
-        packed += c
-    bits = (packed.size - 1).bit_length()
-    if radix << bits <= _INT64_LIMIT:
-        packed <<= bits
-        packed |= np.arange(packed.size)
-        packed.sort()
-        order = packed & ((1 << bits) - 1)
-        packed >>= bits
-        return order, _run_starts(packed)
-    order = np.argsort(packed)
-    return order, _run_starts(packed[order])
+    packed, _ = packed
+    order = packed & ((1 << bits) - 1)
+    return order, _run_starts(packed >> bits)
 
 
 def _pushed(
     low: tuple[np.ndarray, np.ndarray], slopes: list[tuple[int, int]], shift: int
 ) -> np.ndarray:
-    """``(x + floor(c * y)) >> shift`` of every key, slope after slope: one
+    """``(x + floor(c * y)) >> shift`` of every key, one row per slope: one
     int64 outer product over the largest ``q`` of ``c = p / 2**q`` while
     ``p * y`` fits 63 bits, ``slope_floor`` per slope past that."""
     x, y = low
@@ -371,20 +391,20 @@ def _pushed(
     ps = [p << (q_max - q) for p, q in slopes]
     y_max = max(-int(y.min()), int(y.max()))
     if max(map(abs, ps)).bit_length() + y_max.bit_length() > 63:
-        out = np.concatenate([x + slope_floor(p, q, y) for p, q in slopes])
+        out = np.array([x + slope_floor(p, q, y) for p, q in slopes])
     else:  # in place: every fresh scratch column of 2**14 rows can cost page faults
         out = np.multiply.outer(np.array(ps, dtype=np.int64), y)
         out >>= min(q_max, 63)
         out += x
     out >>= shift
-    return out.ravel()
+    return out
 
 
 def _cell_counts(
     mu: DiscreteMeasure, slopes: list, cell_level: int | None, bucket_level: int
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray, Callable[[], list[np.ndarray]]]:
     """The measure kernel: exact bucket masses within each cell, for a batch
-    of slopes in one ``_sort_groups`` call over (slope, cell, bucket).
+    of slopes in one sort over (slope, cell, bucket).
 
     Each level-``cell_level`` cell is rescaled to the unit cell (as
     ``renormalize_cell`` does), pushed by ``(x, y) -> x + c*y`` for every
@@ -394,30 +414,50 @@ def _cell_counts(
     key shifted right ``n - bucket_level`` bits.  ``cell_level=None`` takes
     the whole measure as one cell without rescaling.
 
+    Each row's numerator, less the least one, rides in the low bits of its
+    packed key (``_pack``), so a bucket's mass is the least numerator times
+    its rows plus the sum of those bits, with no row order and no gather.
+    Past 63 bits, or with Python-int numerators, ``_sort_groups`` sorts.
+
     Returns ``(counts, starts, keys)``: the numerator mass of every occupied
     bucket, grouped slope by slope and within a slope cell by cell; the
     index of each (slope, cell) group's first bucket, every slope having one
-    group per occupied cell; and the bucket key columns.
+    group per occupied cell; and a function that unpacks the bucket key
+    columns (``coarsen`` and ``project`` read them, the statistics do not).
     """
     cell, low = mu._cells(cell_level)
     shift = mu.n - bucket_level
     size, batch = mu.support_size(), len(slopes)
-    if slopes == [None]:
-        buckets = [k >> shift for k in low]
+    buckets = [k >> shift for k in low] if slopes == [None] else [_pushed(low, slopes, shift)]
+    dims = len(buckets)
+    group = [] if batch == 1 else [np.arange(batch)[:, None]]  # the slope index of each row
+    if cell is not None:
+        group.append(cell)
+    cols, nums, packed = group + buckets, mu._columns[1], None
+    if nums.dtype != object:
+        least = int(nums.min())
+        bits = (int(nums.max()) - least).bit_length()
+        packed = _pack(cols, nums - least if bits else None, bits)
+    if packed is None:  # the row-index route: a permutation and a gather
+        cols = [np.broadcast_to(c, (batch, size)).ravel() for c in cols]
+        order, heads = _sort_groups(cols)
+        counts = np.add.reduceat(np.tile(nums, batch)[order], heads)
+        rows = [c[order[heads]] for c in cols]
+        group, keys = rows[:-dims], lambda: rows[-dims:]
     else:
-        buckets = [_pushed(low, slopes, shift)]
-    group = None
-    if batch > 1 or cell is not None:  # one column: slope index * cells + cell
-        cells = 1 if cell is None else int(cell.max()) + 1
-        group = np.repeat(np.arange(0, batch * cells, cells), size)
-        if cell is not None:
-            group.reshape(batch, size)[:] += cell
-    order, bucket_starts = _sort_groups(buckets if group is None else [group, *buckets])
-    firsts = order[bucket_starts]
-    starts = np.zeros(1, dtype=np.int64) if group is None else _run_starts(group[firsts])
-    nums = mu._columns[1] if batch == 1 else np.tile(mu._columns[1], batch)  # one per row
-    counts = np.add.reduceat(nums[order], bucket_starts)
-    return counts, starts, [b[firsts] for b in buckets]
+        packed, spans = packed
+        key = packed >> bits if bits else packed
+        heads = _run_starts(key)
+        counts = _run_lengths(heads, key.size)
+        counts *= least
+        if bits:
+            counts += np.add.reduceat(packed & ((1 << bits) - 1), heads, dtype=np.int64)
+        key, widths = key[heads].astype(np.int64), [hi - lo + 1 for lo, hi in spans]
+        if group:  # the (slope, cell) part of each bucket's key
+            group = [key // math.prod(widths[-dims:])]
+        keys = lambda: [c + lo for c, (lo, _) in zip(np.unravel_index(key, widths), spans)][-dims:]
+    starts = _run_starts(*group) if group else np.zeros(1, dtype=np.int64)
+    return counts, starts, keys
 
 
 def _cell_entropies(counts: np.ndarray, starts: np.ndarray) -> tuple[list[int], list[float]]:
@@ -425,7 +465,10 @@ def _cell_entropies(counts: np.ndarray, starts: np.ndarray) -> tuple[list[int], 
 
     ``H = log2(M) - S / M`` with exact integers inside the logs, where ``S``
     sums ``t = b * log2(b)`` over the group's buckets, each ``t`` evaluated
-    once per distinct count.  ``S`` is rounded once from its exact value,
+    once per distinct count.  The distinct counts are read off a presence
+    table indexed by count while the largest count is at most 4 times the
+    number of buckets (tables of at most 36 bytes a bucket), and off the
+    sorted counts past that.  ``S`` is rounded once from its exact value,
     which is what the correctly rounded ``fsum`` of the ``t`` returns, in any
     bucket order.  Every ``t`` is a multiple of ``2**-k`` (``k`` set by the
     least positive one); scaled by ``2**(k - L)`` it splits into a whole
@@ -437,17 +480,27 @@ def _cell_entropies(counts: np.ndarray, starts: np.ndarray) -> tuple[list[int], 
     integer and divided once.
     """
     masses = np.add.reduceat(counts, starts).tolist()
-    distinct = _distinct(np.sort(counts))
+    most = int(counts.max())
+    if counts.dtype != object and most <= 4 * counts.size:
+        present = np.zeros(most + 1, dtype=bool)
+        present[counts] = True
+        distinct = np.flatnonzero(present)
+        rank = np.empty(most + 1, dtype=np.intp)  # each present count's rank, an index
+        rank[distinct] = np.arange(distinct.size)
+        index = rank[counts]
+    else:
+        distinct = _distinct(np.sort(counts))
+        index = np.searchsorted(distinct, counts)
     table = [b * math.log2(b) for b in distinct.tolist()]
     least = next((t for t in table if t), 0.0)  # t grows with b: the least positive t
     k = max(53 - math.frexp(least)[1], 0) if least else 0
-    frac_bits = 53 - int(np.diff(starts, append=counts.size).max()).bit_length()
+    frac_bits = 53 - int(_run_lengths(starts, counts.size).max()).bit_length()
     top = max(masses).bit_length()
-    index = np.searchsorted(distinct, counts)
     if k - frac_bits + top + top.bit_length() <= 53:
-        scaled = np.array(table)[index] * 2.0 ** (k - frac_bits)
-        whole = np.floor(scaled)
-        sums = np.add.reduceat(whole, starts) + np.add.reduceat(scaled - whole, starts)
+        scaled = np.array(table) * 2.0 ** (k - frac_bits)
+        whole = np.floor(scaled)  # split once per distinct count, read per bucket
+        frac = scaled - whole
+        sums = np.add.reduceat(whole[index], starts) + np.add.reduceat(frac[index], starts)
         sums = (sums * 2.0 ** (frac_bits - k)).tolist()
     else:
         exact = np.array([int(math.ldexp(t, k)) for t in table], dtype=object)[index]
@@ -564,7 +617,7 @@ def coarsen(mu: DiscreteMeasure, j: int) -> DiscreteMeasure:
         raise ValueError("coarsen to j >= 1")
     _check_level(mu, j)
     counts, _, keys = _cell_counts(mu, [None], None, j)
-    return DiscreteMeasure._from_columns(mu.dim, j, tuple(keys), counts, mu.denom)
+    return DiscreteMeasure._from_columns(mu.dim, j, tuple(keys()), counts, mu.denom)
 
 
 def renormalize_cell(mu: DiscreteMeasure, q_key, j: int) -> DiscreteMeasure:
@@ -606,7 +659,7 @@ def project(mu: DiscreteMeasure, c) -> DiscreteMeasure:
     if mu.dim != 2:
         raise ValueError("project expects a planar measure")
     counts, _, keys = _cell_counts(mu, [dyadic_slope(c)], None, mu.n)
-    return DiscreteMeasure._from_columns(1, mu.n, tuple(keys), counts, mu.denom)
+    return DiscreteMeasure._from_columns(1, mu.n, tuple(keys()), counts, mu.denom)
 
 
 def convolve(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeasure:

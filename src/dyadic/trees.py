@@ -26,7 +26,7 @@ from typing import Iterable
 import numpy as np
 
 from .grid import DeltaSet, FormatError, certify, load_json, pow2_ge, pow2_le
-from .grid import _pow2_cmp, _ratio, _run_heads
+from .grid import _pow2_cmp, _ratio, _run_heads, _run_lengths
 
 __all__ = [
     "BranchingProfile",
@@ -192,7 +192,7 @@ def branching_profile_of(A: DeltaSet, m: int, levels: int) -> BranchingProfile |
     _check_tree(A, m, levels)
     _, opens, bounds, _ = _tree_levels(A.indices, A.n, m, 1, levels)
     firsts = np.flatnonzero(opens)
-    counts = np.diff(firsts, append=opens.size)  # children per parent, depth by depth
+    counts = _run_lengths(firsts, opens.size)  # children per parent, depth by depth
     per_depth = np.searchsorted(firsts, bounds)  # each depth's first parent, and the total
     r = counts[per_depth[:-1]]
     if not np.array_equal(counts, np.repeat(r, np.diff(per_depth))):
@@ -267,7 +267,7 @@ def uniformize(A: DeltaSet, m: int, levels: int) -> tuple[DeltaSet, BranchingPro
     for depth in range(levels, 0, -1):
         cells, opens, _, ids = _tree_levels(idx, A.n, m, depth, depth)
         starts = np.flatnonzero(opens)
-        counts = np.diff(starts, append=cells.size)
+        counts = _run_lengths(starts, cells.size)
         # counts <= 2**m << 2**53, so float log2 + ceil is exact here
         buckets = np.where(counts == 1, 0, np.ceil(np.log2(counts)).astype(np.int64))
         best_k, best_score, best_take = -1, -1, 0

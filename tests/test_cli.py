@@ -479,11 +479,15 @@ def test_sumset_past_the_byte_budget_gives_one_line_error(tmp_path, runner):
         (["uniformize", "{set}", "{out}", "--m", "0", "--levels", "6"],
          "resolution does not match m * levels"),
         (["analyze", "{set}", "--m", "0"], "m must be >= 1"),
+        (["extend", "{profile}", "--ell", "0"], "ell must be >= 1"),
+        (["extend", "{profile}", "--ell", "-1"], "ell must be >= 1"),
     ],
 )
 def test_argument_outside_the_domain_gives_a_one_line_usage_error(tmp_path, runner, args, reason):
-    files = {"set": tmp_path / "s.txt", "mu": tmp_path / "mu.json", "out": tmp_path / "out.txt"}
+    files = {"set": tmp_path / "s.txt", "mu": tmp_path / "mu.json", "out": tmp_path / "out.txt",
+             "profile": tmp_path / "b.json"}
     save_set(gen_ap(6, 16), files["set"])
+    save_profile(BranchingProfile(1, (2, 2, 1, 1)), files["profile"])
     mu = product_measure(counting_measure(gen_ap(8, 16)), counting_measure(gen_ap(8, 4)))
     save_measure(mu, files["mu"])
     res = runner.invoke(main, [arg.format(**files) for arg in args])

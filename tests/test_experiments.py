@@ -507,8 +507,8 @@ def test_assembly_makes_one_kernel_pass_per_slope_on_2_16_atoms(monkeypatch):
     from dyadic import measures
 
     passes = []
-    real = measures._sort_groups
-    monkeypatch.setattr(measures, "_sort_groups", lambda cols: passes.append(1) or real(cols))
+    real = measures._cell_counts
+    monkeypatch.setattr(measures, "_cell_counts", lambda *args: passes.append(1) or real(*args))
     rep = run_final_assembly(seed=9)
     assert rep.size_a * rep.size_b_collapsed == 1 << 16 and len(rep.cs) == 64
     assert [(b.lo, b.hi) for b in rep.blocks] == [(0, 7)]
@@ -522,8 +522,8 @@ def test_assembly_batches_the_slopes_of_a_2_10_atom_measure(monkeypatch):
     from dyadic import measures
 
     passes = []
-    real = measures._sort_groups
-    monkeypatch.setattr(measures, "_sort_groups", lambda cols: passes.append(1) or real(cols))
+    real = measures._cell_counts
+    monkeypatch.setattr(measures, "_cell_counts", lambda *args: passes.append(1) or real(*args))
     rep = run_final_assembly(seed=2)
     assert rep.size_a * rep.size_b_collapsed == 1 << 10 and len(rep.cs) == 64
     assert [(b.lo, b.hi) for b in rep.blocks] == [(0, 7)] and not rep.cell_audits

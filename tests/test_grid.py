@@ -60,6 +60,14 @@ def test_deltaset_rejects_bad_input():
     DeltaSet(4, np.array([0, 16]), width=2)
 
 
+def test_deltaset_refuses_repeated_and_wrapping_indices():
+    with pytest.raises(ValueError, match="strictly increasing"):
+        DeltaSet(4, [1, 1])
+    # a difference of int64 indices wraps here: -2**63 - 2**62 reads as 2**62
+    with pytest.raises(ValueError, match="strictly increasing"):
+        DeltaSet(62, np.array([1 << 62, -(1 << 63)]), width=2)
+
+
 def test_deltaset_refuses_resolution_past_62_bits():
     DeltaSet(62, np.array([0, 5]))
     for n in (63, 70):

@@ -791,6 +791,151 @@ def test_project_and_coarsen_columns_match_the_sorted_dict_reference(case):
         assert nums.tolist() == [ref[k] for k in sorted(ref)]
 
 
+# ------------------------------------------- the kernel against a plain sort
+
+
+def reference_counts(mu, slopes, cell_level, bucket_level):
+    """``_cell_counts`` by a plain sort: one row per (slope, atom) in Python
+    integers, sorted by (slope, cell, bucket), then a sum per bucket.
+    Returns the bucket masses, the first bucket of each (slope, cell) group
+    and the bucket key columns."""
+    keys, nums = mu._columns
+    rows = []
+    for i, slope in enumerate(slopes):
+        for *key, num in zip(*(k.tolist() for k in keys), nums.tolist()):
+            cell = ()
+            if cell_level is not None:
+                shift = mu.n - cell_level
+                cell = tuple(k >> shift for k in key)
+                key = [k - (q << shift) for k, q in zip(key, cell)]
+            if slope is not None:
+                key = [key[0] + ((slope[0] * key[1]) >> slope[1])]
+            rows.append(((i, cell), tuple(k >> (mu.n - bucket_level) for k in key), num))
+    rows.sort()
+    counts, starts, buckets = [], [], []
+    for j, (group, bucket, num) in enumerate(rows):
+        if j and rows[j - 1][:2] == (group, bucket):
+            counts[-1] += num
+            continue
+        if not j or rows[j - 1][0] != group:
+            starts.append(len(counts))
+        counts.append(num)
+        buckets.append(bucket)
+    return counts, starts, [list(col) for col in zip(*buckets)]
+
+
+def _kernel_case(dim, n, keys, nums, slopes, cell_level, bucket_level):
+    atoms = dict(zip(keys if dim == 2 else [k for k, _ in keys], nums))
+    return DiscreteMeasure(dim, n, atoms, sum(atoms.values())), slopes, cell_level, bucket_level
+
+
+def _grid_keys(count, spread, offset=0):
+    return [((7 * i * spread) % (64 * spread) - offset, (i * i * spread) % (32 * spread) - offset)
+            for i in range(count)]
+
+
+# named cases, each forcing one route of the kernel: (case, packed key dtype,
+# or None for the row-index route; payload bits; distinct counts by table)
+KERNEL_CASES = {
+    # equal numerators, several cells and slopes, an int32 key
+    "equal-int32": (_kernel_case(2, 6, _grid_keys(40, 1), [1] * 40,
+                                 [(1, 1), (-3, 2), (1, 0)], 2, 5), np.int32, 0, True),
+    # unequal numerators, the least 3; a 1-d key of 40 bits, one count of 2**20
+    "unequal-int64": (_kernel_case(1, 40, _grid_keys(30, 1 << 33), [3 + i for i in range(29)]
+                                   + [1 << 20], [None], None, 40), np.int64, 20, False),
+    # negative keys, a batch of five slopes over level-3 cells, numerators 1 to 3
+    "negative-batch": (_kernel_case(2, 10, _grid_keys(60, 16, 512), [1 + i % 3 for i in range(60)],
+                                    [(1, 2), (-1, 0), (5, 3), (-7, 4), (0, 0)], 3, 8),
+                       np.int32, 2, True),
+    # key plus one payload bit exactly at 31 bits, and one value past it
+    "edge-int32": (_kernel_case(1, 30, [(0, 0), ((1 << 30) - 1, 0), (5, 0)], [1, 2, 2],
+                                [None], None, 30), np.int32, 1, True),
+    "edge-int64": (_kernel_case(1, 31, [(0, 0), (1 << 30, 0), (5, 0)], [1, 2, 2],
+                                [None], None, 31), np.int64, 1, True),
+    # key ranges of 2**31 and 2**32: a radix of exactly 2**63 takes the row-index route
+    "radix-2**63": (_kernel_case(2, 62, [(0, 0), ((1 << 31) - 1, (1 << 32) - 1), (7, 1 << 20)],
+                                 [1, 1, 1], [None], None, 62), None, None, True),
+    # two 62-bit columns: key plus payload past 63 bits takes the row-index route
+    "past-63-bits": (_kernel_case(2, 62, _grid_keys(20, 1 << 55, 1 << 61), range(1, 21),
+                                  [None], None, 62), None, None, True),
+    # a denominator past 2**63: Python-int numerators, level-0 cells split by
+    # negative keys
+    "python-ints": (_kernel_case(2, 8, _grid_keys(25, 4, 64), [1] * 24 + [1 << 64],
+                                 [(1, 2), (-3, 3)], 0, 8), None, None, False),
+}
+
+
+@st.composite
+def kernel_cases(draw):
+    """A fresh measure, slopes, a cell level and a bucket level for one
+    ``_cell_counts`` call: keys of up to 12 or of 40 to 62 bits, possibly
+    negative; numerators all equal, small, up to 2**40 or past 2**63."""
+    dim = draw(st.sampled_from([1, 2]))
+    n = draw(st.one_of(st.integers(2, 12), st.integers(40, 62)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = draw(st.integers(1, 60))
+    keys = list(dict.fromkeys(map(tuple, rng.integers(0, 1 << n, size=(count, 2)).tolist())))
+    if draw(st.booleans()):
+        keys = [(x, y - (1 << (n - 1))) for x, y in keys]
+    top = draw(st.sampled_from([1, 4, 1 << 40]))
+    nums = rng.integers(1, top + 1, size=len(keys)).tolist()
+    nums[0] += (1 << 64) if draw(st.booleans()) else 0
+    slopes = [None]
+    if dim == 2 and draw(st.booleans()):
+        slopes = []
+        for _ in range(draw(st.integers(1, 5))):
+            q = draw(st.one_of(st.integers(0, n + 2), st.just(70)))
+            slopes.append(dyadic_slope(Fraction(draw(st.integers(-(1 << q), 1 << q)), 1 << q)))
+    cell_level = draw(st.one_of(st.none(), st.integers(0, n - 1)))
+    bucket_level = draw(st.integers(cell_level or 0, n))
+    return _kernel_case(dim, n, keys, nums, slopes, cell_level, bucket_level)
+
+
+@given(kernel_cases())
+@example(KERNEL_CASES["equal-int32"][0])
+@example(KERNEL_CASES["unequal-int64"][0])
+@example(KERNEL_CASES["negative-batch"][0])
+@example(KERNEL_CASES["edge-int32"][0])
+@example(KERNEL_CASES["edge-int64"][0])
+@example(KERNEL_CASES["radix-2**63"][0])
+@example(KERNEL_CASES["past-63-bits"][0])
+@example(KERNEL_CASES["python-ints"][0])
+@settings(max_examples=150, deadline=None)
+def test_cell_counts_match_a_plain_sort_and_sum(case):
+    from dyadic.measures import _cell_counts, _cell_entropies
+
+    mu, slopes, cell_level, bucket_level = case
+    counts, starts, keys = _cell_counts(mu, slopes, cell_level, bucket_level)
+    want_counts, want_starts, want_keys = reference_counts(*case)
+    assert counts.tolist() == want_counts
+    assert starts.tolist() == want_starts
+    assert [k.tolist() for k in keys()] == want_keys
+    groups = [want_counts[a:b] for a, b in zip(want_starts, want_starts[1:] + [None])]
+    masses = [sum(g) for g in groups]
+    hs = [math.log2(m) - math.fsum([b * math.log2(b) for b in g]) / m for m, g in zip(masses, groups)]
+    assert _cell_entropies(counts, starts) == (masses, hs)
+
+
+@pytest.mark.parametrize("name", KERNEL_CASES)
+def test_kernel_examples_take_their_routes(name, monkeypatch):
+    from dyadic import measures
+
+    (mu, slopes, cell_level, bucket_level), dtype, bits, by_table = KERNEL_CASES[name]
+    mu._cells(cell_level)  # the memoised cell grouping sorts rows of its own
+    packs = []
+    real = measures._pack
+    monkeypatch.setattr(
+        measures, "_pack", lambda cols, low, b: packs.append((real(cols, low, b), b)) or packs[-1][0]
+    )
+    counts, _, _ = measures._cell_counts(mu, slopes, cell_level, bucket_level)
+    if dtype is None:  # Python-int numerators, or no packing: the row-index route
+        assert mu._columns[1].dtype == object or packs[0][0] is None
+    else:
+        (packed, _), payload = packs[0]
+        assert len(packs) == 1 and packed.dtype == dtype and payload == bits
+    assert (counts.dtype != object and int(counts.max()) <= 4 * counts.size) == by_table
+
+
 # ------------------------------------------------------- the kernel's domain
 
 
