@@ -32,6 +32,7 @@ from .grid import (
     CertificateError,
     DeltaSet,
     FormatError,
+    check_resolution,
     covering_counts,
     frostman_check,
     gen_aligned_triple,
@@ -75,6 +76,15 @@ def _emit(ctx, payload, rows=None) -> None:
             fh.write(text)
     else:
         click.echo(text, nl=False)
+
+
+def _fraction(text: str, option: str) -> Fraction:
+    """The value of a fraction option; text that is not one, a zero
+    denominator included, is a usage error naming the option."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"Invalid value for '{option}': {text!r} is not a fraction") from None
 
 
 def _seed(ctx) -> int:
@@ -132,7 +142,7 @@ def gen_ap_cmd(n, size, step, start, dest):
 
 @gen.command("aligned")
 @click.option("--n-param", type=int, required=True,
-              help="Instance size parameter; 1 or a power of 16.")
+              help="Instance size parameter; a power of 16, at least 16.")
 @click.argument("dest_a", type=click.Path(dir_okay=False))
 @click.argument("dest_b", type=click.Path(dir_okay=False))
 @click.argument("dest_c", type=click.Path(dir_okay=False))
@@ -167,6 +177,7 @@ def gen_tree_cmd(ctx, profile_path, placement, dest):
 @click.pass_context
 def gen_random_cmd(ctx, n, size, dest):
     """Uniformly random size-point subset of the index grid."""
+    check_resolution(n)
     if not 1 <= size <= 1 << n:
         raise click.UsageError("need 1 <= size <= 2**n")
     rng = named_stream(_seed(ctx), "cli/gen-random")
@@ -190,9 +201,10 @@ def analyze(ctx, set_path, kappa, m):
     """Covering counts, Frostman audit, and branching profile of a set."""
     if m < 1:
         raise ValueError("m must be >= 1")
+    kappa = _fraction(kappa, "--kappa")
     a = load_set(set_path)
     counts = covering_counts(a)
-    report = frostman_check(a, Fraction(kappa), r_min_exp=a.n, r_max_exp=1)
+    report = frostman_check(a, kappa, r_min_exp=a.n, r_max_exp=1)
     levels = a.n // m
     profile = branching_profile_of(a, m, levels) if levels * m == a.n else None
     payload = {
@@ -272,15 +284,15 @@ def extend_cmd(ctx, b_profile_path, ell, zeta, a_profile_path, gamma_cap, family
     """Trivial runs -> lifted -> extended intervals (optionally classified)."""
     if ell < 1:
         raise ValueError("ell must be >= 1")
+    zeta, gamma_cap = _fraction(zeta, "--zeta"), _fraction(gamma_cap, "--gamma-cap")
     profile = load_profile(b_profile_path)
     if profile.levels % ell:
         raise click.UsageError("profile length must be a multiple of --ell")
     runs = trivial_intervals(profile.coarsen(ell))
     if len(runs):
-        family = extend_intervals(profile, lift_intervals(runs, ell), Fraction(zeta), ell)
+        family = extend_intervals(profile, lift_intervals(runs, ell), zeta, ell)
         if a_profile_path is not None:
-            family = classify_low_high(family, load_profile(a_profile_path),
-                                       Fraction(gamma_cap))
+            family = classify_low_high(family, load_profile(a_profile_path), gamma_cap)
     else:
         family = IntervalFamily(())
     if family_out:
@@ -300,7 +312,7 @@ def entropy_cmd(ctx, measure_path, c_values, cuts):
     """Entropy chain of a planar measure at the given cuts, per slope."""
     mu = load_measure(measure_path)
     cut_list = [int(tok) for tok in cuts.split(",")]
-    cs = [Fraction(c_str) for c_str in c_values]
+    cs = [_fraction(c_str, "--c") for c_str in c_values]
     rows, reports = [], []
     for c_str, rep in zip(c_values, _chain_reports(mu, cs, cut_list)[0]):
         reports.append(
@@ -345,8 +357,10 @@ def project_avg_cmd(ctx, mu_path, nu_path, gamma_a, gamma_b, gamma, xi, big_c,
     """Slope-averaged projection bound (L2 form or entropy form)."""
     mu = load_measure(mu_path)
     nu = load_measure(nu_path)
-    params = ProjectionParams(Fraction(gamma_a), Fraction(gamma_b),
-                              Fraction(gamma), Fraction(xi), Fraction(big_c))
+    params = ProjectionParams(
+        _fraction(gamma_a, "--gamma-a"), _fraction(gamma_b, "--gamma-b"),
+        _fraction(gamma, "--gamma"), _fraction(xi, "--xi"), _fraction(big_c, "--big-c"),
+    )
     if mode == "l2":
         rep = averaged_l2(mu, nu, params, strict=strict, check="auto")
         rows = [{"c": str(c), "l2": float(v)} for c, v in rep.per_c]
@@ -382,7 +396,7 @@ def ladder_cmd(ctx, set_path, steps):
 def greedy_cmd(ctx, b_path, c_path, steps, eta):
     """Greedy iterated-sum ladder with per-step best slopes."""
     rep = run_greedy_iterated_sum(load_set(b_path), load_set(c_path), steps,
-                                  Fraction(eta))
+                                  _fraction(eta, "--eta"))
     rows = [
         {"step": i + 1, "size": size, "c": str(c)}
         for i, (size, c) in enumerate(zip(rep.sizes, rep.c_sequence))
@@ -432,8 +446,8 @@ def assemble_cmd(ctx, m, ell, big_n, eta, zeta, xi, gamma_cap, c_bits, c0_bits,
                  pattern):
     """One full multiscale assembly run with every bound verified."""
     params = AssemblyParams(
-        m=m, ell=ell, big_n=big_n, eta=Fraction(eta), zeta=Fraction(zeta),
-        xi=Fraction(xi), gamma_cap=Fraction(gamma_cap), c_bits=c_bits,
+        m=m, ell=ell, big_n=big_n, eta=_fraction(eta, "--eta"), zeta=_fraction(zeta, "--zeta"),
+        xi=_fraction(xi, "--xi"), gamma_cap=_fraction(gamma_cap, "--gamma-cap"), c_bits=c_bits,
         c0_bits=c0_bits, pattern=pattern,
     )
     rep = run_final_assembly(params, seed=_seed(ctx))

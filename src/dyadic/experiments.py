@@ -35,8 +35,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .grid import DeltaSet, ParameterSet, ScaleSpec, certify, gen_ap, load_json, sumset
+from .grid import DeltaSet, ParameterSet, ScaleSpec, aligned_exponent, certify, gen_ap
 from .grid import SUMSET_BYTE_BUDGET, BudgetError, FormatError, _distinct, _shifts, _sum_support
+from .grid import load_json, sumset
 from .measures import (
     _chain_reports,
     _fiber_bound,
@@ -198,10 +199,9 @@ class SharpnessRow:
     best_c_slope: float | None
 
 
-def _aligned_triple_sizes(n_param: int) -> tuple[int, int, int, Fraction]:
-    """(|A|, |A + BC|, best-c size, best c) for the aligned triple."""
-    t4 = n_param.bit_length() - 1
-    t = t4 // 4
+def _aligned_triple_sizes(t: int) -> tuple[int, int, int, Fraction]:
+    """(|A|, |A + BC|, best-c size, best c) for the aligned triple of
+    ``n_param = 16**t``."""
     root, quarter = 1 << (2 * t), 1 << t
     a_idx = np.arange(1, root + 1, dtype=np.int64)
     j = np.arange(1, quarter + 1, dtype=np.int64)
@@ -229,11 +229,12 @@ def run_alignment_sharpness(n_params: Iterable[int]) -> list[SharpnessRow]:
     for n_param in sorted(set(int(x) for x in n_params)):
         if n_param > (1 << 24):
             raise ValueError("n_param exceeds the enumeration guard 2**24")
-        if n_param == 1:
+        t = aligned_exponent(n_param)
+        if t == 0:
             one = Fraction(1)
             rows.append(SharpnessRow(1, 1, 1, one, None, one, 1, one, None))
             continue
-        size_a, sum_size, best_size, best_c = _aligned_triple_sizes(n_param)
+        size_a, sum_size, best_size, best_c = _aligned_triple_sizes(t)
         ratio = Fraction(sum_size, size_a)
         ratio_c = Fraction(best_size, size_a)
         logn = math.log(n_param)

@@ -20,7 +20,7 @@ rational in ``pow2_le`` and ``pow2_ge``.
 Sumsets.  ``sumset(A, c, B)`` turns every slope into the integer sumset
 ``A + V`` with ``V = {floor(c * b)}`` (B's own indices for ``c = 1``, so a
 unit slope takes no floor or dedup pass) and hands it to one kernel,
-``_sum_support``.  The kernel takes the cheapest of four routes under a
+``_sum_support``.  The kernel takes the cheapest of five routes under a
 cost model fitted on a 2-core x86-64 VM with numpy 2.4:
 
 * outer sums, sorted, duplicates dropped: small products, and windows too
@@ -35,18 +35,24 @@ cost model fitted on a 2-core x86-64 VM with numpy 2.4:
 * an FFT convolution of the two 0/1 indicators over the window
   ``[a0 + v0, a_max + v_max]``, in float64 ``numpy.fft`` at the shortest
   length ``2**a`` or ``3 * 2**a`` covering it (``_fft_length``), then
-  ``rint``: both operands dense in one window.
+  ``rint``: both operands dense in one window;
+* the window less what its two ends miss (``dense``, proved exact at
+  ``_sum_support``): operands nearly full in their spans, as the doubling
+  ladder's are after two or three steps.
 
-Crossovers of the model, with times measured there: ``A + A`` on an
-interval leaves the outer sums for the FFT at 66 points (outer 53 us and
-FFT 58 us at 66 points; 183 us and 55 us at 128); an interval plus 8
-shifts 64 apart leaves the outer sums for the scatter at 256 points (39 us
-and 37 us); an interval plus 32 shifts 64 apart leaves the scatter for
-the bitset at 511 points (147 us and 116 us; 206 us and 122 us at 1,024);
-an interval of 4,096 points plus an interval of x points leaves the bitset
-for the FFT at x = 136 (338 us and 360 us; 588 us and 360 us at 256).  Two
-random 2,048-point sets at n = 16 take the bitset: 4.6 ms against 9.3 ms
-for their FFT (medians of 20 alternating runs).
+Crossovers of the model, with times measured there (medians of 20 to 41
+alternating runs): ``A + A`` on an interval leaves the outer sums for the
+dense route at 43 points (149 us and 21 us at 128), and on a progression
+of step 3, which the dense route refuses, for the FFT at 73 points (172
+us and 73 us at 128); with A the even indices below 256 plus the interval
+below x, ``A + A`` leaves the FFT for the dense route at x = 186 (65 us
+and 36 us at 240); an interval plus 8 shifts 64 apart leaves the outer
+sums for the scatter at 256 points (39 us and 37 us); an interval plus 32
+shifts 64 apart leaves the scatter for the bitset at 511 points (206 us
+and 122 us at 1,024); the 2,048 even indices below 4,096 plus the x even
+indices below 2x leave the bitset for the FFT at x = 136 (348 us and 324
+us).  Two random 2,048-point sets at n = 16 take the bitset: 4.6 ms
+against 9.3 ms for their FFT.
 
 The FFT route is exact.  It is taken only where Percival's a-priori bound
 on the error of every convolution entry (``_fft_error_bound``, about
@@ -55,8 +61,8 @@ every call certifies through ``certify`` that each entry lies within 1/4
 of an integer and that the rounded counts add up to ``|A| |V|``.  The
 support of the rounded counts is then the sumset.  ``certify`` raises
 ``CertificateError``, which ``python -O`` keeps.  A self-sum ``A + A``
-(each step of the doubling ladder) transforms its indicator once and
-squares the spectrum.  The other three routes are integer logic and need
+(the doubling ladder's first steps) transforms its indicator once and
+squares the spectrum.  The other four routes are integer logic and need
 no certificate.
 
 Iterated sums.  ``iterated_sum(B, k)`` takes ``kB`` as the support of
@@ -78,7 +84,8 @@ Memory.  Each route's scratch is estimated before anything is allocated:
 one per window index plus 16 per point of the larger operand and 16 per
 point of the result; for the bitset 576 per word of the packed operand
 (its 64 copies and their build), two per window index and 16 per point
-of the result.  A route past
+of the result; for the dense route eight per window index and 17 per
+pair of its two end sums.  A route past
 ``SUMSET_BYTE_BUDGET`` (1 GiB) is not taken, and when none fits,
 ``BudgetError`` (a ValueError) is raised before allocating.
 """
@@ -225,6 +232,14 @@ def pow2_ge(frac: Fraction, value) -> bool:
     return _pow2_sign(frac, value) >= 0
 
 
+def check_resolution(n: int) -> None:
+    """Refuse a resolution exponent outside ``1 <= n <= 62``."""
+    if n < 1:
+        raise ValueError("resolution exponent n must be >= 1")
+    if n > 62:
+        raise ValueError(f"resolution exponent n={n} exceeds the 62-bit limit of int64 indices")
+
+
 @dataclass(frozen=True)
 class DeltaSet:
     """A finite set of dyadic grid points at resolution ``2**-n``.
@@ -239,12 +254,7 @@ class DeltaSet:
     width: int = 1
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("resolution exponent n must be >= 1")
-        if self.n > 62:
-            raise ValueError(
-                f"resolution exponent n={self.n} exceeds the 62-bit limit of int64 indices"
-            )
+        check_resolution(self.n)
         if self.width < 1:
             raise ValueError("width must be >= 1")
         idx = np.asarray(self.indices, dtype=np.int64)
@@ -458,11 +468,14 @@ def _shifts(c, B: DeltaSet) -> np.ndarray:
 # N-point transforms; the scatter about 2.5 ns per write, 1 us per shift and 2 ns
 # per window byte; the bitset OR 40 us per call, 2 us per shift, 0.6 ns per
 # word ORed, 1.2 ns per word of the 64 shifted copies and 2 ns per window bit
-# unpacked.  The scratch bytes per pair, per FFT point, per packed word and
-# per window byte bound what tracemalloc read.
+# unpacked; the dense route 20 us per call, 1.5 ns per window index and 5 ns
+# per pair of each end sum (an outer add, a compare and a masked scatter).
+# The scratch bytes per pair, per FFT point, per packed word and per window
+# byte bound what tracemalloc read.
 _OUTER_NS, _FFT_NS, _SCATTER_NS, _SHIFT_NS, _WINDOW_NS = 1.0, 3.5, 2.5, 2000.0, 2.0
 _FFT_CALL_NS = 50_000.0
 _BITSET_CALL_NS, _BITSET_SHIFT_NS, _WORD_NS, _COPY_NS, _BIT_NS = 40_000.0, 2000.0, 0.6, 1.2, 2.0
+_DENSE_CALL_NS, _DENSE_NS, _END_NS = 20_000.0, 1.5, 5.0
 _OUTER_BYTES, _FFT_BYTES, _WORD_BYTES = 17, 40, 8 * 72
 _EPS = 2.0**-53  # unit roundoff of float64
 
@@ -567,6 +580,11 @@ def _fitting_routes(na: int, nv: int, span: int, a_span: int) -> list[tuple[floa
     ]
     if _fft_error_bound(pairs, nfft) < 0.25:
         routes.append((_FFT_CALL_NS + _FFT_NS * nfft * nfft.bit_length(), _FFT_BYTES * nfft, "fft"))
+    holes = span + 1 - na - nv  # the indices of the two operands' spans that they miss
+    if holes < min(a_span, span + 1 - a_span):
+        ends = min(holes, na) * min(holes, nv)  # pairs of the outer sums at each end
+        dense_ns = _DENSE_CALL_NS + _DENSE_NS * span + 2 * _END_NS * ends
+        routes.append((dense_ns, 8 * span + 2 * _OUTER_BYTES * ends, "dense"))
     fits = [r for r in routes if r[1] <= SUMSET_BYTE_BUDGET]
     if not fits:
         raise BudgetError(min(r[1] for r in routes), SUMSET_BYTE_BUDGET)
@@ -628,9 +646,27 @@ def _or_words(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
+def _end_sums(x: np.ndarray, y: np.ndarray, holes: int) -> np.ndarray:
+    """The distinct sums below ``holes`` of the nonnegative offsets ``x``
+    and ``y``, ascending."""
+    s = np.add.outer(x, y).ravel()
+    seen = np.zeros(holes, dtype=bool)
+    seen[s[s < holes]] = True
+    return np.flatnonzero(seen)
+
+
 def _sum_support(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The sorted distinct values of ``a + v`` for sorted distinct int64
-    arrays whose sums fit int64, by the cheapest route of ``_plan``."""
+    arrays whose sums fit int64, by the cheapest route of ``_plan``.
+
+    The dense route is exact where the ``h`` indices of the two spans that
+    ``a`` and ``v`` miss are fewer than either span.  An offset t of the
+    window at least h from both of its ends splits as x + y, with x and y
+    inside the two spans, in at least h + 1 ways; each missing index spoils
+    at most one of them, so t is a sum.  An offset below h splits only
+    into offsets below h, so the outer sums of the at most h lowest points
+    of each operand give the low end, and those of the highest the top.
+    """
     if a.size < v.size:
         a, v = v, a
     lo = int(a[0]) + int(v[0])
@@ -649,9 +685,19 @@ def _sum_support(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     if route == "bitset":
         seen = np.unpackbits(_or_words(a, v).view(np.uint8), count=span, bitorder="little")
         return np.flatnonzero(seen.view(bool)) + lo
+    if route == "dense":
+        holes = span + 1 - a.size - v.size
+        low = _end_sums(a[:holes] - a[0], v[:holes] - v[0], holes)
+        top = _end_sums(a[-1] - a[::-1][:holes], v[-1] - v[::-1][:holes], holes)
+        # every offset from holes to span - 1 - holes is a sum; low and top give the ends
+        k, hi = low.size, lo + span - 1
+        out = np.arange(lo + holes - k, hi + 1 - holes + top.size, dtype=np.int64)
+        out[:k] = low + lo
+        out[out.size - top.size :] = hi - top[::-1]
+        return out
     nfft = _fft_length(span)
     spectrum = _indicator_spectrum(a, nfft)
-    # a self-sum (each step of the doubling ladder) squares its one spectrum
+    # a self-sum (the doubling ladder's first steps) squares its one spectrum
     spectrum *= spectrum if a is v or np.array_equal(a, v) else _indicator_spectrum(v, nfft)
     conv = np.fft.irfft(spectrum, nfft)[:span]
     del spectrum
@@ -670,8 +716,10 @@ def _power_nfft(B: DeltaSet, k: int, max_width: int) -> int | None:
     is priced as one FFT step of ``_plan`` at N (three transforms, for its
     two) plus one butterfly pass per further complex multiply.  Each
     pairwise step ``(j-1)B + B`` is priced at its cheapest route, the
-    bitset's included, with ``|(j-1)B|`` at its least possible size
-    ``(j-1)(|B|-1) + 1``, so the pairwise side is never overpriced.
+    bitset's and the dense route's included, with ``|(j-1)B|`` at its least
+    possible size ``(j-1)(|B|-1) + 1``.  That prices every other route at
+    its cheapest and the dense route at its most holes, so a ``(j-1)B``
+    fuller than that can make the pairwise steps cheaper than priced.
     """
     b = B.indices
     size, lo, hi = b.size, int(b[0]), int(b[-1])
@@ -811,6 +859,7 @@ def gen_ap(n: int, size: int, step: int | None = None, start: int = 0) -> DeltaS
     size)``.  Power-of-two sizes give a progression aligned with the dyadic
     tree (full branching on the top levels, leftmost child below).
     """
+    check_resolution(n)
     if size < 1:
         raise ValueError("size must be >= 1")
     if step is None:
@@ -820,6 +869,14 @@ def gen_ap(n: int, size: int, step: int | None = None, start: int = 0) -> DeltaS
     idx = start + step * np.arange(size, dtype=np.int64)
     width = (int(idx[-1]) >> n) + 1
     return DeltaSet(n, idx, width)
+
+
+def aligned_exponent(n_param: int) -> int:
+    """The t with ``n_param == 16**t``; ValueError for any other n_param."""
+    t4 = n_param.bit_length() - 1
+    if n_param < 1 or n_param != 1 << t4 or t4 % 4:
+        raise ValueError("n_param must be a power of 16 (i.e. 2**(4t))")
+    return t4 // 4
 
 
 def gen_aligned_triple(n_param: int) -> tuple[DeltaSet, DeltaSet, DeltaSet]:
@@ -833,10 +890,7 @@ def gen_aligned_triple(n_param: int) -> tuple[DeltaSet, DeltaSet, DeltaSet]:
     """
     if n_param < 16:
         raise ValueError("need n_param >= 16")
-    t4 = n_param.bit_length() - 1
-    if (1 << t4) != n_param or t4 % 4:
-        raise ValueError("n_param must be a power of 16 (i.e. 2**(4t))")
-    t = t4 // 4
+    t = aligned_exponent(n_param)
     n = 2 * t  # grid exponent: 1/sqrt(n_param) = 2**-n exactly
     root = 1 << (2 * t)  # sqrt(n_param)
     quarter = 1 << t  # n_param ** (1/4)

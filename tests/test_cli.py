@@ -468,6 +468,17 @@ def test_sumset_past_the_byte_budget_gives_one_line_error(tmp_path, runner):
     assert lines[0].startswith("Error: sumset needs ") and "over the budget of" in lines[0]
 
 
+# Every fraction option, after the arguments its command needs.
+FRACTION_OPTIONS = (
+    (["entropy", "{mu}", "--cuts", "0,4,8"], ["--c"]),
+    (["analyze", "{set}"], ["--kappa"]),
+    (["project-avg", "{mu}", "{mu}"], ["--gamma-a", "--gamma-b", "--gamma", "--xi", "--big-c"]),
+    (["extend", "{profile}", "--ell", "1"], ["--zeta", "--gamma-cap"]),
+    (["greedy", "{set}", "{set}"], ["--eta"]),
+    (["assemble"], ["--eta", "--zeta", "--xi", "--gamma-cap"]),
+)
+
+
 @pytest.mark.parametrize(
     "args, reason",
     [
@@ -481,6 +492,22 @@ def test_sumset_past_the_byte_budget_gives_one_line_error(tmp_path, runner):
         (["analyze", "{set}", "--m", "0"], "m must be >= 1"),
         (["extend", "{profile}", "--ell", "0"], "ell must be >= 1"),
         (["extend", "{profile}", "--ell", "-1"], "ell must be >= 1"),
+        (["sharpness", "--n-param", "0"], "n_param must be a power of 16 (i.e. 2**(4t))"),
+        (["sharpness", "--n-param", "3"], "n_param must be a power of 16 (i.e. 2**(4t))"),
+        (["sharpness", "--n-param", "17", "--n-param", "256"],
+         "n_param must be a power of 16 (i.e. 2**(4t))"),
+        (["gen", "ap", "--n", "63", "--size", "1", "{out}"],
+         "resolution exponent n=63 exceeds the 62-bit limit of int64 indices"),
+        (["gen", "random", "--n", "63", "--size", "4", "{out}"],
+         "resolution exponent n=63 exceeds the 62-bit limit of int64 indices"),
+        *(
+            (
+                [*command, *(arg for opt in options for arg in (opt, "1/0" if opt == bad else "1/2"))],
+                f"Invalid value for '{bad}': '1/0' is not a fraction",
+            )
+            for command, options in FRACTION_OPTIONS
+            for bad in options
+        ),
     ],
 )
 def test_argument_outside_the_domain_gives_a_one_line_usage_error(tmp_path, runner, args, reason):

@@ -84,6 +84,9 @@ def test_alignment_sharpness_frozen_values():
 def test_alignment_sharpness_guard():
     with pytest.raises(ValueError):
         run_alignment_sharpness([1 << 25])
+    for bad in ([0], [3], [17, 256], [-16]):
+        with pytest.raises(ValueError, match="must be a power of 16"):
+            run_alignment_sharpness(bad)
 
 
 # ------------------------------------------------------------ ladder

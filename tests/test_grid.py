@@ -363,7 +363,7 @@ def wide_sumset_instances(draw):
 
 
 @given(wide_sumset_instances())
-@example((gen_ap(62, 700, step=1, start=1 << 61), -3, 2, gen_ap(62, 300, step=1)))  # fft
+@example((gen_ap(62, 700, step=2, start=1 << 61), -3, 2, gen_ap(62, 300, step=1)))  # fft
 @example((gen_ap(40, 900, step=1, start=1 << 39), 1, 0, gen_ap(40, 16, step=200)))  # scatter
 @example((gen_ap(40, 2048, step=1, start=1 << 39), 1, 0, gen_ap(40, 64, step=64)))  # bitset
 @example((gen_ap(62, 1500, step=3, start=1 << 61), -3, 2, gen_ap(62, 100, step=37)))  # bitset
@@ -375,12 +375,16 @@ def test_sumset_matches_python_int_brute_force_over_the_domain(args):
 
 
 # Shapes (A offsets, B offsets) of growing size x along which the cheapest
-# route changes once, from the first route named to the second.
+# route changes once, from the first route named to the second.  The
+# progressions of step 2 and 3 miss as many indices as their spans hold,
+# so the dense route refuses them.
 CROSSOVERS = {
     "outer-scatter": lambda x: (np.arange(x), np.arange(8) * 64),
     "scatter-bitset": lambda x: (np.arange(x), np.arange(32) * 64),
-    "bitset-fft": lambda x: (np.arange(4096), np.arange(x)),
-    "outer-fft": lambda x: (np.arange(x), np.arange(x)),
+    "bitset-fft": lambda x: (2 * np.arange(2048), 2 * np.arange(x)),
+    "outer-fft": lambda x: (3 * np.arange(x), 3 * np.arange(x)),
+    "outer-dense": lambda x: (np.arange(x), np.arange(x)),
+    "fft-dense": lambda x: (np.union1d(np.arange(0, 256, 2), np.arange(x)),) * 2,
 }
 
 
@@ -407,6 +411,62 @@ def test_sumset_exact_on_both_sides_of_each_route_crossover(crossing, n, monkeyp
         B = DeltaSet(n, int(rng.integers(0, 1 << 20)) + b)
         assert_sumset_exact(A, 1, 0, B)
     assert taken == [below, above]
+
+
+def holed(n, start, span, missing=()):
+    """The interval ``[start, start + span)`` at resolution n less the
+    offsets ``missing``."""
+    return DeltaSet.from_indices(n, start + np.setdiff1d(np.arange(span), missing))
+
+
+@st.composite
+def nearly_full_instances(draw):
+    """(A, p, q, B): two windows of up to 200 indices at n = 8 to 62, A in
+    the upper half of [0, 2**n) and B in the lower, each less none, one,
+    three, a quarter or all but one of its indices, and a slope of 0, 1,
+    -1, a coarse or a fine dyadic."""
+    n = draw(st.sampled_from([8, 16, 31, 40, 62]))
+    half = 1 << (n - 1)
+
+    def points(lo):
+        span = draw(st.integers(1, min(200, half)))
+        missing = min(draw(st.sampled_from([0, 1, 3, span // 4, span - 1])), span - 1)
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        keep = np.sort(rng.choice(span, span - missing, replace=False))
+        return DeltaSet(n, lo + draw(st.integers(0, half - span)) + keep)
+
+    A, B = points(half), points(0)
+    q = draw(st.sampled_from([0, 0, 3, n]))
+    p = draw(st.integers(0, 1 << q))
+    return A, -p if draw(st.booleans()) else p, q, B
+
+
+@given(nearly_full_instances())
+@example((holed(8, 128, 40), 1, 0, holed(8, 0, 30)))  # h = 0: two intervals
+@example((holed(8, 128, 40), 1, 0, holed(8, 0, 30, [7])))  # h = 1
+@example((holed(8, 128, 11, [9]), 1, 0, holed(8, 0, 3, [1])))  # h = 2 < 3; 139 is no sum
+@example((holed(8, 128, 11, [3, 5]), 1, 0, holed(8, 0, 3, [1])))  # h = 3: refused; 133 is no sum
+@example((holed(8, 128, 40), 1, 0, holed(8, 5, 1)))  # a single-point operand
+@example((holed(8, 128, 40, [9]), -1, 0, holed(8, 0, 30, [3])))  # c = -1
+@example((holed(8, 128, 40), 0, 0, holed(8, 0, 30, [3])))  # c = 0
+@example((holed(62, (1 << 62) - 300, 300, [17]), 1, 0, holed(62, 0, 200, [150])))  # about 2**62
+@example((holed(62, (3 << 61) - 300, 300, [17]), 1, 0, holed(62, (1 << 61) - 199, 200, [50])))  # to 2**63 - 1
+@settings(max_examples=150, deadline=None)
+def test_sum_support_of_nearly_full_sets_matches_python_int_brute_force(args):
+    A, p, q, B = args
+    a, v = A.indices, grid._shifts(Fraction(p, 1 << q), B)
+    expect = sorted({x + y for x in a.tolist() for y in v.tolist()})
+    if a.size < v.size:
+        a, v = v, a
+    span, a_span = int(a[-1] + v[-1] - a[0] - v[0]) + 1, int(a[-1] - a[0]) + 1
+    routes = [route for _, _, route in grid._fitting_routes(a.size, v.size, span, a_span)]
+    holes = span + 1 - a.size - v.size
+    assert ("dense" in routes) == (holes < min(a_span, span + 1 - a_span))
+    for route in routes:  # the dense route wherever it is offered, cheapest or not
+        with mock.patch.object(grid, "_plan", return_value=route):
+            out = grid._sum_support(a, v)
+        assert out.dtype == np.int64
+        assert out.tolist() == expect
 
 
 def test_n40_random_sumset_within_the_byte_budget_is_exact():
@@ -439,14 +499,15 @@ def test_sumset_past_the_byte_budget_raises_before_allocating():
 
 
 def test_sumset_certificate_survives_python_O():
-    # an FFT whose every entry is off by 0.3 must be refused, asserts or not
+    # an FFT whose every entry is off by 0.3 must be refused, asserts or not;
+    # every other index missing keeps the sum off the dense route
     code = (
         "import sys\n"
         "import numpy as np\n"
         "from dyadic import CertificateError, gen_ap, sumset\n"
         "irfft = np.fft.irfft\n"
         "np.fft.irfft = lambda *args: irfft(*args) + 0.3\n"
-        "A = gen_ap(12, 1024, step=1)\n"
+        "A = gen_ap(12, 1024, step=2)\n"
         "try:\n"
         "    print(sys.flags.optimize, 'accepted', len(sumset(A, 1, A)))\n"
         "except CertificateError as exc:\n"
@@ -654,7 +715,7 @@ def test_power_error_bound_lies_between_percival_and_a_coarser_form(size, nfft):
 @pytest.mark.parametrize(
     "B, k, max_width",
     [
-        (gen_ap(10, 1024, step=1), 4, 2),  # 3B is the first sum wider than 2
+        (gen_ap(10, 512, step=2), 4, 2),  # 3B is the first sum wider than 2
         (gen_ap(62, 64, step=1, start=(1 << 62) - 64), 3, 1 << 12),  # 3B passes 2**63
     ],
 )
@@ -670,14 +731,15 @@ def test_iterated_sum_refuses_like_the_pairwise_steps(B, k, max_width):
 
 
 def test_iterated_sum_certificate_survives_python_O():
-    # a powered spectrum whose every entry is off by 0.3 must be refused
+    # a powered spectrum whose every entry is off by 0.3 must be refused;
+    # every other index missing keeps the pairwise steps off the dense route
     code = (
         "import sys\n"
         "import numpy as np\n"
         "from dyadic import CertificateError, gen_ap, grid, iterated_sum\n"
         "irfft = np.fft.irfft\n"
         "np.fft.irfft = lambda *args: irfft(*args) + 0.3\n"
-        "B = gen_ap(12, 1024, step=1)\n"
+        "B = gen_ap(12, 1024, step=2)\n"
         "route = 'power' if grid._power_nfft(B, 3, 1 << 12) else 'pairwise'\n"
         "try:\n"
         "    print(sys.flags.optimize, route, 'accepted', len(iterated_sum(B, 3)))\n"
