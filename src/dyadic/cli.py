@@ -313,28 +313,12 @@ def entropy_cmd(ctx, measure_path, c_values, cuts):
     mu = load_measure(measure_path)
     cut_list = [int(tok) for tok in cuts.split(",")]
     cs = [_fraction(c_str, "--c") for c_str in c_values]
-    rows, reports = [], []
-    for c_str, rep in zip(c_values, _chain_reports(mu, cs, cut_list)[0]):
-        reports.append(
-            {
-                "c": c_str,
-                "cuts": cut_list,
-                "lhs": rep.lhs,
-                "block_terms": list(rep.block_terms),
-                "correction": rep.correction,
-                "rhs": rep.rhs,
-                "slack": rep.slack,
-            }
-        )
-        rows.append(
-            {
-                "c": c_str,
-                "lhs": rep.lhs,
-                "rhs": rep.rhs,
-                "correction": rep.correction,
-                "slack": rep.slack,
-            }
-        )
+    reports = [
+        {"c": c_str, "cuts": cut_list, "lhs": rep.lhs, "block_terms": list(rep.block_terms),
+         "correction": rep.correction, "rhs": rep.rhs, "slack": rep.slack}
+        for c_str, rep in zip(c_values, _chain_reports(mu, cs, cut_list)[0])
+    ]
+    rows = [{k: r[k] for k in ("c", "lhs", "rhs", "correction", "slack")} for r in reports]
     _emit(ctx, {"cuts": cut_list, "chains": reports}, rows)
 
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from .grid import DeltaSet, ParameterSet, ScaleSpec, aligned_exponent, certify, gen_ap
 from .grid import SUMSET_BYTE_BUDGET, BudgetError, FormatError, _distinct, _shifts, _sum_support
-from .grid import load_json, sumset
+from .grid import _read, _read_list, _read_object, _read_ratio, load_json, sumset
 from .measures import (
     _chain_reports,
     _fiber_bound,
@@ -386,6 +386,13 @@ def run_greedy_iterated_sum(B: DeltaSet, C: DeltaSet, n_steps: int, eta) -> Gree
 # expansion sweep
 
 
+# A sweep config's required keys, its exponents, and the defaults of the rest
+_CONFIG_KEYS = ("alpha", "beta", "gamma", "scales", "gammas")
+_CONFIG_EXPONENTS = ("alpha", "beta", "gamma", "kappa", "eta", "zeta")
+_CONFIG_DEFAULTS = {"kappa": "1/2", "eta": "1/2", "zeta": "1/16", "ell": 16,
+                    "family": "aligned-triple", "nu": "counting", "seed": 0, "out": None}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One sweep specification: instance family, scales, slope densities.
@@ -424,12 +431,7 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         return {
             "family": self.family,
-            "alpha": str(self.params.alpha),
-            "beta": str(self.params.beta),
-            "gamma": str(self.params.gamma),
-            "kappa": str(self.params.kappa),
-            "eta": str(self.params.eta),
-            "zeta": str(self.params.zeta),
+            **{key: str(getattr(self.params, key)) for key in _CONFIG_EXPONENTS},
             "ell": self.params.ell,
             "scales": [[s.m, s.ell, s.big_n] for s in self.scales],
             "gammas": [str(g) for g in self.gammas],
@@ -440,56 +442,25 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        """Read a parsed sweep config; a value of the wrong JSON type raises
-        ValueError naming it."""
-        if not isinstance(data, dict):
-            raise ValueError("a sweep config must be a JSON object")
-
-        def scalar(what, value):
-            if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-                raise ValueError(f"{what} must be a string or a number, not {json.dumps(value)}")
-            return value
-
-        def integer(what, value):
-            if type(value) is not int:  # a float, a string or a bool is not read as one
-                raise ValueError(f"{what} must be an integer, not {json.dumps(value)}")
-            return value
-
-        def listed(what, value, size=None):
-            if not isinstance(value, list) or size not in (None, len(value)):
-                shape = "a list" if size is None else f"a list of {size} numbers"
-                raise ValueError(f"{what} must be {shape}, not {json.dumps(value)}")
-            return value
-
-        def fraction(key, default=None):
-            value = data[key] if default is None else data.get(key, default)
-            return Fraction(scalar(repr(key), value))
-
-        params = ParameterSet(
-            alpha=fraction("alpha"),
-            beta=fraction("beta"),
-            gamma=fraction("gamma"),
-            kappa=fraction("kappa", "1/2"),
-            eta=fraction("eta", "1/2"),
-            zeta=fraction("zeta", "1/16"),
-            ell=integer("'ell'", data.get("ell", 16)),
+        """Read a parsed sweep config, the keys of ``to_dict`` with those of
+        ``_CONFIG_DEFAULTS`` optional; a missing or unknown key, or a value
+        of the wrong JSON type, raises ValueError naming it."""
+        data = _read_object(data, "a sweep config", _CONFIG_KEYS, _CONFIG_DEFAULTS)
+        ratios = {key: Fraction(*_read_ratio(data[key], repr(key))) for key in _CONFIG_EXPONENTS}
+        params = ParameterSet(**ratios, ell=_read(data["ell"], int, "'ell'"))
+        scales = tuple(
+            ScaleSpec(*(_read(v, int, "a scale entry") for v in _read_list(row, "a scale row", 3)))
+            for row in _read_list(data["scales"], "'scales'")
         )
-        scales = [
-            ScaleSpec(*(integer("a scale entry", v) for v in listed("a scale row", row, 3)))
-            for row in listed("'scales'", data["scales"])
-        ]
-        out = data.get("out")
-        if out is not None and not isinstance(out, str):
-            raise ValueError(f"'out' must be a path string, not {json.dumps(out)}")
-        gammas = [Fraction(scalar("a gamma", g)) for g in listed("'gammas'", data["gammas"])]
+        gammas = _read_list(data["gammas"], "'gammas'")
         return cls(
             params=params,
-            family=data.get("family", "aligned-triple"),
-            scales=tuple(scales),
-            gammas=tuple(gammas),
-            nu=data.get("nu", "counting"),
-            seed=integer("'seed'", data.get("seed", 0)),
-            out=out,
+            family=_read(data["family"], str, "'family'"),
+            scales=scales,
+            gammas=tuple(Fraction(*_read_ratio(g, "a gamma")) for g in gammas),
+            nu=_read(data["nu"], str, "'nu'"),
+            seed=_read(data["seed"], int, "'seed'"),
+            out=None if data["out"] is None else _read(data["out"], str, "'out'"),
         )
 
     @classmethod
@@ -498,8 +469,6 @@ class ExperimentConfig:
         data = load_json(path)
         try:
             return cls.from_dict(data)
-        except KeyError as exc:
-            raise FormatError(path, None, f"missing key {exc}") from None
         except ValueError as exc:
             raise FormatError(path, None, str(exc)) from None
 
@@ -557,6 +526,11 @@ class ExpansionRecord:
         ]
 
 
+def _level_profile(n: int, levels) -> BranchingProfile:
+    """The binary profile of ``n`` levels that branches at ``levels`` only."""
+    return BranchingProfile(1, tuple(2 if s in levels else 1 for s in range(n)))
+
+
 def _build_sweep_sets(
     family: str, n: int, a_bits: int, b_bits: int, rng: np.random.Generator
 ) -> tuple[DeltaSet, DeltaSet]:
@@ -566,8 +540,7 @@ def _build_sweep_sets(
     if family == "uniform-tree":
         a_levels = set(rng.choice(n, size=a_bits, replace=False).tolist())
         b_levels = set(rng.choice(n, size=b_bits, replace=False).tolist())
-        pa = BranchingProfile(1, tuple(2 if s in a_levels else 1 for s in range(n)))
-        pb = BranchingProfile(1, tuple(2 if s in b_levels else 1 for s in range(n)))
+        pa, pb = _level_profile(n, a_levels), _level_profile(n, b_levels)
         return gen_uniform_tree(pa), gen_uniform_tree(pb)
     if family == "random-frostman":
         a_idx = np.sort(rng.choice(1 << n, size=1 << a_bits, replace=False))
@@ -579,15 +552,9 @@ def _build_sweep_sets(
                 "polarisation", "A needs at least as many branching levels as B"
             )
         b_levels = set(rng.choice(n, size=b_bits, replace=False).tolist())
-        rest = [s for s in range(n) if s not in b_levels]
-        extra = set(
-            np.asarray(rest)[
-                rng.choice(len(rest), size=a_bits - b_bits, replace=False)
-            ].tolist()
-        ) if a_bits > b_bits else set()
-        a_levels = b_levels | extra
-        pa = BranchingProfile(1, tuple(2 if s in a_levels else 1 for s in range(n)))
-        pb = BranchingProfile(1, tuple(2 if s in b_levels else 1 for s in range(n)))
+        rest, k = [s for s in range(n) if s not in b_levels], a_bits - b_bits
+        extra = np.asarray(rest)[rng.choice(len(rest), size=k, replace=False)].tolist() if k else []
+        pa, pb = _level_profile(n, b_levels.union(extra)), _level_profile(n, b_levels)
         certify("sweep-polarisation", -len(polarisation_check(pa, pb, Fraction(1, 2))))
         return gen_uniform_tree(pa), gen_uniform_tree(pb)
     raise ValueError(f"unknown family {family!r}")

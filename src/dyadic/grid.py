@@ -96,6 +96,7 @@ import json
 import math
 import numbers
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -169,13 +170,93 @@ class BudgetError(ValueError):
         self.needed, self.budget = needed, budget
 
 
+@contextmanager
+def _utf8(path):
+    """``path`` opened as UTF-8 text; a byte that is not UTF-8 raises FormatError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise FormatError(path, None, f"not UTF-8 text: {exc.reason}") from None
+
+
+def _unique_keys(pairs: list) -> dict:
+    """The JSON object of ``pairs``; a key repeated within it raises ValueError."""
+    if len(obj := dict(pairs)) < len(pairs):
+        seen = set()  # the first key met twice (``seen.add`` returns None)
+        raise ValueError(f"repeated key {next(k for k, _ in pairs if k in seen or seen.add(k))!r}")
+    return obj
+
+
 def load_json(path):
-    """Parse a JSON file; a syntax error becomes a FormatError at its line."""
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(path, exc.lineno, exc.msg) from None
+    """Parse a UTF-8 JSON file.  A syntax error becomes a FormatError at its
+    line; a byte that is not UTF-8, a repeated key, nesting past the
+    parser's depth and any other value it refuses, one naming the file."""
+    with _utf8(path) as fh:
+        text = fh.read()
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except json.JSONDecodeError as exc:
+        raise FormatError(path, exc.lineno, exc.msg) from None
+    except (RecursionError, ValueError) as exc:  # too deep, a repeated key, 4,301 digits
+        raise FormatError(path, None, str(exc)) from None
+
+
+def _save_json(payload, path) -> None:
+    """Write ``payload`` as one line of JSON and a newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+        fh.write("\n")
+
+
+# The field readers of the JSON loaders: each returns the value it reads,
+# and raises ValueError naming the field (``what``) on any other.
+_JSON_TYPES = {int: "an integer", str: "a string", dict: "an object"}
+
+
+def _read(value, kind: type, what: str):
+    """``value``, of JSON type ``kind`` exactly: a bool is not an integer."""
+    if type(value) is not kind:
+        raise ValueError(f"{what} must be {_JSON_TYPES[kind]}, not {json.dumps(value)}")
+    return value
+
+
+def _read_list(value, what: str, size: int | None = None) -> list:
+    """``value``, a JSON list, of ``size`` entries where that is given."""
+    if type(value) is not list or size is not None and len(value) != size:
+        shape = "a list" if size is None else f"a list of length {size}"
+        raise ValueError(f"{what} must be {shape}, not {json.dumps(value)}")
+    return value
+
+
+def _read_object(value, what: str, keys: Sequence[str], defaults: dict | None = None) -> dict:
+    """``value``, a JSON object with every key of ``keys``, any of
+    ``defaults`` (its default where missing) and no other key."""
+    data, defaults = _read(value, dict, what), defaults or {}
+    for key in (*keys, *data):
+        if key not in data:
+            raise ValueError(f"missing key {key!r}")
+        if key not in keys and key not in defaults:
+            raise ValueError(f"unknown key {key!r}")
+    return {**defaults, **data}
+
+
+def _read_ratio(value, what: str) -> tuple[int, int]:
+    """``(p, q)`` with ``value == p / q`` and ``q > 0``, for a JSON number
+    or string: a ``"p/q"`` string of digits (a sign before p only) by
+    ``int``, any other by ``Fraction``, which also refuses what it does not
+    read (``"1/-2"``, ``"1/0"``, Infinity).  A bool is not read as 0 or 1."""
+    if type(value) is str:
+        num, _, den = value.partition("/")
+        if den.isdecimal() and (num.isdecimal() or num[:1] in ("+", "-") and num[1:].isdecimal()):
+            if q := int(den):
+                return int(num), q
+    elif type(value) is not int and type(value) is not float:
+        raise ValueError(f"{what} must be a string or a number, not {json.dumps(value)}")
+    try:
+        return Fraction(value).as_integer_ratio()
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(str(exc)) from None
 
 
 def as_dyadic(c) -> tuple[int, int]:
@@ -866,9 +947,10 @@ def gen_ap(n: int, size: int, step: int | None = None, start: int = 0) -> DeltaS
         step = max(1, (1 << n) // size)
     if step < 1:
         raise ValueError("step must be >= 1")
-    idx = start + step * np.arange(size, dtype=np.int64)
-    width = (int(idx[-1]) >> n) + 1
-    return DeltaSet(n, idx, width)
+    last = start + step * (size - 1)  # in Python ints: int64 would wrap past 2**63
+    if start < 0 or last >= 1 << 63:
+        raise ValueError(f"progression indices {start} to {last} leave the int64 range [0, 2**63)")
+    return DeltaSet(n, start + step * np.arange(size, dtype=np.int64), (last >> n) + 1)
 
 
 def aligned_exponent(n_param: int) -> int:
@@ -909,6 +991,7 @@ def save_set(A: DeltaSet, path) -> None:
 
 
 _DECIMAL = re.compile("-?[0-9]+")
+_HEADER = re.compile(rf"n=({_DECIMAL.pattern})\s+W=({_DECIMAL.pattern})")
 
 
 def _decimal(text: str) -> int:
@@ -920,16 +1003,15 @@ def _decimal(text: str) -> int:
 
 
 def load_set(path) -> DeltaSet:
-    """Read the text format of ``save_set``; a malformed file raises FormatError."""
-    with open(path) as fh:
-        header = fh.readline()
-        try:
-            fields = dict(part.split("=", 1) for part in header.split())
-            n, width = _decimal(fields["n"]), _decimal(fields["W"])
-        except (KeyError, ValueError):
-            raise FormatError(
-                path, 1, f"header must read 'n=<int> W=<int>', got {header.strip()!r}"
-            ) from None
+    """Read the text format of ``save_set``; a malformed file raises
+    FormatError.  The header is ``n=<int> W=<int>`` and nothing else, and
+    an index line must end in a newline, as ``save_set`` writes them, so a
+    file cut inside its last index is refused."""
+    with _utf8(path) as fh:
+        header = fh.readline().strip()
+        if not (fields := _HEADER.fullmatch(header)):
+            raise FormatError(path, 1, f"header must read 'n=<int> W=<int>', got {header!r}")
+        n, width = map(int, fields.groups())
         idx = []
         for lineno, line in enumerate(fh, start=2):
             if line.strip():
@@ -937,6 +1019,8 @@ def load_set(path) -> DeltaSet:
                     idx.append(_decimal(line.strip()))
                 except ValueError:
                     raise FormatError(path, lineno, f"not an index: {line.strip()!r}") from None
+                if not line.endswith("\n"):
+                    raise FormatError(path, lineno, "no newline ends the file: it may be cut short")
     try:
         return DeltaSet(n, np.asarray(idx, dtype=np.int64), width)
     except ValueError as exc:

@@ -56,7 +56,6 @@ The inequalities checked at run time raise ``CertificateError`` through
 from __future__ import annotations
 
 import bisect
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -79,6 +78,7 @@ from .grid import (
     load_json,
     slope_floor,
 )
+from .grid import _read, _read_list, _read_object, _read_ratio, _save_json
 
 __all__ = [
     "CertificateError",
@@ -139,21 +139,6 @@ def _num_column(nums: list) -> np.ndarray:
         return np.array(nums, dtype=np.int64)
     except OverflowError:
         return np.array([int(v) for v in nums], dtype=object)
-
-
-def _ratio_of(w) -> tuple[int, int]:
-    """``(p, q)`` with ``w == p / q`` and ``q > 0``: a ``"p/q"`` string of
-    digits (a sign before p only) by ``int``, any other form by ``Fraction``,
-    which also refuses what it does not read (``"1/-2"``, ``"1/0"``)."""
-    if type(w) is str:
-        num, _, den = w.partition("/")
-        if den.isdecimal() and (
-            num.isdecimal() or num[:1] in ("+", "-") and num[1:].isdecimal()
-        ):
-            q = int(den)
-            if q:
-                return int(num), q
-    return Fraction(w).as_integer_ratio()
 
 
 class DiscreteMeasure:
@@ -241,7 +226,8 @@ class DiscreteMeasure:
         """Build from rational weights, in any form ``Fraction`` accepts; they
         must sum to 1 exactly (a defect below 2**-40 is repaired by exact
         renormalization), in the integer arithmetic of ``_from_ratios``."""
-        return cls._from_ratios(dim, n, list(weights), list(map(_ratio_of, weights.values())))
+        ratios = [Fraction(w).as_integer_ratio() for w in weights.values()]
+        return cls._from_ratios(dim, n, list(weights), ratios)
 
     @classmethod
     def _from_ratios(
@@ -856,40 +842,29 @@ def save_measure(mu: DiscreteMeasure, path) -> None:
     for key, num in zip(zip(*(k.tolist() for k in keys)), nums.tolist()):
         g = gcd(num, denom)
         entries.append([list(key), f"{num // g}/{denom // g}"])
-    with open(path, "w") as fh:
-        json.dump({"dim": mu.dim, "n": mu.n, "atoms": entries}, fh)
-        fh.write("\n")
+    _save_json({"dim": mu.dim, "n": mu.n, "atoms": entries}, path)
 
 
 def load_measure(path) -> DiscreteMeasure:
     """Read the JSON of ``save_measure``; a malformed file raises FormatError.
 
     A key is ``dim`` JSON integers, repeated by no other atom; the weights
-    go through ``_ratio_of`` and the integer core of ``from_weights``.
+    go through ``grid._read_ratio`` and the integer core of ``from_weights``.
     """
-    data = load_json(path)
+    data, i = load_json(path), None  # i: the atom being read, None outside the loop
     try:
-        dim, n, entries = data["dim"], data["n"], list(data["atoms"])
-    except (KeyError, TypeError):
-        raise FormatError(path, None, "needs integer 'dim' and 'n' and an 'atoms' list") from None
-    if {type(dim), type(n)} != {int}:  # a float, string or bool is refused, not truncated
-        raise FormatError(path, None, f"'dim' and 'n' must be JSON integers, got {dim!r} and {n!r}")
-    keys, ratios, first = [], [], {}
-    for i, entry in enumerate(entries):
-        try:
-            ks, w = entry
-            if len(ks) != dim:
-                raise ValueError(f"key {ks!r} needs {dim} coordinates")
-            if set(map(type, ks)) != {int}:  # not a float, nor a bool
-                raise ValueError(f"key {ks!r} must hold JSON integers")
+        data = _read_object(data, "a measure", ("dim", "n", "atoms"))
+        dim, n = _read(data["dim"], int, "'dim'"), _read(data["n"], int, "'n'")
+        ratios, first = [], {}  # first: the atom of each key, in file order
+        for i, entry in enumerate(_read_list(data["atoms"], "'atoms'")):
+            ks, w = _read_list(entry, "the atom", 2)
+            for k in _read_list(ks, "the key", dim):
+                _read(k, int, "a key coordinate")
             j = first.setdefault(tuple(ks), i)
             if j != i:
                 raise ValueError(f"key {ks!r} repeats atom {j}")
-            ratios.append(_ratio_of(w))
-        except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise FormatError(path, None, f"atom {i}: {exc}") from None
-        keys.append(ks)
-    try:
-        return DiscreteMeasure._from_ratios(dim, n, keys, ratios)
+            ratios.append(_read_ratio(w, "the weight"))
+        i = None
+        return DiscreteMeasure._from_ratios(dim, n, list(first), ratios)
     except ValueError as exc:
-        raise FormatError(path, None, str(exc)) from None
+        raise FormatError(path, None, str(exc) if i is None else f"atom {i}: {exc}") from None

@@ -17,7 +17,6 @@ integers, never through floats.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, prod
@@ -26,6 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from .grid import DeltaSet, FormatError, certify, load_json, pow2_ge, pow2_le
+from .grid import _read, _read_list, _read_object, _save_json
 from .grid import _pow2_cmp, _ratio, _run_heads, _run_lengths
 
 __all__ = [
@@ -571,48 +571,37 @@ def find_low_level(
 
 
 def save_profile(profile: BranchingProfile, path) -> None:
-    with open(path, "w") as fh:
-        json.dump({"m": profile.m, "R": list(profile.r)}, fh)
-        fh.write("\n")
-
-
-def _json_ints(*values) -> tuple[int, ...]:
-    """``values``, each a JSON integer: a float, a string or a bool is
-    refused, not truncated or read as one."""
-    for x in values:
-        if type(x) is not int:
-            raise TypeError(f"{x!r} is not a JSON integer")
-    return values
+    _save_json({"m": profile.m, "R": list(profile.r)}, path)
 
 
 def load_profile(path) -> BranchingProfile:
     """Read the JSON of ``save_profile``; a malformed file raises FormatError."""
     data = load_json(path)
     try:
-        return BranchingProfile(*_json_ints(data["m"]), _json_ints(*data["R"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(path, None, f"not a branching profile: {exc}") from None
+        data = _read_object(data, "a branching profile", ("m", "R"))
+        m, r = _read(data["m"], int, "'m'"), _read_list(data["R"], "'R'")
+        return BranchingProfile(m, tuple(_read(x, int, "an entry of 'R'") for x in r))
+    except ValueError as exc:
+        raise FormatError(path, None, str(exc)) from None
 
 
 def save_family(family: IntervalFamily, path) -> None:
-    payload = {
-        "intervals": [
-            {"lo": iv.lo, "hi": iv.hi, "tag": _TAG_TO_WIRE[iv.tag]} for iv in family
-        ]
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+    intervals = [{"lo": iv.lo, "hi": iv.hi, "tag": _TAG_TO_WIRE[iv.tag]} for iv in family]
+    _save_json({"intervals": intervals}, path)
 
 
 def load_family(path) -> IntervalFamily:
     """Read the JSON of ``save_family``; a malformed file raises FormatError."""
     data = load_json(path)
     try:
-        ivs = tuple(
-            Interval(*_json_ints(d["lo"], d["hi"]), _WIRE_TO_TAG[d["tag"]])
-            for d in data["intervals"]
-        )
-        return IntervalFamily(ivs)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(path, None, f"not an interval family: {exc}") from None
+        data = _read_object(data, "an interval family", ("intervals",))
+        ivs = []
+        for d in _read_list(data["intervals"], "'intervals'"):
+            d = _read_object(d, "an interval", ("lo", "hi", "tag"))
+            lo, hi, tag = _read(d["lo"], int, "'lo'"), _read(d["hi"], int, "'hi'"), d["tag"]
+            if _read(tag, str, "'tag'") not in _WIRE_TO_TAG:
+                raise ValueError(f"unknown tag {tag!r}")
+            ivs.append(Interval(lo, hi, _WIRE_TO_TAG[tag]))
+        return IntervalFamily(tuple(ivs))
+    except ValueError as exc:
+        raise FormatError(path, None, str(exc)) from None

@@ -336,7 +336,7 @@ def test_malformed_measure_file_gives_one_line_error(tmp_path, runner):
     lines = res.output.strip().splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("Error: ") and str(path) in lines[0]
-    assert "atom 1" in lines[0] and "2 coordinates" in lines[0]
+    assert "atom 1" in lines[0] and "a list of length 2" in lines[0]
 
 
 @pytest.mark.parametrize(
@@ -344,8 +344,11 @@ def test_malformed_measure_file_gives_one_line_error(tmp_path, runner):
     [
         # the third atom repeats the second: loaded, it hid a total of 3/2
         ('[[[0], "1/2"], [[1], "1/2"], [[1], "1/2"]]', "atom 2: key [1] repeats atom 1"),
-        ('[[[0], "1/2"], [[1.7], "1/2"]]', "atom 1: key [1.7] must hold JSON integers"),
-        ('[[[true], "1/2"], [[1], "1/2"]]', "atom 0: key [True] must hold JSON integers"),
+        ('[[[0], "1/2"], [[1.7], "1/2"]]', "atom 1: a key coordinate must be an integer, not 1.7"),
+        ('[[[true], "1/2"], [[1], "1/2"]]',
+         "atom 0: a key coordinate must be an integer, not true"),
+        # a weight of true once loaded as weight 1
+        ('[[[1], true]]', "atom 0: the weight must be a string or a number, not true"),
     ],
 )
 def test_repeated_or_non_integer_measure_key_gives_one_line_error(tmp_path, runner, atoms, reason):
@@ -367,9 +370,32 @@ def test_measure_header_of_non_integers_gives_one_line_error(tmp_path, runner, h
     path.write_text(f'{{{header}, "atoms": [[[0, 0], "1"]]}}\n')
     res = runner.invoke(main, ["entropy", str(path), "--c", "1/4", "--cuts", "0,12"])
     assert res.exit_code == 1
-    dim, n = json.loads(f"{{{header}}}").values()
-    reason = f"'dim' and 'n' must be JSON integers, got {dim!r} and {n!r}"
+    key, value = next((k, v) for k, v in json.loads(f"{{{header}}}").items() if type(v) is not int)
+    reason = f"'{key}' must be an integer, not {json.dumps(value)}"
     assert res.output.strip().splitlines() == [f"Error: {path}: {reason}"]
+
+
+@pytest.mark.parametrize(
+    "name, content, reason",
+    [
+        # a traceback, a usage error naming no file, and a silent read of m = 2
+        ("deep.json", b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
+        ("ff.json", b'{"m": 1, "R": [2, 2]}\xff\n', "not UTF-8 text: invalid start byte"),
+        ("twice.json", b'{"m": 1, "R": [2, 2], "m": 2}\n', "repeated key 'm'"),
+        ("ff.txt", b"n=4 W=1\n0\n3\xff\n", "not UTF-8 text: invalid start byte"),
+    ],
+)
+def test_file_the_parser_refuses_gives_one_line_error(tmp_path, runner, name, content, reason):
+    path = tmp_path / name
+    path.write_bytes(content)
+    if name.endswith(".txt"):
+        args = ["analyze", str(path)]
+    else:
+        args = ["gen", "tree", "--profile", str(path), str(tmp_path / "out.txt")]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 1
+    lines = res.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"Error: {path}: {reason}")
 
 
 def test_set_file_without_width_gives_one_line_error(tmp_path, runner):
@@ -429,11 +455,11 @@ def test_malformed_sweep_config_gives_one_line_error(tmp_path, runner, drop, cha
 @pytest.mark.parametrize(
     "change, reason",
     [
-        ({"scales": [[1, 8]]}, "a scale row must be a list of 3 numbers, not [1, 8]"),
+        ({"scales": [[1, 8]]}, "a scale row must be a list of length 3, not [1, 8]"),
         ({"alpha": None}, "'alpha' must be a string or a number, not null"),
         ({"gammas": [None]}, "a gamma must be a string or a number, not null"),
         ({"scales": 7}, "'scales' must be a list, not 7"),
-        ({"out": 1}, "'out' must be a path string, not 1"),  # open(1) is stdout
+        ({"out": 1}, "'out' must be a string, not 1"),  # open(1) is stdout
         # integers are read as JSON integers, never truncated or parsed from strings
         ({"ell": 32.9}, "'ell' must be an integer, not 32.9"),
         ({"ell": True}, "'ell' must be an integer, not true"),
@@ -441,6 +467,9 @@ def test_malformed_sweep_config_gives_one_line_error(tmp_path, runner, drop, cha
         ({"seed": "5"}, "'seed' must be an integer, not \"5\""),
         ({"scales": [[1.9, 8.5, 1]]}, "a scale entry must be an integer, not 1.9"),
         ({"scales": [[1, "8", 1]]}, "a scale entry must be an integer, not \"8\""),
+        # a mistyped key once ran with the default kappa 1/2 and seed 0
+        ({"kapa": "1/4"}, "unknown key 'kapa'"),
+        ({"seeds": 9}, "unknown key 'seeds'"),
     ],
 )
 def test_sweep_config_value_of_wrong_json_type_gives_one_line_error(
@@ -508,6 +537,15 @@ FRACTION_OPTIONS = (
             for command, options in FRACTION_OPTIONS
             for bad in options
         ),
+        # each once wrapped past 2**63 in int64, or overflowed numpy
+        (["gen", "ap", "--n", "62", "--size", "3", "--step", "4611686018427387904", "{out}"],
+         "progression indices 0 to 9223372036854775808 leave the int64 range [0, 2**63)"),
+        (["gen", "ap", "--n", "8", "--size", "2", "--start", "9223372036854775807", "{out}"],
+         "progression indices 9223372036854775807 to 9223372036854775935 leave the int64 range "
+         "[0, 2**63)"),
+        (["gen", "ap", "--n", "8", "--size", "2", "--start", "99999999999999999999", "{out}"],
+         "progression indices 99999999999999999999 to 100000000000000000127 leave the int64 "
+         "range [0, 2**63)"),
     ],
 )
 def test_argument_outside_the_domain_gives_a_one_line_usage_error(tmp_path, runner, args, reason):

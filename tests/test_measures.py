@@ -37,7 +37,7 @@ from dyadic.measures import (
     symmetrize,
     uniform_fiber_entropy_bound,
 )
-from dyadic.grid import dyadic_slope
+from dyadic.grid import dyadic_slope, sumset
 from dyadic.measures import _chain_reports, _projection_l2_entropy, _slope_stats
 
 TOL = 2.0**-40
@@ -419,6 +419,8 @@ def reference_load(path):
     dim, n = data["dim"], data["n"]
     fracs = {}
     for i, (ks, w) in enumerate(data["atoms"]):
+        if type(w) not in (str, int, float):  # null, a list, an object or a bool
+            return f"atom {i}: the weight must be a string or a number, not {json.dumps(w)}"
         try:
             fracs[ks[0] if dim == 1 else tuple(ks)] = Fraction(w)
         except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
@@ -462,8 +464,8 @@ def weight_forms(draw, f):
     return draw(st.sampled_from(forms))
 
 
-# refused by Fraction (JSON Infinity with an OverflowError), except the last
-# four, which it reads as 1/2, 1/2, 10/3, 1/2
+# refused by Fraction (JSON Infinity with an OverflowError), or by type (null
+# and a list), except the last four, which it reads as 1/2, 1/2, 10/3, 1/2
 ODD_WEIGHTS = ["1/-2", "1/+2", "1/0", " 1 / 2", "--1/2", "+-1/2", "0/0", "1//2", "", "abc",
                None, [1], math.inf, " 1/2", "1/2\n", "1_0/3", "\u0661/\u0662"]
 DEFECTS = [0, Fraction(1, 1 << 41), -Fraction(1, 3 << 40), Fraction(1, 1 << 40),
@@ -760,6 +762,27 @@ def test_batched_slope_stats_match_one_slope_at_a_time(case):
     want = [reference_stats(mu, s, cell_level, bucket_level) for s in slopes]
     assert _slope_stats(mu, slopes, cell_level, bucket_level) == want
     assert _slope_stats(mu, slopes[::-1], cell_level, bucket_level) == want[::-1]  # memo reads
+
+
+@st.composite
+def slope_sumsets(draw):
+    """Two sets of up to 60 points at n from 2 to 11 and a dyadic slope with
+    |c| <= 1; A sits in [1, 2), so A + cB stays at or above 0 for c < 0."""
+    n = draw(st.integers(2, 11))
+    points = st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=60, unique=True)
+    A = DeltaSet.from_indices(n, [(1 << n) + k for k in draw(points)])
+    B = DeltaSet.from_indices(n, draw(points))
+    q = draw(st.integers(0, n))
+    return A, Fraction(draw(st.integers(-(1 << q), 1 << q)), 1 << q), B
+
+
+@given(slope_sumsets())
+@settings(max_examples=100, deadline=None)
+def test_sumset_size_is_the_support_of_the_projected_product(args):
+    # the sumset kernel of grid (five routes) against the sort-based measure kernel
+    A, c, B = args
+    pushed = project(product_measure(counting_measure(A), counting_measure(B)), c)
+    assert len(sumset(A, c, B)) == pushed.support_size()
 
 
 @given(slope_batches())
