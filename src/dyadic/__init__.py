@@ -49,11 +49,8 @@ from .measures import (
     CertificateError,
     ChainReport,
     DiscreteMeasure,
-    autocorrelation_peak_ratio,
     coarsen,
-    concavity_check,
     conditional_entropy,
-    convolve,
     counting_measure,
     discretize_density_l2,
     entropy,
@@ -63,7 +60,6 @@ from .measures import (
     project,
     renormalize_cell,
     save_measure,
-    symmetrize,
     uniform_fiber_entropy_bound,
 )
 from .projections import (
@@ -74,12 +70,7 @@ from .projections import (
     audit_hypotheses,
     averaged_l2,
     averaged_projection_entropy,
-    common_tube_c_set,
-    far_pair_nu_masses,
     l2_of_projection,
-    near_pair_mass,
-    tube_diameter_ok,
-    vertical_separation_margin,
 )
 from .trees import (
     BranchingProfile,

@@ -180,11 +180,18 @@ def _utf8(path):
         raise FormatError(path, None, f"not UTF-8 text: {exc.reason}") from None
 
 
+def _echo(text: str) -> str:
+    """``text`` as an error message quotes it: whole up to 60 characters,
+    else its first 60 and its length, so one bad value gives a short line."""
+    return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} chars)"
+
+
 def _unique_keys(pairs: list) -> dict:
     """The JSON object of ``pairs``; a key repeated within it raises ValueError."""
     if len(obj := dict(pairs)) < len(pairs):
         seen = set()  # the first key met twice (``seen.add`` returns None)
-        raise ValueError(f"repeated key {next(k for k, _ in pairs if k in seen or seen.add(k))!r}")
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise ValueError(f"repeated key {_echo(repr(key))}")
     return obj
 
 
@@ -217,7 +224,7 @@ _JSON_TYPES = {int: "an integer", str: "a string", dict: "an object"}
 def _read(value, kind: type, what: str):
     """``value``, of JSON type ``kind`` exactly: a bool is not an integer."""
     if type(value) is not kind:
-        raise ValueError(f"{what} must be {_JSON_TYPES[kind]}, not {json.dumps(value)}")
+        raise ValueError(f"{what} must be {_JSON_TYPES[kind]}, not {_echo(json.dumps(value))}")
     return value
 
 
@@ -225,7 +232,7 @@ def _read_list(value, what: str, size: int | None = None) -> list:
     """``value``, a JSON list, of ``size`` entries where that is given."""
     if type(value) is not list or size is not None and len(value) != size:
         shape = "a list" if size is None else f"a list of length {size}"
-        raise ValueError(f"{what} must be {shape}, not {json.dumps(value)}")
+        raise ValueError(f"{what} must be {shape}, not {_echo(json.dumps(value))}")
     return value
 
 
@@ -237,7 +244,7 @@ def _read_object(value, what: str, keys: Sequence[str], defaults: dict | None = 
         if key not in data:
             raise ValueError(f"missing key {key!r}")
         if key not in keys and key not in defaults:
-            raise ValueError(f"unknown key {key!r}")
+            raise ValueError(f"unknown key {_echo(repr(key))}")
     return {**defaults, **data}
 
 
@@ -252,7 +259,7 @@ def _read_ratio(value, what: str) -> tuple[int, int]:
             if q := int(den):
                 return int(num), q
     elif type(value) is not int and type(value) is not float:
-        raise ValueError(f"{what} must be a string or a number, not {json.dumps(value)}")
+        raise ValueError(f"{what} must be a string or a number, not {_echo(json.dumps(value))}")
     try:
         return Fraction(value).as_integer_ratio()
     except (ZeroDivisionError, OverflowError) as exc:
@@ -1010,7 +1017,8 @@ def load_set(path) -> DeltaSet:
     with _utf8(path) as fh:
         header = fh.readline().strip()
         if not (fields := _HEADER.fullmatch(header)):
-            raise FormatError(path, 1, f"header must read 'n=<int> W=<int>', got {header!r}")
+            got = _echo(repr(header))
+            raise FormatError(path, 1, f"header must read 'n=<int> W=<int>', got {got}")
         n, width = map(int, fields.groups())
         idx = []
         for lineno, line in enumerate(fh, start=2):
@@ -1018,7 +1026,8 @@ def load_set(path) -> DeltaSet:
                 try:
                     idx.append(_decimal(line.strip()))
                 except ValueError:
-                    raise FormatError(path, lineno, f"not an index: {line.strip()!r}") from None
+                    bad = _echo(repr(line.strip()))
+                    raise FormatError(path, lineno, f"not an index: {bad}") from None
                 if not line.endswith("\n"):
                     raise FormatError(path, lineno, "no newline ends the file: it may be cut short")
     try:

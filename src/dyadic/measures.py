@@ -1,10 +1,10 @@
 """Discrete measures with exact rational weights, and their entropies.
 
 A measure lives on the index grid at resolution ``2**-n`` in dimension 1 or
-2: atoms map cell indices (possibly negative, for difference supports) to
-weights.  Weights are stored as integer numerators over one common integer
-denominator, so restriction, products, pushforwards and convolutions are
-integer arithmetic and every stated identity can be checked exactly; floats
+2: atoms map cell indices (possibly negative, as images at negative slopes)
+to weights.  Weights are stored as integer numerators over one common
+integer denominator, so restriction, products and pushforwards are integer
+arithmetic and every stated identity can be checked exactly; floats
 enter only in the final ``log2`` of an entropy.
 
 Entropies are base 2.  ``entropy(mu, j)`` is the Shannon entropy of the
@@ -55,7 +55,6 @@ The inequalities checked at run time raise ``CertificateError`` through
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -92,10 +91,6 @@ __all__ = [
     "renormalize_cell",
     "discretize_density_l2",
     "project",
-    "convolve",
-    "symmetrize",
-    "autocorrelation_peak_ratio",
-    "concavity_check",
     "entropy_chain",
     "ChainReport",
     "uniform_fiber_entropy_bound",
@@ -646,86 +641,6 @@ def project(mu: DiscreteMeasure, c) -> DiscreteMeasure:
         raise ValueError("project expects a planar measure")
     counts, _, keys = _cell_counts(mu, [dyadic_slope(c)], None, mu.n)
     return DiscreteMeasure._from_columns(1, mu.n, tuple(keys()), counts, mu.denom)
-
-
-def convolve(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeasure:
-    """Additive convolution of two 1-d measures on one grid (exact: index
-    sums stay on the grid), as the product measure projected at slope 1."""
-    if mu.dim != 1 or nu.dim != 1 or mu.n != nu.n:
-        raise ValueError("convolve needs two 1-d measures at one resolution")
-    return project(product_measure(mu, nu), 1)
-
-
-def symmetrize(nu: DiscreteMeasure, max_atoms: int = 1 << 12) -> DiscreteMeasure:
-    """The difference measure ``nu * (-nu)``: exact autocorrelation, as
-    ``nu x nu`` projected at slope -1.
-
-    Supports land in ``(-1, 1)``, hence negative indices; the quadratic
-    product is guarded by ``max_atoms``.
-    """
-    if nu.dim != 1:
-        raise ValueError("symmetrize expects a 1-d measure")
-    if nu.support_size() > max_atoms:
-        raise ValueError("support too large for the quadratic product")
-    return project(product_measure(nu, nu), -1)
-
-
-def autocorrelation_peak_ratio(
-    nubar: DiscreteMeasure, r_exps: Iterable[int] | None = None
-) -> float:
-    """Worst ratio ``nubar(B(x, r)) / nubar(B(0, r))`` over atoms x and
-    dyadic radii ``r = 2**-j``.
-
-    For a difference measure the ratio is at most 4: cover ``B(x, r)`` by
-    two half-balls and dominate each by twice the width-``2r`` triangle
-    average, which is maximized at 0 for any measure of positive type.
-    """
-    if r_exps is None:
-        r_exps = range(nubar.n + 1)
-    keys = sorted(nubar.atoms)
-
-    def ball(center: int, w: int) -> int:
-        lo = bisect.bisect_left(keys, center - w)
-        hi = bisect.bisect_right(keys, center + w)
-        return sum(nubar.atoms[k] for k in keys[lo:hi])
-
-    worst = 0.0
-    for j in r_exps:
-        w = 1 << (nubar.n - j) if j <= nubar.n else 0
-        origin = ball(0, w)
-        # a difference measure has mass at 0: at least one numerator unit
-        certify("origin-mass", origin - 1)
-        for x in keys:
-            ratio = ball(x, w) / origin
-            worst = max(worst, ratio)
-    return worst
-
-
-def concavity_check(
-    mu: DiscreteMeasure, nu: DiscreteMeasure, j: int
-) -> tuple[float, float]:
-    """Entropy of a convolution vs. the translate average it dominates.
-
-    Returns ``(H(mu * nu, level j), sum_x nu(x) H(mu + x, level j))`` and
-    asserts the first is at least the second (up to float noise): the
-    convolution is the nu-mixture of the translates, and entropy is concave
-    under mixtures.
-    """
-    conv = convolve(mu, nu)
-    lhs = entropy(conv, j)
-    denom = mu.denom
-    shift = mu.n - j
-    parts = []
-    for kx, nx in nu.atoms.items():
-        b: dict = {}
-        for key, num in mu.atoms.items():
-            ck = (key + kx) >> shift if shift else key + kx
-            b[ck] = b.get(ck, 0) + num
-        s = fsum(v * math.log2(v) for v in b.values() if v > 1)
-        parts.append(nx * (math.log2(denom) - s / denom))
-    rhs = fsum(parts) / nu.denom
-    certify("concavity", lhs - rhs, _IDENTITY_TOL)
-    return lhs, rhs
 
 
 @dataclass(frozen=True)

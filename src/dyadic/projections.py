@@ -14,13 +14,11 @@ comparisons before anything is evaluated:
   * every length-Delta window carries nu-mass at most C * Delta**gamma,
   * distinct occupied y-cells of mu are at distance at least Delta**xi.
 
-The mechanism behind the bound splits mass pairs into near pairs (within
-10*Delta of each other, controlled by the cell-mass hypothesis) and far
-pairs (the slopes threading both points through one tube form a short
-window, controlled by the nu-mass and separation hypotheses).  Both halves
-of that argument are independently checkable on concrete instances, and
-the helpers near_pair_mass, far_pair_nu_masses, common_tube_c_set and
-vertical_separation_margin expose exactly those checks.
+The mechanism behind the bound splits mass pairs into near pairs (in
+adjacent cells, controlled by the cell-mass hypothesis) and far pairs (the
+slopes threading both points through one cell form a short window,
+controlled by the nu-mass and separation hypotheses).  averaged_l2
+certifies that split on every call (``l2-near-far``).
 
 Implied constants are never silently trusted: reports carry a fitted
 constant (measured average divided by the bound's max term) and the test
@@ -50,11 +48,6 @@ __all__ = [
     "l2_of_projection",
     "averaged_l2",
     "averaged_projection_entropy",
-    "near_pair_mass",
-    "far_pair_nu_masses",
-    "common_tube_c_set",
-    "tube_diameter_ok",
-    "vertical_separation_margin",
 ]
 
 PAIR_PATH_LIMIT = 10_000
@@ -156,8 +149,7 @@ def audit_hypotheses(
     n = mu.n
     failures = []
 
-    (_, ys), nums = mu._columns
-    worst = Fraction(int(nums.max()), mu.denom)
+    worst = Fraction(int(mu._columns[1].max()), mu.denom)
     if not _mass_le(worst, params.big_c, n * (params.gamma_a + params.gamma_b)):
         failures.append("cell-mass")
 
@@ -170,13 +162,18 @@ def audit_hypotheses(
     if not _mass_le(heaviest, params.big_c, n * params.gamma):
         failures.append("nu-mass")
 
-    ys = _distinct(np.sort(ys))
-    if ys.size > 1:
-        gap = int(np.diff(ys).min())
-        # dist of cells k and k + gap is (gap - 1) * Delta >= Delta**xi
-        if not pow2_le(n * (1 - params.xi), gap - 1):
-            failures.append("separation")
+    gap = _least_y_gap(mu)
+    # dist of cells k and k + gap is (gap - 1) * Delta >= Delta**xi
+    if gap is not None and not pow2_le(n * (1 - params.xi), gap - 1):
+        failures.append("separation")
     return failures
+
+
+def _least_y_gap(mu: DiscreteMeasure) -> int | None:
+    """The least index gap between distinct occupied y-cells of ``mu``;
+    None when it occupies one y-cell only."""
+    ys = _distinct(np.sort(mu._columns[0][1]))
+    return int(np.diff(ys).min()) if ys.size > 1 else None
 
 
 def _projected_cells(mu: DiscreteMeasure, c: Fraction) -> np.ndarray:
@@ -198,25 +195,37 @@ def _pair_total(mu: DiscreteMeasure, key: np.ndarray, reach: int, related) -> in
     related.  The atoms are sorted by ``key`` once; each block of 512 rows
     is then compared with the window of atoms whose keys lie within
     ``reach`` of the block's, and ``related(rows, cols)`` gives the boolean
-    block of pairs for those two index arrays.  A row's weight sum is at
-    most the denominator, so it is int64 below 2**63; the products are
-    int64 only while ``denom**2 < 2**63`` and Python integers past that.
+    block of pairs for those two index arrays; ``key +- reach`` must not
+    overflow.  A row's weight sum is at most the denominator, so it is
+    int64 below 2**63; the products are int64 only while ``denom**2 <
+    2**63`` and Python integers past that.
     """
     order = np.argsort(key)
     key = key[order]
     wts = mu._columns[1][order]
-    total, first, last = 0, int(key[0]), int(key[-1])
+    total = 0
     for lo in range(0, key.size, 512):
         hi = min(lo + 512, key.size)
-        # the window's ends, in Python ints clipped to the keys: no overflow
-        a = np.searchsorted(key, max(int(key[lo]) - reach, first), "left")
-        b = np.searchsorted(key, min(int(key[hi - 1]) + reach, last), "right")
+        a = np.searchsorted(key, key[lo] - reach, "left")
+        b = np.searchsorted(key, key[hi - 1] + reach, "right")
         sums = related(order[lo:hi], order[a:b]) @ wts[a:b]
         if mu.denom * mu.denom < 1 << 63:
             total += int(wts[lo:hi] @ sums)
         else:
             total += sum(map(operator.mul, wts[lo:hi].tolist(), sums.tolist()))
     return total
+
+
+def _pair_scan(mu: DiscreteMeasure, check) -> bool:
+    """Whether the quadratic pair scans run: ``check="auto"`` runs them up
+    to PAIR_PATH_LIMIT support atoms, ``True`` insists (ValueError past the
+    limit) and ``False`` skips them."""
+    size = mu.support_size()
+    if check == "auto":
+        return size <= PAIR_PATH_LIMIT
+    if check and size > PAIR_PATH_LIMIT:
+        raise ValueError(f"pair-counting path refused above {PAIR_PATH_LIMIT} atoms")
+    return bool(check)
 
 
 def l2_of_projection(mu: DiscreteMeasure, c, check="auto") -> Fraction:
@@ -236,19 +245,45 @@ def l2_of_projection(mu: DiscreteMeasure, c, check="auto") -> Fraction:
         raise ValueError("l2_of_projection expects a planar measure")
     c = Fraction(c)
     value = _projection_l2_entropy(mu, c)[0]
-
-    size = mu.support_size()
-    if check == "auto":
-        check = size <= PAIR_PATH_LIMIT
-    elif check and size > PAIR_PATH_LIMIT:
-        raise ValueError(f"pair-counting path refused above {PAIR_PATH_LIMIT} atoms")
-    if check:
+    if _pair_scan(mu, check):
         cells = _projected_cells(mu, c)
         pair_total = _pair_total(mu, cells, 0, lambda i, j: cells[i, None] == cells[None, j])
         pair_value = Fraction(pair_total << mu.n, mu.denom**2)
         # the two exact routes must agree: any difference is a negative slack
         certify("l2-dual-route", -abs(pair_value - value))
     return value
+
+
+def _near_mass(mu: DiscreteMeasure, scan: bool) -> Fraction:
+    """The (mu x mu)-mass of the near pairs, ``|dx| <= 1`` and ``|dy| <= 1``
+    (the diagonal included), exactly when ``scan``; otherwise its bound
+    ``min(1, 9 * heaviest atom)``, as each atom has at most 9 near atoms."""
+    if not scan:
+        return min(Fraction(1), Fraction(9 * int(mu._columns[1].max()), mu.denom))
+    xs, ys = mu._columns[0]
+
+    def near(i, j):  # keys lie within +-2**62, so their gaps fit int64
+        return (np.abs(xs[i, None] - xs[None, j]) <= 1) & (np.abs(ys[i, None] - ys[None, j]) <= 1)
+
+    return Fraction(_pair_total(mu, xs, 1, near), mu.denom**2)
+
+
+def _far_mass(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Fraction:
+    """The largest nu-mass of a slope window ``[c, c + 2/g)`` over nu's
+    atoms c, where ``g = max(2, least gap between mu's y-cells)``; 0 when
+    mu occupies one y-cell.  Exact: in nu's indices ``k``, the window of
+    ``k_i`` holds the ``k_j >= k_i`` with ``(k_j - k_i) * g < 2**(nu.n + 1)``,
+    that is ``k_j < k_i + ceil(2**(nu.n + 1) / g)``.  The slopes satisfy
+    ``|k| <= 2**nu.n`` and lie within +-2**62, so that sum fits int64."""
+    gap = _least_y_gap(mu)
+    if gap is None:
+        return Fraction(0)
+    (ks,), nums = nu._columns
+    order = np.argsort(ks)
+    ks = ks[order]
+    cum = np.concatenate(([0], np.cumsum(nums[order])))
+    ends = np.searchsorted(ks, ks + -(-(2 << nu.n) // max(2, gap)), "left")
+    return Fraction(int((cum[ends] - cum[:-1]).max()), nu.denom)
 
 
 def _nu_atoms_as_slopes(nu: DiscreteMeasure) -> list[tuple[Fraction, int]]:
@@ -306,19 +341,43 @@ def averaged_l2(
     hypothesis failed (exploratory use).  ``fitted`` is the measured
     average divided by the bound's max term, so the hypothesis constant C
     and any implied constant are folded into one observable number.
+
+    Every call also certifies the near/far split behind the bound,
+    ``average <= 2**n * (near + far)`` (``l2-near-far``, exact), with
+    ``near`` from _near_mass (exact where ``check`` runs the pair scans)
+    and ``far`` from _far_mass.  The average is exactly ``2**n * sum_{p,q}
+    mu(p) mu(q) nu(W(p, q))`` over atom pairs, where ``W(p, q)`` holds the
+    slopes that put p and q in one image cell; for gaps ``dx, dy`` in
+    cells that needs ``|dx + c*dy| < 1``.  A near pair has ``nu(W) <= 1``.
+    Every other pair is far:
+
+      * with ``|dy| <= 1`` it has ``|dx| >= 2``, so ``|dx + c*dy| >= 1``
+        for every ``|c| <= 1``, and ``W`` is empty;
+      * otherwise ``|dy| >= g``, and ``W`` lies in the open interval of
+        slopes of length ``2/|dy| <= 2/g`` where ``|dx + c*dy| < 1``.  The
+        nu-atoms of an open interval of length at most ``2/g`` lie in
+        ``[c, c + 2/g)`` for the least of them, c, so ``nu(W) <= far``.
+
+    The far pairs weigh at most 1 in all, hence the bound.  It needs none
+    of the three audited hypotheses, so it holds under ``strict=False``
+    too.  It certifies the mechanism, not a tight constant: on a spread
+    4,096-atom product with 8 slopes the bound is about 1,900 times the
+    average.
     """
     failures = audit_hypotheses(mu, nu, params)
     if failures and strict:
         raise ValueError("hypothesis audit failed: " + ", ".join(failures))
 
+    scan = _pair_scan(mu, check)
     per_c = []
     average = Fraction(0)
     for c, num in _nu_atoms_as_slopes(nu):
-        value = l2_of_projection(mu, c, check=check)
+        value = l2_of_projection(mu, c, check=scan)
         per_c.append((c, value))
         average += Fraction(num, nu.denom) * value
 
     n = mu.n
+    certify("l2-near-far", (_near_mass(mu, scan) + _far_mass(mu, nu)) * (1 << n) - average)
     exp_near = float(params.gamma_a + params.gamma_b - 1)
     exp_far = float(params.gamma - 1 - params.xi)
     max_term = max(2.0 ** (-n * exp_near), 2.0 ** (-n * exp_far))
@@ -465,133 +524,3 @@ def averaged_projection_entropy(
     if rhs_low is not None:
         certify("branching-form", report.slack_low, _TOL)
     return report
-
-
-def near_pair_mass(mu: DiscreteMeasure, radius_cells: int = 10) -> Fraction:
-    """(mu x mu)-mass of pairs within ``radius_cells`` grid cells.
-
-    The diagonal is included.  Under the cell-mass hypothesis this is at
-    most C * Delta**(gamma_a + gamma_b) times the ball's cell count, which
-    for the default radius is 441 < 2**9.
-    """
-    if mu.dim != 2:
-        raise ValueError("near_pair_mass expects a planar measure")
-    if mu.support_size() > PAIR_PATH_LIMIT:
-        raise ValueError(f"quadratic scan refused above {PAIR_PATH_LIMIT} atoms")
-    xs, ys = mu._columns[0]
-    r = radius_cells
-
-    def near(i, j):
-        # the gaps (below 2**63, as keys lie within +-2**62) are clipped at r
-        # before squaring, so dx**2 + dy**2 <= 2 r**2 fits int64 while
-        # r < 2**31; past that they square as Python ints
-        dx = np.abs(xs[i, None] - xs[None, j])
-        dy = np.abs(ys[i, None] - ys[None, j])
-        if r < 1 << 31:
-            dx, dy = np.minimum(dx, r), np.minimum(dy, r)
-        else:
-            dx, dy = dx.astype(object), dy.astype(object)
-        return dx * dx + dy * dy < r * r
-
-    # a near pair has |dx| < r: the x-window of each row block suffices
-    return Fraction(_pair_total(mu, xs, r - 1, near), mu.denom**2)
-
-
-def _common_window(px, py, qx, qy, k, shift) -> bool:
-    # both image values in one cell, for slope k / 2**shift; exact integers
-    return ((px << shift) + k * py) >> shift == ((qx << shift) + k * qy) >> shift
-
-
-def far_pair_nu_masses(
-    mu: DiscreteMeasure,
-    nu: DiscreteMeasure,
-    xi,
-    sample: int = 256,
-    rng=None,
-) -> list[Fraction]:
-    """Per-pair nu-mass of the slope window, for sampled far support pairs.
-
-    A pair is far when its distance is at least Delta**xi (exact integer
-    comparison); its slope window is the set of nu-atoms c threading both
-    points through a common cell.  Under the nu-mass and separation
-    hypotheses each returned mass is small: the window is short, so it
-    meets few length-Delta cells.
-    """
-    if mu.dim != 2:
-        raise ValueError("far_pair_nu_masses expects a planar measure")
-    xi = Fraction(xi)
-    rng = np.random.default_rng(rng)
-    keys = list(mu.atoms)
-    if len(keys) < 2:
-        return []
-    n = mu.n
-    out = []
-    slope_atoms = sorted(nu.atoms.items())
-    for _ in range(sample):
-        i, j = rng.integers(0, len(keys), size=2)
-        if i == j:
-            continue
-        (px, py), (qx, qy) = keys[i], keys[j]
-        dist2 = (px - qx) ** 2 + (py - qy) ** 2
-        if not pow2_le(2 * n * (1 - xi), dist2):
-            continue  # not a far pair
-        num = sum(
-            w for k, w in slope_atoms if _common_window(px, py, qx, qy, k, nu.n)
-        )
-        out.append(Fraction(num, nu.denom))
-    return out
-
-
-def common_tube_c_set(p, q, n: int, lo: int = -1, hi: int = 1) -> list[Fraction]:
-    """All dyadic slopes ``j / 2**n`` in [lo, hi] threading p and q through
-    a common grid cell.  p and q are index pairs at resolution ``2**-n``."""
-    (px, py), (qx, qy) = p, q
-    out = []
-    for j in range((lo << n), (hi << n) + 1):
-        if _common_window(px, py, qx, qy, j, n):
-            out.append(Fraction(j, 1 << n))
-    return out
-
-
-def tube_diameter_ok(p, q, n: int) -> bool:
-    """Whether the slope window of (p, q) has diameter <= 4 * Delta / |p_y - q_y|.
-
-    Vacuously true when fewer than two slopes qualify; exact integers
-    otherwise.  Pairs with equal y-cells pass only with an empty or
-    singleton window (their window cannot be short).
-    """
-    cs = common_tube_c_set(p, q, n)
-    if len(cs) < 2:
-        return True
-    dky = abs(p[1] - q[1])
-    if dky == 0:
-        return False
-    spread = cs[-1] - cs[0]
-    # spread <= 4 * Delta / (dky * Delta)  <=>  spread * dky <= 4
-    return spread * dky <= 4
-
-
-def vertical_separation_margin(n: int, radius_cells: int = 10) -> float:
-    """Minimal image-value gap (in cells) over all nearly-horizontal far pairs.
-
-    Over the difference space: x-gap dx and y-gap dky with ``dx**2 +
-    dky**2 >= radius_cells**2``, ``|dky| <= 1`` and ``|dx| <= 2**n``, against
-    every dyadic slope ``j / 2**n`` in [-1, 1].  The image values of such a
-    pair differ by ``|dx + j * dky / 2**n|`` cells; a margin >= 1 certifies,
-    for every actual position pair with those gaps, that no common cell
-    exists, hence a far pair threading a common tube must have |y-gap| >= 2
-    cells.  Covering all (dx, dky, j) covers all position pairs, so this is
-    stronger than enumerating positions.
-
-    The minimum has a closed form, with ``r = radius_cells``.  For
-    ``|dky| = 1`` the gap ``|dx| - |j| / 2**n`` is least at the least
-    admissible ``|dx|``, ``isqrt(r*r - 2) + 1 = r``, against the extreme
-    slope ``|j| = 2**n``: ``isqrt(r*r - 2)`` cells.  A pair with ``dky = 0``
-    keeps its whole gap ``|dx| >= r``.  Where ``2**n < r`` no admissible
-    x-gap exists and the margin is ``inf``.  Raises ValueError for ``r < 2``.
-    """
-    if radius_cells < 2:
-        raise ValueError(f"radius_cells must be at least 2, not {radius_cells}")
-    if (1 << n) < radius_cells:
-        return math.inf
-    return float(math.isqrt(radius_cells * radius_cells - 2))

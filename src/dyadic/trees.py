@@ -25,7 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from .grid import DeltaSet, FormatError, certify, load_json, pow2_ge, pow2_le
-from .grid import _read, _read_list, _read_object, _save_json
+from .grid import _echo, _read, _read_list, _read_object, _save_json
 from .grid import _pow2_cmp, _ratio, _run_heads, _run_lengths
 
 __all__ = [
@@ -257,10 +257,7 @@ def uniformize(A: DeltaSet, m: int, levels: int) -> tuple[DeltaSet, BranchingPro
     keeps at least a ``1/(2m)`` fraction (the size classes satisfy
     ``sum_k 2**k / f_k <= 2m``).
     """
-    if A.n != m * levels:
-        raise ValueError("resolution does not match m * levels")
-    if A.width != 1:
-        raise ValueError("uniformize needs A inside [0, 1)")
+    _check_tree(A, m, levels)
     original = len(A)
     idx = A.indices
     chosen = [0] * levels
@@ -600,7 +597,7 @@ def load_family(path) -> IntervalFamily:
             d = _read_object(d, "an interval", ("lo", "hi", "tag"))
             lo, hi, tag = _read(d["lo"], int, "'lo'"), _read(d["hi"], int, "'hi'"), d["tag"]
             if _read(tag, str, "'tag'") not in _WIRE_TO_TAG:
-                raise ValueError(f"unknown tag {tag!r}")
+                raise ValueError(f"unknown tag {_echo(repr(tag))}")
             ivs.append(Interval(lo, hi, _WIRE_TO_TAG[tag]))
         return IntervalFamily(tuple(ivs))
     except ValueError as exc:

@@ -197,6 +197,9 @@ def test_a_mutated_file_loads_the_same_or_is_refused_in_one_line(
         loaded = load(path)
     except FormatError as exc:
         assert str(exc).startswith(f"{path}") and len(str(exc).splitlines()) == 1
+        assert len(str(exc)) < 300  # a long value is shortened, not echoed whole
+        if fmt == "set" and mutation == "nest":
+            assert str(exc).startswith(f"{path}:{exc.line}: not an index: '[[[")
         return
     if fmt == "set" and mutation == "truncate" and mutated.endswith(b"\n"):
         # the set format has no end marker: a cut at a line end keeps the
@@ -204,3 +207,23 @@ def test_a_mutated_file_loads_the_same_or_is_refused_in_one_line(
         assert loaded.indices.tolist() == original.indices.tolist()[: len(loaded)]
         return
     assert loaded == original
+
+
+@pytest.mark.parametrize(
+    "text, load, reason",
+    [
+        ("n=6 W=1\n" + "1" * 5000 + "x\n", load_set, "not an index: '111"),
+        ("n=6 W=1 " + "x" * 5000 + "\n3\n", load_set, "header must read"),
+        (json.dumps({"dim": 2, "n": 4, "atoms": {str(i): [[i, 0], 1] for i in range(2000)}}),
+         load_measure, "'atoms' must be a list, not {"),
+        (json.dumps({"m": 2, "R": [[2] * 3000]}), load_profile, "must be an integer, not [2, 2"),
+        (json.dumps({"m": 2, "R": [2], "z" * 5000: 0}), load_profile, "unknown key 'zzz"),
+    ],
+)
+def test_a_long_value_is_shortened_in_the_error(tmp_path, text, load, reason):
+    path = tmp_path / "file"
+    path.write_text(text)
+    with pytest.raises(FormatError) as info:
+        load(path)
+    message = str(info.value)
+    assert reason in message and len(message) < 300 and "chars)" in message

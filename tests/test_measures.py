@@ -20,11 +20,8 @@ from dyadic.measures import (
     ChainReport,
     DiscreteMeasure,
     LOG2_3,
-    autocorrelation_peak_ratio,
     coarsen,
-    concavity_check,
     conditional_entropy,
-    convolve,
     counting_measure,
     discretize_density_l2,
     entropy,
@@ -34,7 +31,6 @@ from dyadic.measures import (
     project,
     renormalize_cell,
     save_measure,
-    symmetrize,
     uniform_fiber_entropy_bound,
 )
 from dyadic.grid import dyadic_slope, sumset
@@ -200,41 +196,6 @@ def test_project_preserves_mass_and_caps_entropy(mu, data):
     assert out.denom == mu.denom
     assert sum(out.atoms.values()) == mu.denom
     assert entropy(out, out.n) <= entropy(mu, mu.n) + TOL
-
-
-# ------------------------------------------------- convolution / symmetrize
-
-
-def test_symmetrize_two_atoms():
-    nu = measure1(3, {0: 1, 5: 1})
-    bar = symmetrize(nu)
-    assert bar.atoms == {-5: 1, 0: 2, 5: 1}
-    assert bar.denom == 4
-
-
-@given(measures(max_atoms=12))
-@settings(max_examples=100)
-def test_autocorrelation_peak_at_origin(nu):
-    bar = symmetrize(nu)
-    worst = autocorrelation_peak_ratio(bar)
-    assert worst <= 4.0 + 1e-12
-
-
-def test_concavity_equality_for_point_mass():
-    mu = measure1(3, {0: 1, 3: 2, 7: 1})
-    point = measure1(3, {2: 1})
-    lhs, rhs = concavity_check(mu, point, 2)
-    assert abs(lhs - rhs) <= TOL
-
-
-@given(measures(max_n=6, max_atoms=10), measures(max_n=6, max_atoms=10), st.data())
-@settings(max_examples=100)
-def test_concavity_random(mu, nu, data):
-    if mu.n != nu.n:
-        return
-    j = data.draw(st.integers(0, mu.n))
-    lhs, rhs = concavity_check(mu, nu, j)
-    assert lhs >= rhs - 2.0**-30
 
 
 # ------------------------------------------------------------ entropy chain

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dyadic
@@ -19,15 +19,12 @@ from dyadic.measures import DiscreteMeasure, discretize_density_l2, project
 from dyadic.projections import (
     LowBlockShape,
     ProjectionParams,
+    _far_mass,
+    _near_mass,
     audit_hypotheses,
     averaged_l2,
     averaged_projection_entropy,
-    common_tube_c_set,
-    far_pair_nu_masses,
     l2_of_projection,
-    near_pair_mass,
-    tube_diameter_ok,
-    vertical_separation_margin,
 )
 
 
@@ -270,64 +267,83 @@ def test_entropy_report_roundtrips_to_json(tmp_path):
 
 
 def test_near_pair_mass_frozen():
-    mu = planar(6, {(0, 0): 1, (0, 5): 1, (20, 20): 1})
-    # near pairs: three diagonal plus (0,0)-(0,5) in both orders
-    assert near_pair_mass(mu) == Fraction(5, 9)
+    mu = planar(6, {(0, 0): 1, (1, 1): 1, (0, 2): 1, (20, 20): 1})
+    # four diagonal pairs, and (1, 1) with each of (0, 0) and (0, 2) in both
+    # orders; (0, 0) and (0, 2) are two cells apart
+    assert _near_mass(mu, True) == Fraction(8, 16)
+    assert _near_mass(mu, False) == 1  # 9 * 1/4, at most 1
 
 
 def test_near_pair_mass_budget_on_compliant_instance():
     n = 12
     mu = brick(n, 1 << 6, 1 << 11)
-    mass = near_pair_mass(mu)
-    # cell-mass hypothesis: <= Delta**(gamma_a + gamma_b) * 441 < 2**9 * Delta**...
-    assert mass <= Fraction(1, 1 << 7) * (1 << 9)
+    # cell-mass hypothesis: each cell <= 2**-7, so 9 cells <= 9 * 2**-7
+    assert _near_mass(mu, True) == Fraction(1, 1 << 7)  # no two atoms adjacent
+    assert _near_mass(mu, False) == Fraction(9, 1 << 7)
 
 
 def test_far_pair_masses_budget():
     n = 12
     mu = brick(n, 1 << 6, 1 << 11)
     nu = slope_measure(9, range(1 << 9))
-    masses = far_pair_nu_masses(mu, nu, xi=Fraction(1, 8), sample=300, rng=7)
-    assert masses, "sampling found no far pairs on a spread-out instance"
-    gamma, xi = Fraction(3, 4), Fraction(1, 8)
-    budget = Fraction(1 << 9) * Fraction(2) ** (-int(n * (gamma - xi)))
-    assert all(m <= budget for m in masses)
+    # g = 2**11: a window [c, c + 2**-10) holds one of nu's 2**9 equal atoms
+    assert _far_mass(mu, nu) == Fraction(1, 1 << 9)
+    # g = max(2, 1): windows [c, c + 1) hold 16 of the 33 slopes k / 16
+    nu = slope_measure(4, range(-16, 17))
+    assert _far_mass(planar(4, {(0, 0): 1, (5, 1): 1}), nu) == Fraction(16, 33)
+    # one y-cell: no pair has |dy| >= 1, and no far pair shares a cell
+    assert _far_mass(planar(4, {(0, 3): 1, (9, 3): 1}), nu) == 0
 
 
 # -------------------------------------------------------------- tube geometry
+
+
+def common_tube_c_set(p, q, n: int, lo: int = -1, hi: int = 1) -> list[Fraction]:
+    """All dyadic slopes ``j / 2**n`` in [lo, hi] threading p and q through
+    a common grid cell, by brute force in exact integers.  p and q are index
+    pairs at resolution ``2**-n``."""
+    (px, py), (qx, qy) = p, q
+    return [Fraction(j, 1 << n) for j in range(lo << n, (hi << n) + 1)
+            if ((px << n) + j * py) >> n == ((qx << n) + j * qy) >> n]
 
 
 def test_common_tube_frozen_window():
     # floor(10) == floor(12 c) forces 12 c in [10, 11): c in {54..58}/64
     cs = common_tube_c_set((10, 0), (0, 12), 6, lo=0)
     assert cs == [Fraction(j, 64) for j in range(54, 59)]
-    assert tube_diameter_ok((10, 0), (0, 12), 6)
+    assert (cs[-1] - cs[0]) * 12 < 2  # inside an open interval of length 2/12
 
 
 def test_common_tube_empty_for_horizontal_far_pair():
     assert common_tube_c_set((0, 7), (40, 7), 6) == []
 
 
-def test_tube_diameter_brute_force_before_freezing():
-    rng = np.random.default_rng(2)
-    for n in (6, 8, 10):
-        scale = 1 << n
-        hits = 0
-        for _ in range(200):
-            p = (int(rng.integers(scale)), int(rng.integers(scale)))
-            q = (int(rng.integers(scale)), int(rng.integers(scale)))
-            dx, dy = p[0] - q[0], p[1] - q[1]
-            if dx * dx + dy * dy < 100 or abs(dy) < 2:
-                continue
-            hits += bool(common_tube_c_set(p, q, n))
-            assert tube_diameter_ok(p, q, n)
-        assert hits, "no sampled far pair admitted a tube; audit was vacuous"
+GAPS = st.integers(-3, 3) | st.integers(-600, 600)  # the small gaps often
+
+
+@given(st.integers(1, 8), st.tuples(st.integers(-300, 300), st.integers(-300, 300)),
+       st.tuples(GAPS, GAPS))
+@settings(max_examples=300, deadline=None)
+@example(6, (0, 12), (10, -12))
+def test_far_lemma_by_brute_force(n, q, gap):
+    # the two facts behind the far half of ``l2-near-far``, over every
+    # dyadic slope j / 2**n in [-1, 1]
+    (dx, dy), (qx, qy) = gap, q
+    if abs(dx) <= 1 and abs(dy) <= 1:
+        return  # a near pair
+    cs = common_tube_c_set((qx + dx, qy + dy), q, n)
+    if abs(dy) <= 1:
+        assert cs == []
+    else:  # within the open interval |dx + c*dy| < 1, of length 2/|dy|
+        assert all(abs(dx + c * dy) < 1 for c in cs)
+        assert not cs or (cs[-1] - cs[0]) * abs(dy) < 2
 
 
 def scanned_separation_margin(n: int, radius_cells: int) -> float:
-    """The margin of ``vertical_separation_margin`` by scanning every x-gap
-    ``dx <= 2**n``, y-gap ``|dky| <= 1`` and slope ``j / 2**n`` in [-1, 1]
-    (a ``2**n x 2**(n+1)`` table per y-gap)."""
+    """The least image-value gap, in cells, over every x-gap ``dx <= 2**n``
+    and y-gap ``|dky| <= 1`` with ``dx**2 + dky**2 >= radius_cells**2``,
+    against every slope ``j / 2**n`` in [-1, 1] (a ``2**n x 2**(n+1)``
+    table per y-gap)."""
     scale = 1 << n
     js = np.arange(-scale, scale + 1, dtype=np.int64)
     worst = math.inf
@@ -346,23 +362,18 @@ def scanned_separation_margin(n: int, radius_cells: int) -> float:
 
 
 def test_vertical_separation_margin_exhaustive():
-    for n in (4, 6, 8):
-        margin = vertical_separation_margin(n)
-        assert margin >= 1.0
-    # at n = 8 the minimum is dx = 10 against the extreme slope: 10 - 1
-    assert vertical_separation_margin(8) == pytest.approx(9.0)
+    # the first fact of the far half: a pair with |dy| <= 1 and |dx| >= 2 is
+    # at least a cell apart at every slope, so it never shares a cell
+    for n in range(1, 11):
+        assert scanned_separation_margin(n, 2) == 1
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_vertical_separation_margin_closed_form_matches_the_scan(n):
+    # the least admissible |dx| against the extreme slope leaves isqrt(r*r - 2) cells
     for r in range(2, 20):  # 2**n == r at (2, 4), (3, 8) and (4, 16)
-        assert vertical_separation_margin(n, r) == scanned_separation_margin(n, r)
-
-
-@pytest.mark.parametrize("r", [1, 0, -3])
-def test_vertical_separation_margin_refuses_a_radius_below_two(r):
-    with pytest.raises(ValueError, match="radius_cells must be at least 2"):
-        vertical_separation_margin(8, r)
+        margin = math.inf if (1 << n) < r else math.isqrt(r * r - 2)
+        assert scanned_separation_margin(n, r) == margin
 
 
 # ------------------------------------------------------------ exact pair sums
@@ -375,22 +386,29 @@ WIDE_PAIRS = {(0, 0): 1 << 40, (1, 0): (1 << 40) + 1, (0, 1): 3}
     "radius", [(1 << 31) - 1, 1 << 31, 1 << 44, (1 << 45) + 1, 1 << 62, 1 << 63, 1 << 64]
 )
 def test_near_pair_mass_exact_at_any_radius(radius):
-    # int64 squares of gaps clipped at 2**44 wrapped: this pair weighed 1, not 1/2
-    two = DiscreteMeasure(2, 62, {(0, 0): 1, (1 << 45, 0): 1}, 2)
-    assert near_pair_mass(two, 1 << 44) == Fraction(1, 2)
-    # gaps on both sides of 2**31, and the widest pair the keys allow (2**63 - 2)
+    # atoms spread to this radius, clipped to the keys' limit: int64 gaps up
+    # to 2**63 - 2 must not wrap, so only the three adjacent pairs are near
+    r = min(radius, (1 << 62) - 1)
+    atoms = {(0, 0): 1, (r, 0): 1, (r - 1, 1): 1, (-r, -r): 1, (1 - r, -r): 1,
+             (r, r): 1, (r - 1, r): 1}
+    near = sum(abs(px - qx) <= 1 and abs(py - qy) <= 1 for px, py in atoms for qx, qy in atoms)
+    assert near == 7 + 2 * 3
+    assert _near_mass(DiscreteMeasure(2, 62, atoms, 7), True) == Fraction(near, 49)
+
+
+def test_near_pair_mass_exact_at_the_key_limits():
+    # gaps on both sides of 2**31 and past 2**44, and the widest pair the
+    # keys allow (2**63 - 2): only the diagonal is near
     corner = (1 << 62) - 1
     atoms = {(0, 0): 1, (1 << 45, 0): 1, ((1 << 31) - 2, 1): 1, (-corner, -corner): 1,
-             (corner, corner): 1}
-    near = sum(
-        (px - qx) ** 2 + (py - qy) ** 2 < radius**2 for px, py in atoms for qx, qy in atoms
-    )
-    assert near_pair_mass(DiscreteMeasure(2, 62, atoms, 5), radius) == Fraction(near, 25)
+             (corner, corner): 1, (corner - 1, corner): 1}
+    mu = DiscreteMeasure(2, 62, atoms, 6)
+    assert _near_mass(mu, True) == Fraction(6 + 2, 36)
 
 
 def test_near_pair_mass_exact_past_int64_products():
     mu = DiscreteMeasure(2, 4, WIDE_PAIRS, sum(WIDE_PAIRS.values()))
-    assert near_pair_mass(mu) == 1  # every pair lies within 10 cells
+    assert _near_mass(mu, True) == 1  # every pair lies in adjacent cells
 
 
 def test_l2_pair_route_exact_past_int64_products():
@@ -405,7 +423,7 @@ def test_l2_pair_route_exact_past_int64_products():
         assert value == expect
 
 
-def reference_pair_totals(mu, c, radius):
+def reference_pair_totals(mu, c):
     """Same-cell and near pair totals by the Fraction floor and a full N**2 scan."""
     atoms = list(mu.atoms.items())
     cells = [math.floor(kx + c * ky) for (kx, ky), _ in atoms]
@@ -413,7 +431,7 @@ def reference_pair_totals(mu, c, radius):
     for ((xi, yi), wi), ci in zip(atoms, cells):
         for ((xj, yj), wj), cj in zip(atoms, cells):
             same += wi * wj if ci == cj else 0
-            near += wi * wj if (xi - xj) ** 2 + (yi - yj) ** 2 < radius * radius else 0
+            near += wi * wj if abs(xi - xj) <= 1 and abs(yi - yj) <= 1 else 0
     return same, near
 
 
@@ -432,17 +450,17 @@ def pair_scan_cases(draw):
     q = draw(st.sampled_from([0, 1, n, 70]))  # 70: the floor past int64
     c = draw(st.sampled_from([Fraction(0), Fraction(1), Fraction(-1),
                               Fraction(draw(st.integers(-(1 << q), 1 << q)), 1 << q)]))
-    return mu, c, draw(st.sampled_from([1, 2, 10]))
+    return mu, c
 
 
 @given(pair_scan_cases())
 @settings(max_examples=200, deadline=None)
 def test_windowed_pair_scans_match_the_full_scan(case):
-    mu, c, radius = case
-    same, near = reference_pair_totals(mu, c, radius)
+    mu, c = case
+    same, near = reference_pair_totals(mu, c)
     # the windowed same-cell total is certified equal to the bucket route
     assert l2_of_projection(mu, c, check=True) == Fraction(same << mu.n, mu.denom**2)
-    assert near_pair_mass(mu, radius) == Fraction(near, mu.denom**2)
+    assert _near_mass(mu, True) == Fraction(near, mu.denom**2)
 
 
 def test_windowed_pair_scans_across_row_blocks():
@@ -455,12 +473,60 @@ def test_windowed_pair_scans_across_row_blocks():
         atoms = dict(zip(zip(xs.tolist(), ys.tolist()), rng.integers(1, 9, size=1300).tolist()))
         mu = DiscreteMeasure(2, 62, atoms, sum(atoms.values()))
         xs, ys, ws = (np.array(v) for v in zip(*((x, y, w) for (x, y), w in atoms.items())))
-        near = (xs[:, None] - xs) ** 2 + (ys[:, None] - ys) ** 2 < 100
-        assert near_pair_mass(mu) == Fraction(int(ws @ near @ ws), mu.denom**2)
+        near = (abs(xs[:, None] - xs) <= 1) & (abs(ys[:, None] - ys) <= 1)
+        assert _near_mass(mu, True) == Fraction(int(ws @ near @ ws), mu.denom**2)
         c = Fraction(-3, 8)
         cells = np.array([math.floor(x + c * y) for x, y in zip(xs.tolist(), ys.tolist())])
         same = int(ws @ (cells[:, None] == cells) @ ws)
         assert l2_of_projection(mu, c, check=True) == Fraction(same << mu.n, mu.denom**2)
+
+
+def reference_near_far(mu, nu):
+    """The nu-average of the projected L2 norms, and the near and far terms,
+    by full scans over the atom pairs and nu's atoms in Fractions."""
+    atoms = list(mu.atoms.items())
+    slopes = sorted((Fraction(k, 1 << nu.n), Fraction(w, nu.denom)) for k, w in nu.atoms.items())
+    average = near = Fraction(0)
+    for (xi, yi), wi in atoms:
+        for (xj, yj), wj in atoms:
+            pair = Fraction(wi * wj, mu.denom**2)
+            shared = sum(v for c, v in slopes if math.floor(xi + c * yi) == math.floor(xj + c * yj))
+            average += pair * shared * (1 << mu.n)
+            near += pair if abs(xi - xj) <= 1 and abs(yi - yj) <= 1 else 0
+    ys = sorted({y for (_, y), _ in atoms})
+    if len(ys) == 1:
+        return average, near, Fraction(0)
+    g = max(2, min(b - a for a, b in zip(ys, ys[1:])))
+    far = max(sum(v for c, v in slopes if lo <= c < lo + Fraction(2, g)) for lo, _ in slopes)
+    return average, near, far
+
+
+@given(planar_measures(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_l2_near_far_bound_against_the_full_scan(mu, data):
+    m = data.draw(st.integers(1, 6))
+    ks = data.draw(st.lists(st.integers(-(1 << m), 1 << m), min_size=1, max_size=12, unique=True))
+    nums = data.draw(st.lists(st.integers(1, 5), min_size=len(ks), max_size=len(ks)))
+    nu = DiscreteMeasure(1, m, dict(zip(ks, nums)), sum(nums))
+    average, near, far = reference_near_far(mu, nu)
+    assert (_near_mass(mu, True), _far_mass(mu, nu)) == (near, far)
+    assert _near_mass(mu, False) >= near
+    assert average <= (near + far) * (1 << mu.n)
+    params = ProjectionParams(0, 0, 1, 1)
+    for check in (True, False):  # certified on both near routes, audit failures or not
+        assert averaged_l2(mu, nu, params, strict=False, check=check).average == average
+
+
+def certificate_under_python_O(code: str) -> tuple[str, str, Fraction]:
+    """Run ``code`` under ``python -O``; it prints the optimize flag, then
+    the failed certificate's name and slack (or ``accepted 0``)."""
+    src = str(Path(dyadic.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    optimize, name, slack = out.stdout.split()
+    return optimize, name, Fraction(slack)
 
 
 def test_l2_dual_route_certifies_under_python_O():
@@ -482,21 +548,44 @@ def test_l2_dual_route_certifies_under_python_O():
         "except CertificateError as exc:\n"
         "    print(sys.flags.optimize, exc.name, exc.slack)\n"
     )
-    src = str(Path(dyadic.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
+    assert certificate_under_python_O(code) == ("1", "l2-dual-route", -Fraction(1, 32**2))
+
+
+def test_l2_near_far_certifies_under_python_O():
+    # every slope's norm raised by 2**(n+1) puts the average past 2**n * (near + far),
+    # since near and far are at most 1 each
+    mu = product_measure(counting_measure(gen_ap(6, 8)), counting_measure(gen_ap(6, 4, step=3)))
+    nu = slope_measure(3, [-8, -3, 0, 5])
+    params = ProjectionParams(0, 0, 1, 1)
+    average = averaged_l2(mu, nu, params, strict=False).average
+    code = (
+        "import sys\n"
+        "from dyadic import CertificateError, ProjectionParams, counting_measure, gen_ap\n"
+        "from dyadic import product_measure, projections\n"
+        "from dyadic.measures import DiscreteMeasure\n"
+        "a, b = counting_measure(gen_ap(6, 8)), counting_measure(gen_ap(6, 4, step=3))\n"
+        "mu = product_measure(a, b)\n"
+        "nu = DiscreteMeasure(1, 3, {-8: 1, -3: 1, 0: 1, 5: 1}, 4)\n"
+        "real = projections.l2_of_projection\n"
+        "projections.l2_of_projection = lambda mu, c, check: real(mu, c, check) + (2 << mu.n)\n"
+        "try:\n"
+        "    projections.averaged_l2(mu, nu, ProjectionParams(0, 0, 1, 1), strict=False)\n"
+        "    print(sys.flags.optimize, 'accepted', 0)\n"
+        "except CertificateError as exc:\n"
+        "    print(sys.flags.optimize, exc.name, exc.slack)\n"
     )
-    optimize, name, slack = out.stdout.split()
-    assert (optimize, name) == ("1", "l2-dual-route")
-    assert Fraction(slack) == -Fraction(1, 32**2)
+    slack = (_near_mass(mu, True) + _far_mass(mu, nu)) * (1 << 6) - average - (2 << 6)
+    assert slack < 0
+    assert certificate_under_python_O(code) == ("1", "l2-near-far", slack)
 
 
 def test_pair_routes_with_python_int_numerators():
     # a denominator past 2**63: numerators no longer fit int64 at all
     atoms = {(0, 0): (1 << 64) + 1, (1, 0): 5, (2, 1): 1 << 63}
     mu = DiscreteMeasure(2, 4, atoms, sum(atoms.values()))
-    assert near_pair_mass(mu) == 1
+    # every pair is near but (0, 0) with (2, 1), two cells apart in x
+    far = 2 * atoms[0, 0] * atoms[2, 1]
+    assert _near_mass(mu, True) == Fraction(mu.denom**2 - far, mu.denom**2)
     assert l2_of_projection(mu, 1, check=True) == Fraction(
         sum(w * w for w in atoms.values()) << 4, mu.denom**2
     )

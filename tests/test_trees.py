@@ -319,6 +319,10 @@ def test_prune_adjacent_refuses_a_resolution_or_width_mismatch():
         prune_adjacent(DeltaSet(4, [0, 3, 8, 11]), BranchingProfile(2, (2, 2, 2)))
     with pytest.raises(ValueError, match="uniformity is defined for sets inside"):
         prune_adjacent(DeltaSet(4, [0, 3, 16, 19], width=2), BranchingProfile(2, (2, 2)))
+    with pytest.raises(ValueError, match="resolution does not match m \\* levels"):
+        uniformize(DeltaSet(4, [0, 3, 8, 11]), 2, 3)
+    with pytest.raises(ValueError, match="uniformity is defined for sets inside"):
+        uniformize(DeltaSet(4, [0, 3, 16, 19], width=2), 2, 2)
 
 
 # ---------------------------------------------------------- level intervals
