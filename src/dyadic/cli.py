@@ -26,6 +26,8 @@ from .experiments import (
     run_expansion_sweep,
     run_final_assembly,
     run_greedy_iterated_sum,
+    write_json,
+    write_rows_csv,
 )
 from .grid import (
     BudgetError,
@@ -38,6 +40,7 @@ from .grid import (
     gen_aligned_triple,
     gen_ap,
     load_set,
+    reserve,
     save_set,
 )
 from .measures import _chain_reports, load_measure
@@ -65,17 +68,14 @@ from .trees import (
 def _emit(ctx, payload, rows=None) -> None:
     """Write the JSON payload or CSV rows to --out (stdout by default)."""
     fmt, out = ctx.obj["fmt"], ctx.obj["out"]
-    if fmt == "csv":
-        if rows is None:
-            raise click.UsageError("this command has no tabular form; use --format json")
-        text = csv_text(rows)
+    if fmt == "csv" and rows is None:
+        raise click.UsageError("this command has no tabular form; use --format json")
+    if not out:
+        click.echo(csv_text(rows) if fmt == "csv" else json_text(payload), nl=False)
+    elif fmt == "csv":
+        write_rows_csv(rows, out)
     else:
-        text = json_text(payload)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
+        write_json(payload, out)
 
 
 def _fraction(text: str, option: str) -> Fraction:
@@ -180,6 +180,9 @@ def gen_random_cmd(ctx, n, size, dest):
     check_resolution(n)
     if not 1 <= size <= 1 << n:
         raise click.UsageError("need 1 <= size <= 2**n")
+    # the sorted indices; numpy's choice permutes all 2**n indices past
+    # 2**n // 50 points, and below that keeps the sample and a hash of it
+    reserve(8 * size + (8 << n if size > (1 << n) // 50 else 16 * size), "gen random")
     rng = named_stream(_seed(ctx), "cli/gen-random")
     idx = np.sort(rng.choice(1 << n, size=size, replace=False))
     save_set(DeltaSet(n, idx), dest)

@@ -36,7 +36,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .grid import DeltaSet, ParameterSet, ScaleSpec, aligned_exponent, certify, gen_ap
-from .grid import SUMSET_BYTE_BUDGET, BudgetError, FormatError, _distinct, _shifts, _sum_support
+from .grid import FormatError, _distinct, _shifts, _sum_support, reserve
 from .grid import _read, _read_list, _read_object, _read_ratio, load_json, sumset
 from .measures import (
     _chain_reports,
@@ -591,9 +591,7 @@ def run_expansion_sweep(config: ExperimentConfig) -> list[ExpansionRecord]:
         alpha_bar = math.log2(len(A)) / n
         a_idx = A.indices
         # scratch: `buf` below and, alive with it, the translated copy `moved`
-        needed = 2 * int(a_idx[-1]) + (3 << n) + 4
-        if needed > SUMSET_BYTE_BUDGET:
-            raise BudgetError(needed, SUMSET_BYTE_BUDGET)
+        reserve(2 * int(a_idx[-1]) + (3 << n) + 4, "sweep")
         buf = np.zeros(int(a_idx[-1]) + (1 << n) + 2, dtype=bool)
         for gamma in config.gammas:
             g = min(max(int(round(gamma * n)), 1), n)

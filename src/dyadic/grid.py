@@ -28,10 +28,15 @@ cost model fitted on a 2-core x86-64 VM with numpy 2.4:
 * a scatter into a bitmap over the window, one pass per point of the
   smaller operand: a sparse operand of tens to hundreds of points against
   up to a few hundred shifts;
-* a packed-bitset OR (``_or_words``): the operand with more points packed
-  once into uint64 words with its 64 bit-shifted copies, one OR of a copy
-  per shift of the other: an operand dense in its span against tens to
-  thousands of shifts;
+* a packed-bitset OR: the operand with more points packed once into
+  uint64 words with its 64 bit-shifted copies (``_packed_copies``), one OR
+  of a copy per shift of the other (``_or_shifts``), at first only for its
+  m lowest and m highest shifts (``_end_shifts``, proved exact at
+  ``_sum_support``).  Those settle both ends of the sum; an offset of the
+  middle that they miss is looked up against the middle shifts, and where
+  the misses are too many to look up (real holes, as a progression has),
+  the middle shifts are ORed or the cheapest other route runs: an operand
+  dense in its span against tens to thousands of shifts;
 * an FFT convolution of the two 0/1 indicators over the window
   ``[a0 + v0, a_max + v_max]``, in float64 ``numpy.fft`` at the shortest
   length ``2**a`` or ``3 * 2**a`` covering it (``_fft_length``), then
@@ -49,10 +54,14 @@ below x, ``A + A`` leaves the FFT for the dense route at x = 186 (65 us
 and 36 us at 240); an interval plus 8 shifts 64 apart leaves the outer
 sums for the scatter at 256 points (39 us and 37 us); an interval plus 32
 shifts 64 apart leaves the scatter for the bitset at 511 points (206 us
-and 122 us at 1,024); the 2,048 even indices below 4,096 plus the x even
-indices below 2x leave the bitset for the FFT at x = 136 (348 us and 324
-us).  Two random 2,048-point sets at n = 16 take the bitset: 4.6 ms
-against 9.3 ms for their FFT.
+and 122 us at 1,024).  The bitset is priced at no more than 2m shifts, so
+it leaves for the FFT only where it ORs every shift: the 256 multiples of
+16 below 4,096 plus the first x multiples of 16 leave it at x = 192 (the
+bitset 695 us and the FFT 761 us at 191, the FFT's price running about
+twice its time).  Two random 2,048-point sets at n = 16 take the bitset,
+which ORs 2 x 372 of the shifts: 1.9 ms, against 3.2 ms ORing all 2,048
+and 8.2 ms for their FFT (medians of 21 alternating runs, each after
+``gc.collect()``).
 
 The FFT route is exact.  It is taken only where Percival's a-priori bound
 on the error of every convolution entry (``_fft_error_bound``, about
@@ -61,9 +70,9 @@ every call certifies through ``certify`` that each entry lies within 1/4
 of an integer and that the rounded counts add up to ``|A| |V|``.  The
 support of the rounded counts is then the sumset.  ``certify`` raises
 ``CertificateError``, which ``python -O`` keeps.  A self-sum ``A + A``
-(the doubling ladder's first steps) transforms its indicator once and
-squares the spectrum.  The other four routes are integer logic and need
-no certificate.
+(the doubling ladder's steps) transforms its indicator once and squares
+the spectrum, and is priced at those two transforms.  The other four
+routes are integer logic and need no certificate.
 
 Iterated sums.  ``iterated_sum(B, k)`` takes ``kB`` as the support of
 ``irfft(rfft(1_B, N)**k)`` with N the ``_fft_length`` of the window
@@ -77,15 +86,19 @@ the growth of one transform: 1.2e-5 for 4,097 points at k = 3 and
 1/4, its ``40 N`` bytes fit the budget, ``k b_max < 2**63`` and the cost
 model above prices it below the pairwise steps; each call certifies as the
 FFT route does, with ``|B|**k`` pairs.  Elsewhere the k - 1 pairwise
-sumsets run.
+sumsets run.  At n = 16, 4,097 random points, ``3B`` takes them: ``B +
+B`` ORs 2 x 183 of the shifts, 1.4 ms against 5.3 ms ORing them all, and
+``2B + B``, nearly full, 64, 2.6 ms against 8.7 ms; ``3B`` takes 4.4 ms
+against 10.9 ms for the powered spectrum.
 
 Memory.  Each route's scratch is estimated before anything is allocated:
 17 bytes per pair for the outer sums, 40 per FFT point; for the scatter
 one per window index plus 16 per point of the larger operand and 16 per
 point of the result; for the bitset 576 per word of the packed operand
-(its 64 copies and their build), two per window index and 16 per point
-of the result; for the dense route eight per window index and 17 per
-pair of its two end sums.  A route past
+(its 64 copies and their build, or the unpacked operand its lookups
+read), two per window index and 16 per point of the result, its lookups
+taken one missed offset at a time; for the dense route eight per window
+index and 17 per pair of its two end sums.  A route past
 ``SUMSET_BYTE_BUDGET`` (1 GiB) is not taken, and when none fits,
 ``BudgetError`` (a ValueError) is raised before allocating.
 """
@@ -159,15 +172,22 @@ SUMSET_BYTE_BUDGET = 1 << 30
 
 
 class BudgetError(ValueError):
-    """A sumset every route of which needs ``needed`` bytes of scratch or
-    more, past the ``budget`` of ``SUMSET_BYTE_BUDGET``; nothing was
-    allocated."""
+    """``what`` (a sumset, every route of which, unless named otherwise)
+    needs ``needed`` bytes of scratch or more, past the ``budget`` of
+    ``SUMSET_BYTE_BUDGET``; nothing was allocated."""
 
-    def __init__(self, needed: int, budget: int):
+    def __init__(self, needed: int, budget: int, what: str = "sumset"):
         super().__init__(
-            f"sumset needs {needed} bytes of scratch memory, over the budget of {budget}"
+            f"{what} needs {needed} bytes of scratch memory, over the budget of {budget}"
         )
-        self.needed, self.budget = needed, budget
+        self.needed, self.budget, self.what = needed, budget, what
+
+
+def reserve(nbytes: int, what: str) -> None:
+    """Raise BudgetError naming ``what`` where ``nbytes`` of scratch would
+    pass ``SUMSET_BYTE_BUDGET``; call it before allocating them."""
+    if nbytes > SUMSET_BYTE_BUDGET:
+        raise BudgetError(nbytes, SUMSET_BYTE_BUDGET, what)
 
 
 @contextmanager
@@ -553,16 +573,23 @@ def _shifts(c, B: DeltaSet) -> np.ndarray:
 # Route costs of _sum_support in nanoseconds, fitted on a 2-core x86-64 VM
 # with numpy 2.4: sorting the outer sums takes about 1 ns per pair per bit
 # of log2(pairs); the FFT route about 40 us plus 3.5 ns * N * log2(N) for
-# N-point transforms; the scatter about 2.5 ns per write, 1 us per shift and 2 ns
-# per window byte; the bitset OR 40 us per call, 2 us per shift, 0.6 ns per
-# word ORed, 1.2 ns per word of the 64 shifted copies and 2 ns per window bit
-# unpacked; the dense route 20 us per call, 1.5 ns per window index and 5 ns
-# per pair of each end sum (an outer add, a compare and a masked scatter).
+# its three N-point transforms, a self-sum's two priced at two thirds of
+# that; the scatter about 2.5 ns per write, 1 us per shift and 2 ns per
+# window byte; the bitset OR 40 us per call, 2 us per shift ORed (at most 2m,
+# _end_shifts), 0.6 ns per word ORed, 1.2 ns per word of the 64 shifted
+# copies and 2 ns per window bit unpacked, and for each offset its end
+# shifts miss 2 us plus 0.6 ns per lookup (_witnessed); the dense route
+# 20 us per call, 1.5 ns per window index and 5 ns per pair of each end
+# sum (an outer add, a compare and a masked scatter).
+# The powered spectrum of iterated_sum measured 1.0 to 1.2 ns per
+# N * (log2(N) + k - 2) at N <= 49,152 and 2.2 ns at N = 196,608 (its two
+# transforms pass the caches there), and is priced at 1.6 ns.
 # The scratch bytes per pair, per FFT point, per packed word and per window
 # byte bound what tracemalloc read.
 _OUTER_NS, _FFT_NS, _SCATTER_NS, _SHIFT_NS, _WINDOW_NS = 1.0, 3.5, 2.5, 2000.0, 2.0
-_FFT_CALL_NS = 50_000.0
+_FFT_CALL_NS, _POWER_NS = 50_000.0, 1.6
 _BITSET_CALL_NS, _BITSET_SHIFT_NS, _WORD_NS, _COPY_NS, _BIT_NS = 40_000.0, 2000.0, 0.6, 1.2, 2.0
+_MISS_NS, _LOOKUP_NS = 2000.0, 0.6
 _DENSE_CALL_NS, _DENSE_NS, _END_NS = 20_000.0, 1.5, 5.0
 _OUTER_BYTES, _FFT_BYTES, _WORD_BYTES = 17, 40, 8 * 72
 _EPS = 2.0**-53  # unit roundoff of float64
@@ -642,14 +669,32 @@ def _power_error_bound(size: int, k: int, nfft: int) -> float:
     return propagated + eta * (1 + eta) * (1 + d) * m ** (k - 1) * math.sqrt(size)
 
 
-def _fitting_routes(na: int, nv: int, span: int, a_span: int) -> list[tuple[float, int, str]]:
+def _end_shifts(na: int, a_span: int, span: int) -> int:
+    """The m of the bitset route: it first ORs the m lowest and m highest
+    shifts.  Were the ``na`` points random in their ``a_span``, at density
+    p, m shifts would miss a given offset with chance ``(1 - p)**m``, which
+    this m keeps below ``1 / span``; at least 32, so that an operand whose
+    holes gather at its ends is still settled by the ends.  m decides the
+    speed of the route, never its result."""
+    if na == a_span:
+        return 32
+    return max(32, math.ceil(math.log(span) / -math.log1p(-na / a_span)))
+
+
+def _fitting_routes(
+    na: int, nv: int, span: int, a_span: int, transforms: int = 3
+) -> list[tuple[float, int, str]]:
     """``(ns, bytes, route)`` of each route of ``_sum_support`` for ``na`` by
     ``nv`` points (nv <= na) whose sums fill a window of ``span`` indices,
     the ``na`` points spanning ``a_span``, where the scratch fits the byte
-    budget; BudgetError where none does."""
+    budget; BudgetError where none does.  The FFT route takes ``transforms``
+    transforms: three, or two for a self-sum."""
     pairs = na * nv
     nfft = _fft_length(span)
-    words = ((a_span - 1) >> 6) + 2  # _or_words: a's words and one spare
+    words = ((a_span - 1) >> 6) + 2  # _packed_copies: a's words and one spare
+    m = _end_shifts(na, a_span, span)
+    middle = max(nv - 2 * m, 0)  # shifts checked by lookups into the misses of the 2m ORed
+    misses = span * (1 - na / a_span) ** m
     routes = [
         (_OUTER_NS * pairs * pairs.bit_length(), _OUTER_BYTES * pairs, "outer"),
         (
@@ -659,7 +704,8 @@ def _fitting_routes(na: int, nv: int, span: int, a_span: int) -> list[tuple[floa
         ),
         (
             _BITSET_CALL_NS
-            + (_BITSET_SHIFT_NS + _WORD_NS * words) * nv
+            + (_BITSET_SHIFT_NS + _WORD_NS * words) * (nv - middle)
+            + (_MISS_NS + _LOOKUP_NS * middle) * misses
             + _COPY_NS * 64 * words
             + _BIT_NS * span,
             _WORD_BYTES * words + 2 * span + 16 * min(span, pairs),
@@ -667,7 +713,8 @@ def _fitting_routes(na: int, nv: int, span: int, a_span: int) -> list[tuple[floa
         ),
     ]
     if _fft_error_bound(pairs, nfft) < 0.25:
-        routes.append((_FFT_CALL_NS + _FFT_NS * nfft * nfft.bit_length(), _FFT_BYTES * nfft, "fft"))
+        fft_ns = _FFT_CALL_NS + _FFT_NS * nfft * nfft.bit_length() * transforms / 3
+        routes.append((fft_ns, _FFT_BYTES * nfft, "fft"))
     holes = span + 1 - na - nv  # the indices of the two operands' spans that they miss
     if holes < min(a_span, span + 1 - a_span):
         ends = min(holes, na) * min(holes, nv)  # pairs of the outer sums at each end
@@ -679,11 +726,11 @@ def _fitting_routes(na: int, nv: int, span: int, a_span: int) -> list[tuple[floa
     return fits
 
 
-def _plan(na: int, nv: int, span: int, a_span: int) -> str:
+def _plan(na: int, nv: int, span: int, a_span: int, transforms: int = 3) -> str:
     """The cheapest route for a sumset of ``na`` by ``nv`` points (nv <= na)
     whose sums fill a window of ``span`` indices, the ``na`` points spanning
-    ``a_span``, within the byte budget."""
-    return min(_fitting_routes(na, nv, span, a_span))[2]
+    ``a_span``, within the byte budget (``_fitting_routes``)."""
+    return min(_fitting_routes(na, nv, span, a_span, transforms))[2]
 
 
 def _indicator_spectrum(s: np.ndarray, nfft: int) -> np.ndarray:
@@ -705,17 +752,14 @@ def _count_support(conv: np.ndarray, pairs: int) -> np.ndarray:
     return np.flatnonzero(counts != 0)  # a bool mask scans faster than the floats
 
 
-def _or_words(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The offsets ``(a - a[0]) + (v - v[0])`` as a bitset of little-endian
-    uint64 words (offset i is bit ``i & 63`` of word ``i >> 6``).
-
-    ``a`` is packed once, with its 64 copies shifted by 0 to 63 bits; for
-    each offset s of ``v``, copy ``s & 63`` is ORed in at word ``s >> 6``.
-    """
-    offsets = a - a[0]
-    words = (int(offsets[-1]) >> 6) + 2  # the spare word takes the bits shifted out
+def _packed_copies(x: np.ndarray) -> np.ndarray:
+    """The ascending offsets ``x`` (from 0) as a bitset of little-endian
+    uint64 words (offset i is bit ``i & 63`` of word ``i >> 6``), with its
+    64 copies shifted up by 0 to 63 bits: a (64, words) array whose last
+    word, spare, takes the bits shifted out."""
+    words = (int(x[-1]) >> 6) + 2
     bits = np.zeros(words << 6, dtype=bool)
-    bits[offsets] = True
+    bits[x] = True
     packed = np.packbits(bits, bitorder="little").view("<u8")
     del bits
     # copies[k, r] is the copy shifted by 8k + r bits: r by word shifts, then k whole bytes
@@ -727,11 +771,58 @@ def _or_words(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     low[1:, 1:] |= packed[:-1] >> (64 - r)
     for k in range(1, 8):
         copies[k, :, k:] = copies[0, :, :-k]
-    copies = copies.reshape(64, words << 3).view("<u8")
-    out = np.zeros(((int(v[-1]) - int(v[0])) >> 6) + words, dtype="<u8")
-    for s in (v - v[0]).tolist():
+    return copies.reshape(64, words << 3).view("<u8")
+
+
+def _or_shifts(copies: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
+    """OR into the bitset ``out`` the bitset of ``copies`` (``_packed_copies``)
+    shifted up by each offset s of ``y``: copy ``s & 63`` at word ``s >> 6``."""
+    words = copies.shape[1]
+    for s in y.tolist():
         out[s >> 6 : (s >> 6) + words] |= copies[s & 63]
-    return out
+
+
+def _witnessed(copies: np.ndarray, t: np.ndarray, y: np.ndarray, first, last) -> list[bool]:
+    """Whether each offset of ``t`` is ``i + s`` for an offset i of the
+    bitset of ``copies`` and an offset s of ``y[first:last]``, the span of
+    ``y`` that keeps i within the bitset, given per offset."""
+    bits = np.unpackbits(copies[0].view(np.uint8), bitorder="little").view(bool)
+    return [bits[u - y[i:j]].any() for u, i, j in zip(t.tolist(), first.tolist(), last.tolist())]
+
+
+def _bitset_support(x: np.ndarray, y: np.ndarray, span: int, rival_ns: float) -> np.ndarray | None:
+    """The sorted distinct values of ``x + y`` for ascending offsets ``x``
+    and ``y`` from 0 whose sums fill ``span`` indices, through the packed
+    bitset of ``x``: the 2m end shifts of ``y`` ORed, the middle shifts
+    checked against what they miss (``_sum_support`` proves it exact).
+    Where the misses cost more to check than ORing the middle shifts or
+    another route's ``rival_ns``, those shifts are ORed, or None is
+    returned where the other route is the cheaper."""
+    copies = _packed_copies(x)
+    words, top = copies.shape[1], int(x[-1])
+    out = np.zeros((int(y[-1]) >> 6) + words, dtype="<u8")
+    m = _end_shifts(x.size, top + 1, span)
+    middle = y[m:-m] if 2 * m < y.size else y[:0]
+    _or_shifts(copies, y if middle.size == 0 else np.concatenate((y[:m], y[-m:])), out)
+    seen = np.unpackbits(out.view(np.uint8), count=span, bitorder="little").view(bool)
+    if middle.size:
+        mid = seen[middle[0] : top + int(middle[-1]) + 1]
+        missed = mid.size - np.count_nonzero(mid)
+        ored_ns = middle.size * (_BITSET_SHIFT_NS + _WORD_NS * words)  # to OR the middle shifts
+        finish_ns = min(ored_ns, rival_ns)  # to finish without lookups
+        if missed and missed * _MISS_NS <= finish_ns:
+            misses = np.flatnonzero(~mid) + middle[0]
+            first = np.searchsorted(middle, misses - top)
+            last = np.searchsorted(middle, misses, side="right")
+            if missed * _MISS_NS + _LOOKUP_NS * int((last - first).sum()) <= finish_ns:
+                seen[misses] = _witnessed(copies, misses, middle, first, last)
+                missed = 0
+        if missed and rival_ns < ored_ns:
+            return None
+        if missed:  # real holes, as a progression has: OR the middle shifts after all
+            _or_shifts(copies, middle, out)
+            seen = np.unpackbits(out.view(np.uint8), count=span, bitorder="little").view(bool)
+    return np.flatnonzero(seen)
 
 
 def _end_sums(x: np.ndarray, y: np.ndarray, holes: int) -> np.ndarray:
@@ -754,12 +845,37 @@ def _sum_support(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     at most one of them, so t is a sum.  An offset below h splits only
     into offsets below h, so the outer sums of the at most h lowest points
     of each operand give the low end, and those of the highest the top.
+
+    The bitset route is exact for any m.  Take ``x = a - a[0]``, of span A,
+    and ``y = v - v[0]``, with 2m < |y|.  A sum ``t = x_i + y_j`` below
+    ``y[m]`` has ``y_j <= t < y[m]``, so j < m; one above ``(A - 1) +
+    y[-m-1]`` has ``y_j >= t - (A - 1) > y[-m-1]``, so j is among the m
+    highest.  So the ORs of the m lowest and m highest shifts give the sum
+    exactly outside the middle ``[y[m], (A - 1) + y[-m-1]]``.  Inside it,
+    every offset they set is a sum, and an offset t they miss has no split
+    with an end shift: it is a sum exactly when ``t - y_j`` is in x for
+    some middle shift ``y_j``, and ``_witnessed`` looks that up for the
+    ``y_j`` in ``[t - (A - 1), t]``.  Where the misses would cost more to
+    look up than to OR the middle shifts, those are ORed, or the cheapest
+    other route runs where the model prices it lower still.
     """
     if a.size < v.size:
         a, v = v, a
     lo = int(a[0]) + int(v[0])
     span = int(a[-1]) + int(v[-1]) - lo + 1
-    route = _plan(a.size, v.size, span, int(a[-1]) - int(a[0]) + 1)
+    a_span = int(a[-1]) - int(a[0]) + 1
+    # a self-sum (the doubling ladder's steps) squares one spectrum on the FFT route
+    transforms = 2 if a is v or np.array_equal(a, v) else 3
+    route = _plan(a.size, v.size, span, a_span, transforms)
+    if route == "bitset":
+        shape = (a.size, v.size, span, a_span, transforms)
+        others = [r for r in _fitting_routes(*shape) if r[2] != "bitset"]
+        rival_ns, _, rival = min(others, default=(math.inf, 0, route))
+        out = _bitset_support(a - a[0], v - v[0], span, rival_ns)
+        if out is not None:
+            out += lo
+            return out
+        route = rival
     if route == "outer":
         s = (a[:, None] + v).ravel()
         s.sort()
@@ -770,9 +886,6 @@ def _sum_support(a: np.ndarray, v: np.ndarray) -> np.ndarray:
         for s in v.tolist():
             seen[base + s] = True
         return np.flatnonzero(seen) + lo
-    if route == "bitset":
-        seen = np.unpackbits(_or_words(a, v).view(np.uint8), count=span, bitorder="little")
-        return np.flatnonzero(seen.view(bool)) + lo
     if route == "dense":
         holes = span + 1 - a.size - v.size
         low = _end_sums(a[:holes] - a[0], v[:holes] - v[0], holes)
@@ -785,8 +898,7 @@ def _sum_support(a: np.ndarray, v: np.ndarray) -> np.ndarray:
         return out
     nfft = _fft_length(span)
     spectrum = _indicator_spectrum(a, nfft)
-    # a self-sum (the doubling ladder's first steps) squares its one spectrum
-    spectrum *= spectrum if a is v or np.array_equal(a, v) else _indicator_spectrum(v, nfft)
+    spectrum *= spectrum if transforms == 2 else _indicator_spectrum(v, nfft)
     conv = np.fft.irfft(spectrum, nfft)[:span]
     del spectrum
     return _count_support(conv, a.size * v.size) + lo
@@ -801,8 +913,8 @@ def _power_nfft(B: DeltaSet, k: int, max_width: int) -> int | None:
     ``k b_max < 2**63``, kB is no wider than ``max_width``, the
     ``_FFT_BYTES * N`` scratch fits the byte budget, ``_power_error_bound``
     is below 1/4, and the cost model prices it below the pairwise steps.  It
-    is priced as one FFT step of ``_plan`` at N (three transforms, for its
-    two) plus one butterfly pass per further complex multiply.  Each
+    is priced as ``log2 N`` butterfly passes of its two transforms plus one
+    per further complex multiply, at ``_POWER_NS`` per point.  Each
     pairwise step ``(j-1)B + B`` is priced at its cheapest route, the
     bitset's and the dense route's included, with ``|(j-1)B|`` at its least
     possible size ``(j-1)(|B|-1) + 1``.  That prices every other route at
@@ -819,11 +931,11 @@ def _power_nfft(B: DeltaSet, k: int, max_width: int) -> int | None:
         or not _power_error_bound(size, k, nfft) < 0.25
     ):
         return None
-    price = _FFT_CALL_NS + _FFT_NS * nfft * (nfft.bit_length() + k - 2)
+    price = _FFT_CALL_NS + _POWER_NS * nfft * (nfft.bit_length() + k - 2)
     pairwise = 0.0
     for j in range(2, k + 1):
         step = ((j - 1) * (size - 1) + 1, size, j * (hi - lo) + 1, (j - 1) * (hi - lo) + 1)
-        pairwise += min(_fitting_routes(*step))[0]
+        pairwise += min(_fitting_routes(*step, 2 if j == 2 else 3))[0]
         if pairwise > price:
             return nfft
     return None
@@ -957,7 +1069,11 @@ def gen_ap(n: int, size: int, step: int | None = None, start: int = 0) -> DeltaS
     last = start + step * (size - 1)  # in Python ints: int64 would wrap past 2**63
     if start < 0 or last >= 1 << 63:
         raise ValueError(f"progression indices {start} to {last} leave the int64 range [0, 2**63)")
-    return DeltaSet(n, start + step * np.arange(size, dtype=np.int64), (last >> n) + 1)
+    reserve(9 * size, "gen_ap")  # the indices and DeltaSet's order check, one byte each
+    idx = np.arange(size, dtype=np.int64)
+    idx *= step
+    idx += start
+    return DeltaSet(n, idx, (last >> n) + 1)
 
 
 def aligned_exponent(n_param: int) -> int:

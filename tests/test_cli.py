@@ -25,6 +25,7 @@ from dyadic import (
     save_profile,
     save_set,
 )
+from dyadic import grid
 from dyadic.cli import main
 
 
@@ -315,6 +316,41 @@ def test_out_writes_file(tmp_path, runner):
     res = invoke(runner, ["--out", str(out), "ladder", str(dest)])
     assert res.output == ""
     assert json.loads(out.read_text())["slow_step"] == 1
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_out_file_holds_the_bytes_stdout_gets(tmp_path, runner, fmt):
+    dest = tmp_path / "ap.txt"
+    out = tmp_path / f"report.{fmt}"
+    invoke(runner, ["gen", "ap", "--n", "6", "--size", "8", str(dest)])
+    shown = invoke(runner, ["--format", fmt, "greedy", str(dest), str(dest)]).stdout_bytes
+    written = invoke(runner, ["--format", fmt, "--out", str(out), "greedy", str(dest), str(dest)])
+    assert written.output == ""
+    assert out.read_bytes() == shown and len(shown.splitlines()) > 2
+
+
+@pytest.mark.parametrize(
+    "args, what, needed",
+    [
+        (["gen", "ap", "--n", "20", "--size", "1000"], "gen_ap", 9 * 1000),
+        # below 2**20 // 50 points numpy's choice keeps the sample and a hash of it
+        (["gen", "random", "--n", "20", "--size", "1000"], "gen random", 24 * 1000),
+        # past 2**12 // 50 = 81 points it permutes all 4,096 indices
+        (["gen", "random", "--n", "12", "--size", "100"], "gen random", 8 * 100 + 8 * 4096),
+    ],
+)
+def test_gen_past_the_byte_budget_gives_one_line_error_before_allocating(
+    tmp_path, runner, monkeypatch, args, what, needed
+):
+    dest = tmp_path / "set.txt"
+    monkeypatch.setattr(grid, "SUMSET_BYTE_BUDGET", needed - 1)
+    res = runner.invoke(main, [*args, str(dest)])
+    assert res.exit_code == 1 and not dest.exists()
+    reason = f"{what} needs {needed} bytes of scratch memory, over the budget of {needed - 1}"
+    assert res.output.splitlines() == [f"Error: {reason}"]
+    monkeypatch.setattr(grid, "SUMSET_BYTE_BUDGET", needed)
+    invoke(runner, [*args, str(dest)])
+    assert len(load_set(dest)) == int(args[-1])
 
 
 def test_help_lists_subcommands(runner):

@@ -376,12 +376,14 @@ def test_sumset_matches_python_int_brute_force_over_the_domain(args):
 
 # Shapes (A offsets, B offsets) of growing size x along which the cheapest
 # route changes once, from the first route named to the second.  The
-# progressions of step 2 and 3 miss as many indices as their spans hold,
-# so the dense route refuses them.
+# progressions of step 2, 3 and 16 miss as many indices as their spans
+# hold, so the dense route refuses them.  Where the bitset ORs only its end
+# shifts, it is priced below the FFT at any x, so the bitset-fft shape
+# crosses at an x below 2m: A is the 256 multiples of 16 below 4,096.
 CROSSOVERS = {
     "outer-scatter": lambda x: (np.arange(x), np.arange(8) * 64),
     "scatter-bitset": lambda x: (np.arange(x), np.arange(32) * 64),
-    "bitset-fft": lambda x: (2 * np.arange(2048), 2 * np.arange(x)),
+    "bitset-fft": lambda x: (16 * np.arange(256), 16 * np.arange(x)),
     "outer-fft": lambda x: (3 * np.arange(x), 3 * np.arange(x)),
     "outer-dense": lambda x: (np.arange(x), np.arange(x)),
     "fft-dense": lambda x: (np.union1d(np.arange(0, 256, 2), np.arange(x)),) * 2,
@@ -469,6 +471,138 @@ def test_sum_support_of_nearly_full_sets_matches_python_int_brute_force(args):
         assert out.tolist() == expect
 
 
+def _bitset_path(a, v, m, rival=None):
+    """``_sum_support(a, v)`` on the bitset route with m end shifts at each
+    end, the number of shifts it ORed, and its path: ``ends`` (the end
+    shifts settled every offset), ``checked`` (lookups settled the offsets
+    they missed), ``ored`` (the middle shifts were ORed after all) or
+    ``rival`` (another route ran).  ``rival`` names a route priced at 1 ns,
+    below any OR; without it none is offered."""
+    routes = [(0.0, 0, "bitset")] + ([(1.0, 0, rival)] if rival else [])
+    ors, supports = [], []
+    or_shifts, bitset_support = grid._or_shifts, grid._bitset_support
+
+    def traced_or(copies, y, out):
+        ors.append(y.size)
+        or_shifts(copies, y, out)
+
+    def traced_support(*args):
+        supports.append(bitset_support(*args))
+        return supports[-1]
+
+    with mock.patch.object(grid, "_fitting_routes", return_value=routes), \
+            mock.patch.object(grid, "_end_shifts", return_value=m), \
+            mock.patch.object(grid, "_or_shifts", side_effect=traced_or), \
+            mock.patch.object(grid, "_bitset_support", side_effect=traced_support), \
+            mock.patch.object(grid, "_witnessed", wraps=grid._witnessed) as witnessed:
+        out = grid._sum_support(a, v)
+    if supports[0] is None:
+        path = "rival"
+    else:
+        path = "ored" if len(ors) == 2 else "checked" if witnessed.called else "ends"
+    return out, sum(ors), path
+
+
+@st.composite
+def bitset_instances(draw):
+    """(A, p, q, B, m): A in the upper half of [0, 2**n) and B in the lower,
+    each within a window of up to 300 indices, as random points at a
+    density of 1/8 to 1, a progression of step 2 or 3, or the window less
+    one residue mod 3; a slope of 1, -1 or a coarse dyadic; and m from 1 to 8."""
+    n = draw(st.sampled_from([8, 16, 31, 40, 62]))
+    half = 1 << (n - 1)
+
+    def points(lo):
+        span = draw(st.integers(1, min(300, half)))
+        kind = draw(st.sampled_from(["random", "progression", "residues"]))
+        if kind == "random":
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            keep = np.flatnonzero(rng.random(span) < draw(st.sampled_from([1 / 8, 1 / 2, 7 / 8, 1])))
+        elif kind == "progression":
+            keep = np.arange(0, span, draw(st.sampled_from([2, 3])))
+        else:
+            keep = np.flatnonzero(np.arange(span) % 3 != draw(st.integers(0, 2)))
+        if keep.size == 0:  # a density of 1/8 can keep no point of a short window
+            keep = np.zeros(1, dtype=np.int64)
+        return DeltaSet(n, lo + draw(st.integers(0, half - span)) + keep)
+
+    A, B = points(half), points(0)
+    q = draw(st.sampled_from([0, 0, 3]))
+    p = draw(st.integers(-(1 << q), 1 << q)) if q else draw(st.sampled_from([1, -1]))
+    return A, p, q, B, draw(st.integers(1, 8))
+
+
+def _nearly_full(n, start, span, step=1, missing=()):
+    return holed(n, start, span, [i for i in range(span) if i % step or i in missing])
+
+
+@given(bitset_instances())
+@example((_nearly_full(8, 128, 80, step=2), 1, 0, _nearly_full(8, 0, 60, step=2), 3))  # real holes
+@example((_nearly_full(8, 128, 90, step=3), 1, 0, _nearly_full(8, 0, 50, step=3), 5))
+@example((holed(8, 128, 90, range(2, 90, 3)), 1, 0, holed(8, 0, 60, range(0, 60, 3)), 2))
+@example((holed(8, 128, 80, [9]), -1, 0, holed(8, 0, 30, [3, 4]), 4))  # c = -1
+@example((holed(8, 128, 16), 1, 0, holed(8, 0, 8), 4))  # 2m == |v|
+@example((holed(62, (1 << 62) - 300, 300, [17]), 1, 0, holed(62, 0, 200, range(0, 200, 2)), 6))  # about 2**62
+@example((holed(62, (3 << 61) - 300, 300, [5]), 1, 0, holed(62, (1 << 61) - 199, 200, [50]), 1))  # to 2**63 - 1
+@settings(max_examples=150, deadline=None)
+def test_bitset_end_shifts_and_checked_middle_match_python_int_brute_force(args):
+    A, p, q, B, m = args
+    a, v = A.indices, grid._shifts(Fraction(p, 1 << q), B)
+    expect = sorted({x + y for x in a.tolist() for y in v.tolist()})
+    for rival in (None, "outer"):
+        out, _, _ = _bitset_path(a, v, m, rival)
+        assert out.dtype == np.int64
+        assert out.tolist() == expect
+
+
+def _doubled(B: DeltaSet) -> DeltaSet:
+    return DeltaSet(B.n, np.unique(np.add.outer(B.indices, B.indices)), 2)
+
+
+_RANDOM_B = DeltaSet(10, np.sort(np.random.default_rng(29).choice(1 << 10, 128, replace=False)))
+
+# Named shapes (A, B, m) and the path the bitset route takes on them.
+BITSET_PATHS = {
+    "step-2 progression": (gen_ap(8, 80, step=2, start=128), gen_ap(8, 60, step=2), 3, "ored"),
+    "one residue mod 3 missing": (
+        holed(8, 128, 90, range(2, 90, 3)), holed(8, 0, 60, range(2, 60, 3)), 2, "ends"),
+    "2B + B": (_doubled(_RANDOM_B), _RANDOM_B, 3, "checked"),
+    "2m == |v|": (holed(8, 128, 40, [5]), gen_ap(8, 8, step=3), 4, "ends"),
+    "c = -1": (holed(8, 128, 80, [9]), holed(8, 0, 30, [3, 4]), 1, "checked"),
+    "about 2**62": (
+        gen_ap(62, 150, step=2, start=(1 << 62) - 300), gen_ap(62, 100, step=2), 2, "ored"),
+    "to 2**63 - 1": (
+        holed(62, (3 << 61) - 300, 300, range(3, 300, 7)), holed(62, (1 << 61) - 199, 200, [50]),
+        1, "checked"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BITSET_PATHS))
+def test_bitset_takes_each_path_and_matches_python_int_brute_force(name):
+    A, B, m, path = BITSET_PATHS[name]
+    c = -1 if name == "c = -1" else 1
+    v = grid._shifts(c, B)
+    expect = sorted({x + y for x in A.indices.tolist() for y in v.tolist()})
+    out, ored, taken = _bitset_path(A.indices, v, m)
+    assert (taken, out.tolist()) == (path, expect)
+    assert ored == (min(2 * m, v.size) if path != "ored" else v.size)
+    if path == "ored":  # a rival cheaper than the middle ORs takes the sum instead
+        out, ored, taken = _bitset_path(A.indices, v, m, rival="outer")
+        assert (taken, ored, out.tolist()) == ("rival", 2 * m, expect)
+
+
+def test_bitset_ors_at_most_2m_shifts_of_the_n16_self_sum():
+    B = _workload_set(3, "iterated/16/3", 16, 4097)
+    b = B.indices
+    span, b_span = 2 * int(b[-1] - b[0]) + 1, int(b[-1] - b[0]) + 1
+    m = grid._end_shifts(b.size, b_span, span)
+    assert grid._plan(b.size, b.size, span, b_span) == "bitset" and 2 * m < b.size
+    out, ored, path = _bitset_path(b, b, m)
+    assert path in ("ends", "checked") and ored == 2 * m
+    every, ored, _ = _bitset_path(b, b, b.size)  # m past |v| / 2: every shift ORed
+    assert ored == b.size and np.array_equal(out, every)
+
+
 def test_n40_random_sumset_within_the_byte_budget_is_exact():
     # the old bitmap branch allocated one byte per index below 2**41 here
     rng = np.random.default_rng(40)
@@ -524,8 +658,9 @@ def test_sumset_certificate_survives_python_O():
 
 
 def test_fft_self_sum_takes_one_transform_and_equal_sizes_take_two():
+    # 256 random points of 2,048: the bitset ORs all of them, and costs more
     rng = np.random.default_rng(6)
-    A, V = (DeltaSet(12, np.sort(rng.choice(2048, 1024, replace=False))) for _ in range(2))
+    A, V = (DeltaSet(12, np.sort(rng.choice(2048, 256, replace=False))) for _ in range(2))
     assert _route_of(A.indices, V.indices) == _route_of(A.indices, A.indices) == "fft"
     for B, transforms in ((A, 1), (dset(12, A.indices.tolist()), 1), (V, 2)):
         with mock.patch.object(np.fft, "rfft", wraps=np.fft.rfft) as rfft:
@@ -580,11 +715,13 @@ def _traced_iterated_sum(B, k):
 def iterated_instances(draw):
     """(B, k, kind): an interval, random points in a window 2 to 64 times
     their size, or a window twice their size holding about as many points
-    as ``_power_error_bound`` allows below 1/4 at k = 4 or 5."""
+    as ``_power_error_bound`` allows below 1/4 at k = 5 or 6.  (At k = 4,
+    about 6,660 points, the pairwise steps' bitset ORs 64 shifts and is
+    priced below the powered spectrum, so the bound never decides there.)"""
     kind = draw(st.sampled_from(["interval", "window", "window", "near-bound"]))
     if kind == "near-bound":
-        k = draw(st.sampled_from([4, 5]))
-        size = draw(st.integers(*{4: (6300, 7000), 5: (880, 1010)}[k]))
+        k = draw(st.sampled_from([5, 6]))
+        size = draw(st.integers(*{5: (880, 1010), 6: (250, 290)}[k]))
         span = 2 * size
     else:
         k = draw(st.integers(2, 5))
@@ -652,21 +789,23 @@ def test_power_error_bound_covers_the_measured_rounding(monkeypatch):
 @pytest.mark.parametrize("a", [8, 11])
 def test_both_fft_routes_round_within_their_bounds_at_three_times_a_power_of_two(a, monkeypatch):
     errors = _measured_rounding(monkeypatch)
+    share = {8: 2, 11: 16}[a]  # of the pairwise operands' points
     rng = np.random.default_rng(a)
     nfft = 3 << a
 
-    def half_of(span):  # about half the points of [0, span), both ends included
-        inner = 1 + rng.choice(span - 2, span // 2, replace=False)
+    def part_of(span, share):  # about a share of the points of [0, span), both ends included
+        inner = 1 + rng.choice(span - 2, span // share, replace=False)
         return DeltaSet(a + 2, np.sort(np.concatenate([[0, span - 1], inner])))
 
-    # pairwise: a window of 3 * 2**a - 1 indices, past 2**(a+1)
-    A, V = half_of(3 << (a - 1)), half_of(3 << (a - 1))
+    # pairwise: a window of 3 * 2**a - 1 indices, past 2**(a+1); at a = 11
+    # operands as full as B would take the bitset, which ORs only 64 shifts
+    A, V = part_of(3 << (a - 1), share), part_of(3 << (a - 1), share)
     assert _route_of(A.indices, V.indices) == "fft"
     assert grid._fft_length(2 * (3 << (a - 1)) - 1) == nfft
     assert sumset(A, 1, V).indices.tolist() == brute_sumset(A, 1, 0, V)
     assert 0 < errors[-1] <= grid._fft_error_bound(len(A) * len(V), nfft)
     # powered: 3B over a window of 3 * 2**a - 2 indices
-    B = half_of(1 << a)
+    B = part_of(1 << a, 2)
     assert grid._power_nfft(B, 3, 1 << 12) == nfft
     assert iterated_sum(B, 3).indices.tolist() == brute_iterated(B, 3)
     assert 0 < errors[-1] <= grid._power_error_bound(len(B), 3, nfft)
@@ -757,9 +896,11 @@ def test_iterated_sum_certificate_survives_python_O():
 
 
 # The doubling ladders and iterated sums of the ``ladder`` benchmark workload
-# (perfbench/workloads.py): (n, log2|B|) with 6 steps, and (n, |B|, k).
+# (perfbench/workloads.py): (n, log2|B|) with 6 steps, and (n, |B|, k) with
+# the route iterated_sum takes: the bitset ORs few shifts of 4,097 random
+# points at n = 16, so its pairwise steps cost less than the powered spectrum.
 LADDER_WORKLOAD_SETS = ((5, 2), (5, 3), (6, 4), (6, 5), (7, 4), (7, 5), (7, 6), (8, 5), (8, 7))
-ITERATED_WORKLOAD_SUMS = ((12, 2049, 4), (16, 4097, 3), (10, 65, 4))
+ITERATED_WORKLOAD_ROUTES = {(12, 2049, 4): "power", (16, 4097, 3): "pairwise", (10, 65, 4): "power"}
 
 
 def _workload_set(seed: int, purpose: str, n: int, size: int) -> DeltaSet:
@@ -777,13 +918,14 @@ def test_ladder_workload_outputs_equal_the_pairwise_loop(seed):
             cur = dset(n, brute_iterated(cur, 2))
             sizes.append(len(cur))
         assert table == list(enumerate(sizes))
-    for n, size, k in ITERATED_WORKLOAD_SUMS:
+    for (n, size, k), route in ITERATED_WORKLOAD_ROUTES.items():
         B = _workload_set(seed, f"iterated/{n}/{k}", n, size)
         pairwise = B
         for _ in range(k - 1):
             pairwise = sumset(pairwise, 1, B)
-        out, power, _ = _traced_iterated_sum(B, k)
-        assert power == 1 and out == pairwise
+        out, power, steps = _traced_iterated_sum(B, k)
+        assert (power, steps) == ((1, 0) if route == "power" else (0, k - 1))
+        assert out == pairwise
 
 
 # ---------------------------------------------------------------- regularity
@@ -818,6 +960,21 @@ def test_gen_ap():
     assert A.indices.tolist() == [0, 4, 8, 12]
     B = gen_ap(4, 3, step=2, start=1)
     assert B.indices.tolist() == [1, 3, 5]
+
+
+def test_gen_ap_refuses_past_the_byte_budget_before_allocating(monkeypatch):
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError) as info:
+            gen_ap(40, 1 << 35)  # 2**35 indices: 288 GiB
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (info.value.what, info.value.needed) == ("gen_ap", 9 << 35) and peak < 1 << 20
+    monkeypatch.setattr(grid, "SUMSET_BYTE_BUDGET", 9 * 1000)
+    assert len(gen_ap(20, 1000)) == 1000
+    with pytest.raises(BudgetError, match="^gen_ap needs 9009 bytes of scratch memory"):
+        gen_ap(20, 1001)
 
 
 def test_gen_aligned_triple_smallest():
