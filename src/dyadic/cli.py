@@ -349,7 +349,7 @@ def project_avg_cmd(ctx, mu_path, nu_path, gamma_a, gamma_b, gamma, xi, big_c,
         _fraction(gamma, "--gamma"), _fraction(xi, "--xi"), _fraction(big_c, "--big-c"),
     )
     if mode == "l2":
-        rep = averaged_l2(mu, nu, params, strict=strict, check="auto")
+        rep = averaged_l2(mu, nu, params, strict=strict)
         rows = [{"c": str(c), "l2": float(v)} for c, v in rep.per_c]
     else:
         rep = averaged_projection_entropy(mu, nu, params, c0_bits=c0_bits,

@@ -740,16 +740,18 @@ def _indicator_spectrum(s: np.ndarray, nfft: int) -> np.ndarray:
     return np.fft.rfft(ind, nfft)
 
 
-def _count_support(conv: np.ndarray, pairs: int) -> np.ndarray:
-    """The offsets of the nonzero counts of ``conv``, a float convolution
-    of 0/1 indicators with ``pairs`` pairs in all (overwritten)."""
+def _count_support(conv: np.ndarray, pairs: int, lo: int) -> np.ndarray:
+    """``lo`` plus the offsets of the nonzero counts of ``conv``, a float
+    convolution of 0/1 indicators with ``pairs`` pairs in all (overwritten)."""
     counts = np.rint(conv)
     conv -= counts
     # every count is within 1/4 of its integer, and the counts add up to the
     # number of pairs: the support of the rounded counts is the sumset
     certify("fft-rounding", np.nextafter(0.25, 0.0) - float(np.abs(conv, out=conv).max()))
     certify("fft-pair-count", -abs(int(counts.sum(dtype=np.int64)) - pairs))
-    return np.flatnonzero(counts != 0)  # a bool mask scans faster than the floats
+    out = np.flatnonzero(counts != 0)  # a bool mask scans faster than the floats
+    out += lo
+    return out
 
 
 def _packed_copies(x: np.ndarray) -> np.ndarray:
@@ -885,7 +887,9 @@ def _sum_support(a: np.ndarray, v: np.ndarray) -> np.ndarray:
         base = a - lo
         for s in v.tolist():
             seen[base + s] = True
-        return np.flatnonzero(seen) + lo
+        out = np.flatnonzero(seen)
+        out += lo
+        return out
     if route == "dense":
         holes = span + 1 - a.size - v.size
         low = _end_sums(a[:holes] - a[0], v[:holes] - v[0], holes)
@@ -901,7 +905,7 @@ def _sum_support(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     spectrum *= spectrum if transforms == 2 else _indicator_spectrum(v, nfft)
     conv = np.fft.irfft(spectrum, nfft)[:span]
     del spectrum
-    return _count_support(conv, a.size * v.size) + lo
+    return _count_support(conv, a.size * v.size, lo)
 
 
 def _power_nfft(B: DeltaSet, k: int, max_width: int) -> int | None:
@@ -952,7 +956,7 @@ def _power_support(b: np.ndarray, k: int, nfft: int) -> np.ndarray:
     del spectrum
     conv = np.fft.irfft(power, nfft)[: k * int(b[-1] - b[0]) + 1]
     del power
-    return _count_support(conv, b.size**k) + k * int(b[0])
+    return _count_support(conv, b.size**k, k * int(b[0]))
 
 
 def sumset(A: DeltaSet, c, B: DeltaSet, max_width: int = 1 << 12) -> DeltaSet:

@@ -75,6 +75,7 @@ from .grid import (
     certify,
     dyadic_slope,
     load_json,
+    reserve,
     slope_floor,
 )
 from .grid import _read, _read_list, _read_object, _read_ratio, _save_json
@@ -295,6 +296,7 @@ def product_measure(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeasure
     if mu.dim != 1 or nu.dim != 1 or mu.n != nu.n:
         raise ValueError("product needs two 1-d measures at one resolution")
     ((ka,), na), ((kb,), nb) = mu._columns, nu._columns
+    reserve(32 * ka.size * kb.size, "product_measure")  # three int64 columns and a temporary
     denom = mu.denom * nu.denom
     if denom >= _INT64_LIMIT:  # Python ints before multiplying: int64 would wrap
         na, nb = na.astype(object), nb.astype(object)

@@ -18,7 +18,9 @@ The mechanism behind the bound splits mass pairs into near pairs (in
 adjacent cells, controlled by the cell-mass hypothesis) and far pairs (the
 slopes threading both points through one cell form a short window,
 controlled by the nu-mass and separation hypotheses).  averaged_l2
-certifies that split on every call (``l2-near-far``).
+certifies that split on every call (``l2-near-far``).  Its near term and
+l2_of_projection's second route are exact pair totals at every size, each
+one sort of the atoms.
 
 Implied constants are never silently trusted: reports carry a fitted
 constant (measured average divided by the bound's max term) and the test
@@ -28,14 +30,13 @@ suite freezes budgets for it.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .grid import _distinct, dyadic_slope, pow2_ge, pow2_le
+from .grid import _distinct, _run_starts, dyadic_slope, pow2_ge, pow2_le
 from .measures import DiscreteMeasure, certify
 from .measures import _projection_l2_entropies, _projection_l2_entropy
 
@@ -50,7 +51,6 @@ __all__ = [
     "averaged_projection_entropy",
 ]
 
-PAIR_PATH_LIMIT = 10_000
 _TOL = 1e-9
 
 
@@ -188,84 +188,70 @@ def _projected_cells(mu: DiscreteMeasure, c: Fraction) -> np.ndarray:
     return np.array([(kx * q + p * ky) // q for kx, ky in zip(xs.tolist(), ys.tolist())])
 
 
-def _pair_total(mu: DiscreteMeasure, key: np.ndarray, reach: int, related) -> int:
-    """Exact ``sum w_i * w_j`` over the atom pairs that ``related`` marks.
-
-    Only atoms whose ``key`` values differ by at most ``reach`` may be
-    related.  The atoms are sorted by ``key`` once; each block of 512 rows
-    is then compared with the window of atoms whose keys lie within
-    ``reach`` of the block's, and ``related(rows, cols)`` gives the boolean
-    block of pairs for those two index arrays; ``key +- reach`` must not
-    overflow.  A row's weight sum is at most the denominator, so it is
-    int64 below 2**63; the products are int64 only while ``denom**2 <
-    2**63`` and Python integers past that.
-    """
-    order = np.argsort(key)
-    key = key[order]
-    wts = mu._columns[1][order]
-    total = 0
-    for lo in range(0, key.size, 512):
-        hi = min(lo + 512, key.size)
-        a = np.searchsorted(key, key[lo] - reach, "left")
-        b = np.searchsorted(key, key[hi - 1] + reach, "right")
-        sums = related(order[lo:hi], order[a:b]) @ wts[a:b]
-        if mu.denom * mu.denom < 1 << 63:
-            total += int(wts[lo:hi] @ sums)
-        else:
-            total += sum(map(operator.mul, wts[lo:hi].tolist(), sums.tolist()))
-    return total
-
-
-def _pair_scan(mu: DiscreteMeasure, check) -> bool:
-    """Whether the quadratic pair scans run: ``check="auto"`` runs them up
-    to PAIR_PATH_LIMIT support atoms, ``True`` insists (ValueError past the
-    limit) and ``False`` skips them."""
-    size = mu.support_size()
-    if check == "auto":
-        return size <= PAIR_PATH_LIMIT
-    if check and size > PAIR_PATH_LIMIT:
-        raise ValueError(f"pair-counting path refused above {PAIR_PATH_LIMIT} atoms")
-    return bool(check)
-
-
-def l2_of_projection(mu: DiscreteMeasure, c, check="auto") -> Fraction:
+def l2_of_projection(mu: DiscreteMeasure, c, check=True) -> Fraction:
     """Exact squared L2 norm of the Delta-discretised pushforward.
 
     The value is ``2**n * sum_I nu(I)**2`` where nu is the pushforward of
-    ``mu`` under ``(x, y) -> x + c*y`` and I runs over grid cells.  Two
-    evaluation routes are compared when ``check`` permits: the pushforward
-    route (bit-shift projection, then bucket-and-square) and a pair-counting
-    route that floors each image value by integer division and counts
-    weighted same-cell pairs, scanning each atom against the atoms of its
-    image cell only.  ``check="auto"`` runs the second route up to 10**4
-    support atoms; ``check=True`` insists and raises beyond the limit;
-    ``check=False`` skips it.
+    ``mu`` under ``(x, y) -> x + c*y`` and I runs over grid cells.  With
+    ``check`` on (``True``, or its older spelling ``"auto"``) two
+    evaluation routes are compared at every size: the pushforward route
+    (bit-shift projection, then bucket-and-square) and a pair-counting
+    route that floors each image value by integer division and adds the
+    weighted same-cell pairs; ``check=False`` skips the second route.
     """
     if mu.dim != 2:
         raise ValueError("l2_of_projection expects a planar measure")
     c = Fraction(c)
     value = _projection_l2_entropy(mu, c)[0]
-    if _pair_scan(mu, check):
+    if check:
+        # the same-cell pairs weigh the squared weight sums of the runs of
+        # equal cells; a run sum is at most denom, so its square may pass int64
         cells = _projected_cells(mu, c)
-        pair_total = _pair_total(mu, cells, 0, lambda i, j: cells[i, None] == cells[None, j])
-        pair_value = Fraction(pair_total << mu.n, mu.denom**2)
+        order = np.argsort(cells)
+        sums = np.add.reduceat(mu._columns[1][order], _run_starts(cells[order]))
+        if mu.denom * mu.denom >= 1 << 63:
+            sums = sums.astype(object)
+        pair_value = Fraction(int(sums @ sums) << mu.n, mu.denom**2)
         # the two exact routes must agree: any difference is a negative slack
         certify("l2-dual-route", -abs(pair_value - value))
     return value
 
 
-def _near_mass(mu: DiscreteMeasure, scan: bool) -> Fraction:
+def _neighbour_ranks(col: np.ndarray) -> tuple[int, list[np.ndarray]]:
+    """The number of distinct values of ``col``, and for d = -1, 0, 1 the
+    rank among them of each value plus d, -1 where that value is absent."""
+    distinct = _distinct(np.sort(col))
+    rank = np.searchsorted(distinct, col)
+    step = np.diff(distinct) == 1  # gaps of distinct keys within +-2**62 fit int64
+    down = np.where(np.concatenate(([False], step))[rank], rank - 1, -1)
+    up = np.where(np.concatenate((step, [False]))[rank], rank + 1, -1)
+    return distinct.size, [down, rank, up]
+
+
+def _near_mass(mu: DiscreteMeasure) -> Fraction:
     """The (mu x mu)-mass of the near pairs, ``|dx| <= 1`` and ``|dy| <= 1``
-    (the diagonal included), exactly when ``scan``; otherwise its bound
-    ``min(1, 9 * heaviest atom)``, as each atom has at most 9 near atoms."""
-    if not scan:
-        return min(Fraction(1), Fraction(9 * int(mu._columns[1].max()), mu.denom))
-    xs, ys = mu._columns[0]
-
-    def near(i, j):  # keys lie within +-2**62, so their gaps fit int64
-        return (np.abs(xs[i, None] - xs[None, j]) <= 1) & (np.abs(ys[i, None] - ys[None, j]) <= 1)
-
-    return Fraction(_pair_total(mu, xs, 1, near), mu.denom**2)
+    (the diagonal included), exactly.  Each atom is keyed by the ranks of
+    its coordinates among the distinct ones, ``rank_x * ny + rank_y``,
+    below N**2 for N atoms, so int64 for any coordinates; the neighbour at
+    each of the nine offsets is looked up in the sorted keys.  An offset's
+    weight products add up to at most ``denom**2``: int64 below 2**63,
+    Python integers past it."""
+    (xs, ys), wts = mu._columns
+    _, x_near = _neighbour_ranks(xs)
+    ny, y_near = _neighbour_ranks(ys)
+    key = x_near[1] * ny + y_near[1]
+    order = np.argsort(key)
+    key = key[order]
+    if mu.denom * mu.denom >= 1 << 63:
+        wts = wts.astype(object)
+    near = wts[order]
+    total = 0
+    for rx in x_near:
+        for ry in y_near:
+            q = np.where((rx >= 0) & (ry >= 0), rx * ny + ry, -1)
+            j = np.minimum(np.searchsorted(key, q), key.size - 1)
+            total += int(wts @ np.where(key[j] == q, near[j], 0))
+    return Fraction(total, mu.denom**2)
 
 
 def _far_mass(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Fraction:
@@ -332,7 +318,7 @@ def averaged_l2(
     nu: DiscreteMeasure,
     params: ProjectionParams,
     strict: bool = True,
-    check="auto",
+    check=True,
 ) -> ProjectionAverageReport:
     """nu-average of the projected L2 norms, with the bound it should obey.
 
@@ -344,11 +330,12 @@ def averaged_l2(
 
     Every call also certifies the near/far split behind the bound,
     ``average <= 2**n * (near + far)`` (``l2-near-far``, exact), with
-    ``near`` from _near_mass (exact where ``check`` runs the pair scans)
-    and ``far`` from _far_mass.  The average is exactly ``2**n * sum_{p,q}
-    mu(p) mu(q) nu(W(p, q))`` over atom pairs, where ``W(p, q)`` holds the
-    slopes that put p and q in one image cell; for gaps ``dx, dy`` in
-    cells that needs ``|dx + c*dy| < 1``.  A near pair has ``nu(W) <= 1``.
+    ``near`` from _near_mass and ``far`` from _far_mass, both exact at
+    every size (``check`` gates only l2_of_projection's dual route).  The
+    average is exactly ``2**n * sum_{p,q} mu(p) mu(q) nu(W(p, q))`` over
+    atom pairs, where ``W(p, q)`` holds the slopes that put p and q in one
+    image cell; for gaps ``dx, dy`` in cells that needs ``|dx + c*dy| <
+    1``.  A near pair has ``nu(W) <= 1``.
     Every other pair is far:
 
       * with ``|dy| <= 1`` it has ``|dx| >= 2``, so ``|dx + c*dy| >= 1``
@@ -368,16 +355,15 @@ def averaged_l2(
     if failures and strict:
         raise ValueError("hypothesis audit failed: " + ", ".join(failures))
 
-    scan = _pair_scan(mu, check)
     per_c = []
     average = Fraction(0)
     for c, num in _nu_atoms_as_slopes(nu):
-        value = l2_of_projection(mu, c, check=scan)
+        value = l2_of_projection(mu, c, check=check)
         per_c.append((c, value))
         average += Fraction(num, nu.denom) * value
 
     n = mu.n
-    certify("l2-near-far", (_near_mass(mu, scan) + _far_mass(mu, nu)) * (1 << n) - average)
+    certify("l2-near-far", (_near_mass(mu) + _far_mass(mu, nu)) * (1 << n) - average)
     exp_near = float(params.gamma_a + params.gamma_b - 1)
     exp_far = float(params.gamma - 1 - params.xi)
     max_term = max(2.0 ** (-n * exp_near), 2.0 ** (-n * exp_far))

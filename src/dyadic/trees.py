@@ -24,7 +24,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .grid import DeltaSet, FormatError, certify, load_json, pow2_ge, pow2_le
+from .grid import DeltaSet, FormatError, certify, load_json, pow2_ge, pow2_le, reserve
 from .grid import _echo, _read, _read_list, _read_object, _save_json
 from .grid import _pow2_cmp, _ratio, _run_heads, _run_lengths
 
@@ -237,6 +237,10 @@ def gen_uniform_tree(
     positions per parent from ``rng``.
     """
     m = profile.m
+    parents = profile.size() // profile.r[-1]  # the last level's, the most of any level
+    slots = parents << m if placement in ("random", "spread-random") else 0
+    # 10 bytes a leaf, 16 a last-level parent and 16 a slot of a random placement
+    reserve(10 * profile.size() + 16 * (parents + slots), "gen_uniform_tree")
     cells = np.zeros(1, dtype=np.int64)
     for r in profile.r:
         offs = _choose_offsets(r, m, cells.size, placement, rng)

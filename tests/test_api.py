@@ -12,11 +12,12 @@ import dyadic
 SUBMODULES = ("grid", "measures", "trees", "projections", "experiments")
 
 # helpers with no caller left in the package, deleted with their lemmas moved
-# into averaged_l2's ``l2-near-far`` certificate or into the tests
+# into averaged_l2's ``l2-near-far`` certificate or into the tests, and the
+# size limit of the quadratic pair scans that one sort of the atoms replaced
 DELETED = {
     "measures": ("convolve", "symmetrize", "autocorrelation_peak_ratio", "concavity_check"),
     "projections": ("near_pair_mass", "far_pair_nu_masses", "common_tube_c_set",
-                    "tube_diameter_ok", "vertical_separation_margin"),
+                    "tube_diameter_ok", "vertical_separation_margin", "PAIR_PATH_LIMIT"),
 }
 
 

@@ -353,6 +353,22 @@ def test_gen_past_the_byte_budget_gives_one_line_error_before_allocating(
     assert len(load_set(dest)) == int(args[-1])
 
 
+def test_gen_tree_past_the_byte_budget_gives_one_line_error_before_allocating(
+    tmp_path, runner, monkeypatch
+):
+    profile, dest = tmp_path / "profile.json", tmp_path / "tree.txt"
+    profile.write_text(json.dumps({"m": 2, "R": [2, 2, 2]}))
+    needed = 10 * 8 + 16 * 4  # 8 leaves under 4 last-level parents
+    monkeypatch.setattr(grid, "SUMSET_BYTE_BUDGET", needed - 1)
+    res = runner.invoke(main, ["gen", "tree", "--profile", str(profile), str(dest)])
+    assert res.exit_code == 1 and not dest.exists()
+    reason = f"needs {needed} bytes of scratch memory, over the budget of {needed - 1}"
+    assert res.output.splitlines() == [f"Error: gen_uniform_tree {reason}"]
+    monkeypatch.setattr(grid, "SUMSET_BYTE_BUDGET", needed)
+    invoke(runner, ["gen", "tree", "--profile", str(profile), str(dest)])
+    assert len(load_set(dest)) == 8
+
+
 def test_help_lists_subcommands(runner):
     res = invoke(runner, ["--help"])
     for name in ("gen", "analyze", "uniformize", "prune", "extend", "entropy",

@@ -761,9 +761,9 @@ def _measured_rounding(monkeypatch) -> list[float]:
     errors = []
     count_support = grid._count_support
 
-    def measured(conv, pairs):
+    def measured(conv, pairs, lo):
         errors.append(float(np.abs(conv - np.rint(conv)).max()))
-        return count_support(conv, pairs)
+        return count_support(conv, pairs, lo)
 
     monkeypatch.setattr(grid, "_count_support", measured)
     return errors

@@ -14,8 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dyadic
-from dyadic import DeltaSet, gen_uniform_tree, BranchingProfile
-from dyadic.grid import FormatError
+from dyadic import DeltaSet, gen_ap, gen_uniform_tree, grid, BranchingProfile
+from dyadic.grid import BudgetError, FormatError
 from dyadic.measures import (
     ChainReport,
     DiscreteMeasure,
@@ -177,6 +177,16 @@ def test_project_frozen_example():
     out = project(mu, 1)
     assert out.atoms == {0: 1, 1: 2, 2: 1}
     assert out.denom == 4
+
+
+def test_product_measure_refuses_past_the_byte_budget_before_allocating(monkeypatch):
+    a, b = counting_measure(gen_ap(8, 16)), counting_measure(gen_ap(8, 8))
+    needed = 32 * 16 * 8  # 32 bytes an atom pair
+    monkeypatch.setattr(grid, "SUMSET_BYTE_BUDGET", needed - 1)
+    with pytest.raises(BudgetError, match=f"^product_measure needs {needed} bytes"):
+        product_measure(a, b)
+    monkeypatch.setattr(grid, "SUMSET_BYTE_BUDGET", needed)
+    assert product_measure(a, b).support_size() == 16 * 8
 
 
 def test_project_negative_c():

@@ -59,12 +59,17 @@ def test_l2_three_atom_frozen():
     assert l2_of_projection(mu, Fraction(1, 2), check=True) == 3
 
 
-def test_l2_pair_path_guard():
-    n = 14
-    mu = planar(n, {(k, 0): 1 for k in range(10_001)})
-    with pytest.raises(ValueError):
-        l2_of_projection(mu, 0, check=True)
-    assert l2_of_projection(mu, 0) > 0  # auto mode skips the quadratic scan
+def test_pair_routes_exact_past_the_old_size_limit():
+    # 2**14 atoms, past the 10**4 where the pair scans used to stop: the near
+    # mass is the product of the factors', (3m - 2) / m**2 for m consecutive cells
+    m, n = 128, 10
+    mu = product_measure(counting_measure(gen_ap(n, m, step=1)),
+                         counting_measure(gen_ap(n, m, step=1, start=5)))
+    assert mu.support_size() == 1 << 14
+    assert _near_mass(mu) == Fraction(3 * m - 2, m * m) ** 2
+    assert l2_of_projection(mu, 0, check=True) == (1 << n) // m  # m x-cells of mass 1/m
+    for c in (Fraction(1, 2), Fraction(-3, 8), 1):
+        assert l2_of_projection(mu, c, check=True) == l2_of_projection(mu, c, check=False)
 
 
 @st.composite
@@ -270,16 +275,14 @@ def test_near_pair_mass_frozen():
     mu = planar(6, {(0, 0): 1, (1, 1): 1, (0, 2): 1, (20, 20): 1})
     # four diagonal pairs, and (1, 1) with each of (0, 0) and (0, 2) in both
     # orders; (0, 0) and (0, 2) are two cells apart
-    assert _near_mass(mu, True) == Fraction(8, 16)
-    assert _near_mass(mu, False) == 1  # 9 * 1/4, at most 1
+    assert _near_mass(mu) == Fraction(8, 16)
 
 
 def test_near_pair_mass_budget_on_compliant_instance():
     n = 12
     mu = brick(n, 1 << 6, 1 << 11)
     # cell-mass hypothesis: each cell <= 2**-7, so 9 cells <= 9 * 2**-7
-    assert _near_mass(mu, True) == Fraction(1, 1 << 7)  # no two atoms adjacent
-    assert _near_mass(mu, False) == Fraction(9, 1 << 7)
+    assert _near_mass(mu) == Fraction(1, 1 << 7)  # no two atoms adjacent
 
 
 def test_far_pair_masses_budget():
@@ -393,7 +396,7 @@ def test_near_pair_mass_exact_at_any_radius(radius):
              (r, r): 1, (r - 1, r): 1}
     near = sum(abs(px - qx) <= 1 and abs(py - qy) <= 1 for px, py in atoms for qx, qy in atoms)
     assert near == 7 + 2 * 3
-    assert _near_mass(DiscreteMeasure(2, 62, atoms, 7), True) == Fraction(near, 49)
+    assert _near_mass(DiscreteMeasure(2, 62, atoms, 7)) == Fraction(near, 49)
 
 
 def test_near_pair_mass_exact_at_the_key_limits():
@@ -403,12 +406,12 @@ def test_near_pair_mass_exact_at_the_key_limits():
     atoms = {(0, 0): 1, (1 << 45, 0): 1, ((1 << 31) - 2, 1): 1, (-corner, -corner): 1,
              (corner, corner): 1, (corner - 1, corner): 1}
     mu = DiscreteMeasure(2, 62, atoms, 6)
-    assert _near_mass(mu, True) == Fraction(6 + 2, 36)
+    assert _near_mass(mu) == Fraction(6 + 2, 36)
 
 
 def test_near_pair_mass_exact_past_int64_products():
     mu = DiscreteMeasure(2, 4, WIDE_PAIRS, sum(WIDE_PAIRS.values()))
-    assert _near_mass(mu, True) == 1  # every pair lies in adjacent cells
+    assert _near_mass(mu) == 1  # every pair lies in adjacent cells
 
 
 def test_l2_pair_route_exact_past_int64_products():
@@ -460,7 +463,7 @@ def test_windowed_pair_scans_match_the_full_scan(case):
     same, near = reference_pair_totals(mu, c)
     # the windowed same-cell total is certified equal to the bucket route
     assert l2_of_projection(mu, c, check=True) == Fraction(same << mu.n, mu.denom**2)
-    assert _near_mass(mu, True) == Fraction(near, mu.denom**2)
+    assert _near_mass(mu) == Fraction(near, mu.denom**2)
 
 
 def test_windowed_pair_scans_across_row_blocks():
@@ -474,7 +477,7 @@ def test_windowed_pair_scans_across_row_blocks():
         mu = DiscreteMeasure(2, 62, atoms, sum(atoms.values()))
         xs, ys, ws = (np.array(v) for v in zip(*((x, y, w) for (x, y), w in atoms.items())))
         near = (abs(xs[:, None] - xs) <= 1) & (abs(ys[:, None] - ys) <= 1)
-        assert _near_mass(mu, True) == Fraction(int(ws @ near @ ws), mu.denom**2)
+        assert _near_mass(mu) == Fraction(int(ws @ near @ ws), mu.denom**2)
         c = Fraction(-3, 8)
         cells = np.array([math.floor(x + c * y) for x, y in zip(xs.tolist(), ys.tolist())])
         same = int(ws @ (cells[:, None] == cells) @ ws)
@@ -509,11 +512,10 @@ def test_l2_near_far_bound_against_the_full_scan(mu, data):
     nums = data.draw(st.lists(st.integers(1, 5), min_size=len(ks), max_size=len(ks)))
     nu = DiscreteMeasure(1, m, dict(zip(ks, nums)), sum(nums))
     average, near, far = reference_near_far(mu, nu)
-    assert (_near_mass(mu, True), _far_mass(mu, nu)) == (near, far)
-    assert _near_mass(mu, False) >= near
+    assert (_near_mass(mu), _far_mass(mu, nu)) == (near, far)
     assert average <= (near + far) * (1 << mu.n)
     params = ProjectionParams(0, 0, 1, 1)
-    for check in (True, False):  # certified on both near routes, audit failures or not
+    for check in (True, False):  # certified with the dual route on and off, audit failures or not
         assert averaged_l2(mu, nu, params, strict=False, check=check).average == average
 
 
@@ -574,7 +576,7 @@ def test_l2_near_far_certifies_under_python_O():
         "except CertificateError as exc:\n"
         "    print(sys.flags.optimize, exc.name, exc.slack)\n"
     )
-    slack = (_near_mass(mu, True) + _far_mass(mu, nu)) * (1 << 6) - average - (2 << 6)
+    slack = (_near_mass(mu) + _far_mass(mu, nu)) * (1 << 6) - average - (2 << 6)
     assert slack < 0
     assert certificate_under_python_O(code) == ("1", "l2-near-far", slack)
 
@@ -585,7 +587,7 @@ def test_pair_routes_with_python_int_numerators():
     mu = DiscreteMeasure(2, 4, atoms, sum(atoms.values()))
     # every pair is near but (0, 0) with (2, 1), two cells apart in x
     far = 2 * atoms[0, 0] * atoms[2, 1]
-    assert _near_mass(mu, True) == Fraction(mu.denom**2 - far, mu.denom**2)
+    assert _near_mass(mu) == Fraction(mu.denom**2 - far, mu.denom**2)
     assert l2_of_projection(mu, 1, check=True) == Fraction(
         sum(w * w for w in atoms.values()) << 4, mu.denom**2
     )

@@ -36,7 +36,8 @@ from dyadic import (
     trivial_intervals,
     uniformize,
 )
-from dyadic.grid import CertificateError, FormatError, _distinct, _run_starts, certify
+from dyadic import grid
+from dyadic.grid import BudgetError, CertificateError, FormatError, _distinct, _run_starts, certify
 
 
 @st.composite
@@ -91,6 +92,20 @@ def test_gen_tree_has_requested_profile(profile, placement):
     assert branching_profile_of(A, profile.m, profile.levels) == profile
     if placement.startswith("spread"):
         assert all(g >= 2 for g in level_min_gaps(A, profile.m, profile.levels))
+
+
+@pytest.mark.parametrize("placement, slots", [("left", 0), ("spread", 0), ("random", 16)])
+def test_gen_tree_refuses_past_the_byte_budget_before_allocating(monkeypatch, placement, slots):
+    # 8 leaves under 4 last-level parents of 4 slots: 10 bytes a leaf, 16 a
+    # parent and, for a random placement, 16 a slot
+    profile = BranchingProfile(2, (2, 2, 2))
+    needed = 10 * 8 + 16 * 4 + 16 * slots
+    rng = np.random.default_rng(7)
+    monkeypatch.setattr(grid, "SUMSET_BYTE_BUDGET", needed - 1)
+    with pytest.raises(BudgetError, match=f"^gen_uniform_tree needs {needed} bytes"):
+        gen_uniform_tree(profile, rng, placement)
+    monkeypatch.setattr(grid, "SUMSET_BYTE_BUDGET", needed)
+    assert len(gen_uniform_tree(profile, rng, placement)) == 8
 
 
 # ---------------------------------------------------------------- uniformize
