@@ -36,7 +36,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .grid import DeltaSet, ParameterSet, ScaleSpec, aligned_exponent, certify, gen_ap
-from .grid import FormatError, _distinct, _shifts, _sum_support, reserve
+from .grid import FormatError, _distinct, _shifts, _sum_support
 from .grid import _read, _read_list, _read_object, _read_ratio, load_json, sumset
 from .measures import (
     _chain_reports,
@@ -332,7 +332,10 @@ def run_greedy_iterated_sum(B: DeltaSet, C: DeltaSet, n_steps: int, eta) -> Gree
     maximising ``|H_k + cB|`` at the grid resolution, ties to the smallest.
     ``H_k`` always sits inside ``[0, k)`` (slopes are at most 1 and B sits
     in the unit interval), which is what makes the pigeonhole step certain;
-    the sumset width guard enforces exactly that accounting.
+    the sumset width guard enforces exactly that accounting.  Each step
+    counts ``|H_k + cB|`` for every slope with the sumset kernel
+    ``_sum_support`` over the shifts of c precomputed once, and builds the
+    chosen ``H_(k+1)`` with ``sumset``; sums past 2**63 raise ValueError.
     """
     if len(B) == 0 or len(C) == 0:
         raise ValueError("B and C must be nonempty")
@@ -345,24 +348,16 @@ def run_greedy_iterated_sum(B: DeltaSet, C: DeltaSet, n_steps: int, eta) -> Gree
     n = B.n
     cs = [Fraction(int(k), 1 << n) for k in C.indices.tolist()]
     shift_table = [_shifts(c, B) for c in cs]
+    top = max(int(shifts[-1]) for shifts in shift_table)
     h = sumset(DeltaSet(n, np.zeros(1, dtype=np.int64)), cs[0], B)
     sizes = [len(h)]
     chosen = [cs[0]]
-    buf = np.zeros((n_steps + 1) << n, dtype=bool)
     for _ in range(1, n_steps):
-        hbool = np.zeros(int(h.indices[-1]) + 1, dtype=bool)
-        hbool[h.indices] = True
-        best_i, best_size = 0, -1
-        for i, shifts in enumerate(shift_table):  # ascending: ties keep smallest c
-            w, hi = hbool.size, hbool.size + int(shifts[-1])
-            buf[:hi] = False
-            for s in shifts.tolist():
-                np.logical_or(buf[s : s + w], hbool, out=buf[s : s + w])
-            size = int(np.count_nonzero(buf[:hi]))
-            if size > best_size:
-                best_i, best_size = i, size
+        if int(h.indices[-1]) + top >= 1 << 63:
+            raise ValueError("sumset indices pass the int64 range")
+        scan = [int(_sum_support(h.indices, shifts).size) for shifts in shift_table]
+        best_i = int(np.argmax(scan))  # first max: ties keep the smallest c
         h = sumset(h, cs[best_i], B, max_width=n_steps + 1)
-        certify("greedy-scan", -abs(len(h) - best_size))  # scan agrees with the sumset
         sizes.append(len(h))
         chosen.append(cs[best_i])
     certify("greedy-monotone", min(b - a for a, b in zip(sizes, sizes[1:])))
@@ -560,23 +555,16 @@ def _build_sweep_sets(
     raise ValueError(f"unknown family {family!r}")
 
 
-def _scatter_size(a_idx: np.ndarray, shifts: np.ndarray, buf: np.ndarray) -> int:
-    hi = int(a_idx[-1] + shifts[-1]) + 1
-    buf[:hi] = False
-    for s in shifts.tolist():
-        buf[a_idx + s] = True
-    return int(np.count_nonzero(buf[:hi]))
-
-
 def run_expansion_sweep(config: ExperimentConfig) -> list[ExpansionRecord]:
     """Measure ``log2 |A + cB| / n - alpha_bar`` across the configured grid.
 
     For each scale and each slope density gamma, the slope set is the full
     dyadic grid ``{k / 2**round(gamma*n)}``; it is scanned exhaustively up
     to 10^4 slopes and by a seeded sample of 10^4 beyond that (``sampled``
-    on the record discloses which).  Exactness spot checks on each sweep
-    point: translation of A by a whole unit cell never changes a sumset
-    size, and the fast scatter kernel agrees with the reference sumset.
+    on the record discloses which).  Each size is counted by the sumset
+    kernel ``_sum_support``, at every n <= 62 and within its byte budget.
+    Exactness spot check on each sweep point: moving A down by a whole unit
+    cell keeps the size of its sumset with the first two slopes.
     Records are gathered and sorted by (delta, gamma) with slopes ascending
     inside each record, so emitted files are order-deterministic.
     """
@@ -590,9 +578,7 @@ def run_expansion_sweep(config: ExperimentConfig) -> list[ExpansionRecord]:
         A, B = _build_sweep_sets(config.family, n, a_bits, b_bits, rng)
         alpha_bar = math.log2(len(A)) / n
         a_idx = A.indices
-        # scratch: `buf` below and, alive with it, the translated copy `moved`
-        reserve(2 * int(a_idx[-1]) + (3 << n) + 4, "sweep")
-        buf = np.zeros(int(a_idx[-1]) + (1 << n) + 2, dtype=bool)
+        moved = a_idx - (1 << n)  # A one unit cell down: its sums stay inside int64 at n = 62
         for gamma in config.gammas:
             g = min(max(int(round(gamma * n)), 1), n)
             total = 1 << g
@@ -603,20 +589,11 @@ def run_expansion_sweep(config: ExperimentConfig) -> list[ExpansionRecord]:
             else:
                 ks = np.arange(1, total + 1)  # slopes k/2**g in (0, 1]
                 sampled = False
-            cs, exps = [], []
-            for k in ks.tolist():
-                c = Fraction(int(k), total)
-                shifts = _shifts(c, B)
-                size = _scatter_size(a_idx, shifts, buf)
-                cs.append(c)
-                exps.append(math.log2(size) / n - alpha_bar)
-            for c in cs[:2]:  # exactness spot checks
-                shifts = _shifts(c, B)
-                plain = _scatter_size(a_idx, shifts, buf)
-                certify("sweep-scan", -abs(plain - len(sumset(A, c, B, max_width=4))))
-                moved = np.zeros(int(a_idx[-1]) + (2 << n) + 2, dtype=bool)
-                moved_size = _scatter_size(a_idx + (1 << n), shifts, moved)
-                certify("sweep-translation", -abs(plain - moved_size))
+            cs = [Fraction(int(k), total) for k in ks.tolist()]
+            sizes = [int(_sum_support(a_idx, _shifts(c, B)).size) for c in cs]
+            exps = [math.log2(size) / n - alpha_bar for size in sizes]
+            for c, size in zip(cs[:2], sizes):  # exactness spot checks
+                certify("sweep-translation", -abs(size - _sum_support(moved, _shifts(c, B)).size))
             best = int(np.argmax(exps))  # first max: smallest slope wins ties
             records.append(
                 ExpansionRecord(

@@ -20,8 +20,10 @@ rational in ``pow2_le`` and ``pow2_ge``.
 Sumsets.  ``sumset(A, c, B)`` turns every slope into the integer sumset
 ``A + V`` with ``V = {floor(c * b)}`` (B's own indices for ``c = 1``, so a
 unit slope takes no floor or dedup pass) and hands it to one kernel,
-``_sum_support``.  The kernel takes the cheapest of five routes under a
-cost model fitted on a 2-core x86-64 VM with numpy 2.4:
+``_sum_support``, which also counts every size of the expansion sweep,
+of greedy's slope scan and of the sharpness scan.  The kernel takes the
+cheapest of five routes under a cost model fitted on a 2-core x86-64 VM
+with numpy 2.4:
 
 * outer sums, sorted, duplicates dropped: small products, and windows too
   wide for the others (sparse sets at n >= 32);

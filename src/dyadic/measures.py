@@ -296,9 +296,13 @@ def product_measure(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeasure
     if mu.dim != 1 or nu.dim != 1 or mu.n != nu.n:
         raise ValueError("product needs two 1-d measures at one resolution")
     ((ka,), na), ((kb,), nb) = mu._columns, nu._columns
-    reserve(32 * ka.size * kb.size, "product_measure")  # three int64 columns and a temporary
     denom = mu.denom * nu.denom
-    if denom >= _INT64_LIMIT:  # Python ints before multiplying: int64 would wrap
+    wide = denom >= _INT64_LIMIT
+    # three int64 columns and a temporary, 32 bytes a pair; past int64 also one
+    # int object a pair, no larger than denom: 24 bytes and 4 per 30-bit digit
+    digits = -(-denom.bit_length() // 30)
+    reserve((56 + 4 * digits if wide else 32) * ka.size * kb.size, "product_measure")
+    if wide:  # Python ints before multiplying: int64 would wrap
         na, nb = na.astype(object), nb.astype(object)
     keys = np.repeat(ka, kb.size), np.tile(kb, ka.size)
     return DiscreteMeasure._from_columns(2, mu.n, keys, np.multiply.outer(na, nb).ravel(), denom)

@@ -177,6 +177,76 @@ def test_greedy_validation():
     too_big = DeltaSet(4, np.array([0, 40]), width=4)  # slope 2.5 > 1
     with pytest.raises(ValueError):
         run_greedy_iterated_sum(b, too_big, 3, 0)
+    # at n = 62, B's point 1 and the slope 1 make H_2 = B, and H_2 + B's top sum 2**63
+    top = DeltaSet(62, np.array([0, 1 << 62]), width=2)
+    with pytest.raises(ValueError, match="int64 range"):
+        run_greedy_iterated_sum(top, top, 3, 0)
+
+
+def _brute_greedy(b_idx, c_idx, n, n_steps):
+    """The greedy ladder in Python ints: ``H_1 = c_1 B``, then the slope of
+    C with the largest ``|H_k + cB|``, ties to the smallest."""
+    ks = sorted(c_idx)
+    h = {(ks[0] * b) >> n for b in b_idx}
+    sizes, chosen = [len(h)], [ks[0]]
+    for _ in range(1, n_steps):
+        sums = {k: {x + ((k * b) >> n) for x in h for b in b_idx} for k in ks}
+        best = max(ks, key=lambda k: (len(sums[k]), -k))
+        h = sums[best]
+        sizes.append(len(h))
+        chosen.append(best)
+    return tuple(sizes), tuple(Fraction(k, 1 << n) for k in chosen)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_greedy_matches_a_python_int_brute_force(data):
+    n = data.draw(st.integers(2, 9))
+    b_idx = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=10, unique=True))
+    c_idx = data.draw(st.lists(st.integers(0, 1 << n), min_size=1, max_size=8, unique=True))
+    n_steps = data.draw(st.integers(2, 5))
+    rep = run_greedy_iterated_sum(
+        DeltaSet.from_indices(n, b_idx), DeltaSet.from_indices(n, c_idx), n_steps, 0
+    )
+    assert (rep.sizes, rep.c_sequence) == _brute_greedy(b_idx, c_idx, n, n_steps)
+
+
+def test_greedy_counts_each_slope_with_the_sumset_kernel(monkeypatch):
+    from dyadic import experiments
+
+    calls = []
+    real = experiments._sum_support
+    monkeypatch.setattr(experiments, "_sum_support", lambda *args: calls.append(1) or real(*args))
+    b, c = gen_ap(6, 8), gen_ap(6, 8, step=8)
+    rep = run_greedy_iterated_sum(b, c, 4, Fraction(1, 10))
+    assert rep.sizes == (1, 8, 57, 106)
+    assert len(calls) == 3 * len(c)  # every slope at each of the three scans
+
+
+def test_greedy_at_n40_exits_0_in_a_memory_limited_child(tmp_path):
+    # the child caps its own address space at 2 GiB before it imports
+    # dyadic, so a buffer as wide as the grid fails there as a MemoryError
+    # instead of swapping the host
+    from dyadic import save_set
+
+    b_path, c_path = tmp_path / "b.txt", tmp_path / "c.txt"
+    save_set(DeltaSet(40, np.array([0, 1 << 39])), b_path)
+    save_set(DeltaSet(40, np.array([1 << 38, 1 << 40]), width=2), c_path)
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from dyadic.cli import main\n"
+        "main(sys.argv[1:], prog_name='dyadic')\n"
+    )
+    src = str(Path(dyadic.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run(
+        [sys.executable, "-c", code, "greedy", str(b_path), str(c_path)],
+        env=env, capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    report = json.loads(out.stdout)
+    assert report["sizes"] == [2, 4, 6, 9] and report["delta_exponent"] == 40
 
 
 # ------------------------------------------------------------ sweep
@@ -295,23 +365,78 @@ def test_sweep_translation_invariance_explicit():
     assert len(sumset(a, c, b, max_width=4)) == len(sumset(moved, c, b, max_width=4))
 
 
-def test_sweep_past_the_byte_budget_raises_before_allocating():
-    # at n = 40 the scatter buffers would take 2**40 and 2**41 bytes
+def _sparse_config(n, gamma):
+    # alpha = 1/10 and beta = 1/20: a few points of A and B spread over [0, 1)
     params = ParameterSet(
         alpha=Fraction(1, 10), beta=Fraction(1, 20), gamma=Fraction(1, 2),
         kappa=Fraction(1, 2), eta=Fraction(1, 2), zeta=Fraction(1, 8),
         ell=32,
     )
-    cfg = _config(params=params, scales=(ScaleSpec(1, 40, 1),), gammas=(Fraction(1, 4),))
+    return _config(params=params, scales=(ScaleSpec(1, n, 1),), gammas=(gamma,))
+
+
+def test_sweep_at_n40_stays_within_a_few_megabytes():
+    # a buffer as wide as the grid would take 2**40 bytes here
     tracemalloc.start()
     try:
-        with pytest.raises(dyadic.BudgetError) as info:
-            run_expansion_sweep(cfg)
+        (rec,) = run_expansion_sweep(_sparse_config(40, Fraction(1, 4)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert info.value.budget == dyadic.SUMSET_BYTE_BUDGET < info.value.needed
+    assert (rec.size_a, rec.size_b, rec.sample_size) == (16, 4, 1024)
+    assert peak < 8 << 20
+
+
+def test_sweep_past_the_byte_budget_raises_before_allocating(monkeypatch):
+    # gen_ap's 9 bytes a point fit; the 17 bytes a pair of the outer sums,
+    # the cheapest route for 16 x 4 points at n = 40, do not
+    monkeypatch.setattr(dyadic.grid, "SUMSET_BYTE_BUDGET", 9 * 16)
+    tracemalloc.start()
+    try:
+        with pytest.raises(dyadic.BudgetError) as info:
+            run_expansion_sweep(_sparse_config(40, Fraction(1, 4)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.value.what == "sumset" and info.value.budget == 9 * 16 < info.value.needed
     assert peak < 1 << 20
+
+
+def test_sweep_at_n62_runs():
+    (rec,) = run_expansion_sweep(_sparse_config(62, Fraction(1, 10)))
+    assert (rec.size_a, rec.size_b, rec.sample_size) == (64, 8, 64)
+    assert rec.delta_exponent == 62 and not rec.sampled
+
+
+@pytest.mark.parametrize(
+    "family", ["aligned-triple", "uniform-tree", "random-frostman", "polarised-tree"]
+)
+def test_sweep_exponents_match_a_python_int_count(family):
+    from dyadic.experiments import _build_sweep_sets
+
+    cfg = _config(family=family, scales=(ScaleSpec(1, 9, 1),), gammas=(Fraction(1, 3),))
+    (rec,) = run_expansion_sweep(cfg)
+    n, g = 9, 3
+    rng = named_stream(cfg.seed, f"sweep/{family}/n={n}/sets")
+    bits = round(cfg.params.alpha * n), round(cfg.params.beta * n)
+    A, B = _build_sweep_sets(family, n, *bits, rng)
+    a_idx, b_idx = A.indices.tolist(), B.indices.tolist()
+    assert rec.cs == tuple(Fraction(k, 1 << g) for k in range(1, (1 << g) + 1))
+    for c, exp in zip(rec.cs, rec.exponents):
+        k = int(c * (1 << g))
+        size = len({a + (k * b >> g) for a in a_idx for b in b_idx})
+        assert exp == math.log2(size) / n - rec.alpha_bar
+
+
+def test_sweep_counts_each_slope_with_the_sumset_kernel(monkeypatch):
+    from dyadic import experiments
+
+    calls = []
+    real = experiments._sum_support
+    monkeypatch.setattr(experiments, "_sum_support", lambda *args: calls.append(1) or real(*args))
+    records = run_expansion_sweep(_config())
+    assert [r.sample_size for r in records] == [4, 64]
+    assert len(calls) == 4 + 64 + 2 * 2  # every slope, and two spot checks a record
 
 
 def test_expansion_record_rejects_impossible_exponent():

@@ -189,6 +189,23 @@ def test_product_measure_refuses_past_the_byte_budget_before_allocating(monkeypa
     assert product_measure(a, b).support_size() == 16 * 8
 
 
+def test_product_measure_charges_python_int_weights_by_their_digits(monkeypatch):
+    # denominators 3 * 2**40 and 5 * 2**30 multiply to 15 * 2**70, 74 bits: the
+    # weights are Python ints, 24 bytes and three 30-bit digits of 4 bytes each
+    a = DiscreteMeasure.from_weights(1, 8, {k: Fraction(k + 1, 3 << 40) for k in range(16)}
+                                     | {200: 1 - Fraction(136, 3 << 40)})
+    b = DiscreteMeasure.from_weights(1, 8, {k: Fraction(1, 5 << 30) for k in range(8)}
+                                     | {100: 1 - Fraction(8, 5 << 30)})
+    assert a.denom * b.denom >= 1 << 63 and (a.denom * b.denom).bit_length() == 74
+    needed = (32 + 24 + 4 * 3) * 17 * 9
+    monkeypatch.setattr(grid, "SUMSET_BYTE_BUDGET", needed - 1)
+    with pytest.raises(BudgetError, match=f"^product_measure needs {needed} bytes"):
+        product_measure(a, b)
+    monkeypatch.setattr(grid, "SUMSET_BYTE_BUDGET", needed)
+    mu = product_measure(a, b)
+    assert mu.support_size() == 17 * 9 and mu.denom == a.denom * b.denom
+
+
 def test_project_negative_c():
     grid = counting_measure(DeltaSet.from_indices(2, [0, 3]))
     mu = product_measure(grid, grid)
