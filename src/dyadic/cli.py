@@ -4,6 +4,10 @@ Every subcommand reads and writes the package's plain file formats (text
 sets, JSON measures/profiles/families) and emits either JSON (default)
 or CSV via ``--format``.  All floating output is printed with 12
 significant digits; exact rationals are printed as ``p/q`` strings.
+
+Only ``grid`` (every reader, writer and error type) is imported here;
+each command imports the rest of what it calls in its own body, so a
+call runs only the library modules its command needs.
 """
 
 from __future__ import annotations
@@ -14,54 +18,24 @@ from fractions import Fraction
 import click
 import numpy as np
 
-from .experiments import (
-    AssemblyParams,
-    ExperimentConfig,
-    InstanceGenerationError,
-    csv_text,
-    json_text,
-    named_stream,
-    run_alignment_sharpness,
-    run_doubling_ladder,
-    run_expansion_sweep,
-    run_final_assembly,
-    run_greedy_iterated_sum,
-    write_json,
-    write_rows_csv,
-)
 from .grid import (
     BudgetError,
     CertificateError,
     DeltaSet,
     FormatError,
+    InstanceGenerationError,
     check_resolution,
     covering_counts,
+    csv_text,
     frostman_check,
     gen_aligned_triple,
     gen_ap,
+    json_text,
     load_set,
     reserve,
     save_set,
-)
-from .measures import _chain_reports, load_measure
-from .projections import (
-    ProjectionParams,
-    averaged_l2,
-    averaged_projection_entropy,
-)
-from .trees import (
-    IntervalFamily,
-    branching_profile_of,
-    classify_low_high,
-    extend_intervals,
-    gen_uniform_tree,
-    level_min_gaps,
-    lift_intervals,
-    load_profile,
-    prune_adjacent,
-    save_family,
-    trivial_intervals,
-    uniformize,
+    write_json,
+    write_rows_csv,
 )
 
 
@@ -164,6 +138,8 @@ def gen_aligned_cmd(n_param, dest_a, dest_b, dest_c):
 @click.pass_context
 def gen_tree_cmd(ctx, profile_path, placement, dest):
     """Uniform tree set realizing a branching profile."""
+    from .experiments import named_stream
+    from .trees import gen_uniform_tree, load_profile
     profile = load_profile(profile_path)
     rng = named_stream(_seed(ctx), "cli/gen-tree") if placement == "random" else None
     save_set(gen_uniform_tree(profile, rng, placement=placement), dest)
@@ -177,6 +153,7 @@ def gen_tree_cmd(ctx, profile_path, placement, dest):
 @click.pass_context
 def gen_random_cmd(ctx, n, size, dest):
     """Uniformly random size-point subset of the index grid."""
+    from .experiments import named_stream
     check_resolution(n)
     if not 1 <= size <= 1 << n:
         raise click.UsageError("need 1 <= size <= 2**n")
@@ -202,6 +179,7 @@ def gen_random_cmd(ctx, n, size, dest):
 @click.pass_context
 def analyze(ctx, set_path, kappa, m):
     """Covering counts, Frostman audit, and branching profile of a set."""
+    from .trees import branching_profile_of
     if m < 1:
         raise ValueError("m must be >= 1")
     kappa = _fraction(kappa, "--kappa")
@@ -235,6 +213,7 @@ def analyze(ctx, set_path, kappa, m):
 @click.pass_context
 def uniformize_cmd(ctx, set_path, dest, m, levels):
     """Extract a uniform-tree subset and report the cost."""
+    from .trees import uniformize
     a = load_set(set_path)
     sub, profile = uniformize(a, m, levels)
     save_set(sub, dest)
@@ -256,6 +235,7 @@ def uniformize_cmd(ctx, set_path, dest, m, levels):
 @click.pass_context
 def prune_cmd(ctx, set_path, dest, m, levels):
     """Thin a uniform set until sibling cells sit >= 1 empty cell apart."""
+    from .trees import branching_profile_of, level_min_gaps, prune_adjacent
     a = load_set(set_path)
     profile = branching_profile_of(a, m, levels)
     if profile is None:
@@ -285,6 +265,8 @@ def prune_cmd(ctx, set_path, dest, m, levels):
 @click.pass_context
 def extend_cmd(ctx, b_profile_path, ell, zeta, a_profile_path, gamma_cap, family_out):
     """Trivial runs -> lifted -> extended intervals (optionally classified)."""
+    from .trees import IntervalFamily, classify_low_high, extend_intervals, lift_intervals
+    from .trees import load_profile, save_family, trivial_intervals
     if ell < 1:
         raise ValueError("ell must be >= 1")
     zeta, gamma_cap = _fraction(zeta, "--zeta"), _fraction(gamma_cap, "--gamma-cap")
@@ -313,6 +295,7 @@ def extend_cmd(ctx, b_profile_path, ell, zeta, a_profile_path, gamma_cap, family
 @click.pass_context
 def entropy_cmd(ctx, measure_path, c_values, cuts):
     """Entropy chain of a planar measure at the given cuts, per slope."""
+    from .measures import _chain_reports, load_measure
     mu = load_measure(measure_path)
     cut_list = [int(tok) for tok in cuts.split(",")]
     cs = [_fraction(c_str, "--c") for c_str in c_values]
@@ -342,6 +325,8 @@ def entropy_cmd(ctx, measure_path, c_values, cuts):
 def project_avg_cmd(ctx, mu_path, nu_path, gamma_a, gamma_b, gamma, xi, big_c,
                     mode, strict, c0_bits):
     """Slope-averaged projection bound (L2 form or entropy form)."""
+    from .measures import load_measure
+    from .projections import ProjectionParams, averaged_l2, averaged_projection_entropy
     mu = load_measure(mu_path)
     nu = load_measure(nu_path)
     params = ProjectionParams(
@@ -368,6 +353,7 @@ def project_avg_cmd(ctx, mu_path, nu_path, gamma_a, gamma_b, gamma, xi, big_c,
 @click.pass_context
 def ladder_cmd(ctx, set_path, steps):
     """Doubling ladder of a set; reports the slow step."""
+    from .experiments import run_doubling_ladder
     k, table = run_doubling_ladder(load_set(set_path), steps)
     rows = [{"k": step, "size": size} for step, size in table]
     _emit(ctx, {"slow_step": k, "sizes": rows}, rows)
@@ -382,6 +368,7 @@ def ladder_cmd(ctx, set_path, steps):
 @click.pass_context
 def greedy_cmd(ctx, b_path, c_path, steps, eta):
     """Greedy iterated-sum ladder with per-step best slopes."""
+    from .experiments import run_greedy_iterated_sum
     rep = run_greedy_iterated_sum(load_set(b_path), load_set(c_path), steps,
                                   _fraction(eta, "--eta"))
     rows = [
@@ -397,6 +384,7 @@ def greedy_cmd(ctx, b_path, c_path, steps, eta):
 @click.pass_context
 def sharpness_cmd(ctx, n_params):
     """Growth ratios and slopes of the aligned slow-growth triples."""
+    from .experiments import run_alignment_sharpness
     reps = run_alignment_sharpness(n_params)
     _emit(ctx, {"rows": reps}, [dataclasses.asdict(r) for r in reps])
 
@@ -406,6 +394,7 @@ def sharpness_cmd(ctx, n_params):
 @click.pass_context
 def sweep_cmd(ctx, config_path):
     """Expansion-exponent sweep from an ExperimentConfig JSON file."""
+    from .experiments import ExperimentConfig, run_expansion_sweep
     config = ExperimentConfig.load(config_path)
     if ctx.obj["seed"] is not None:
         config = dataclasses.replace(config, seed=ctx.obj["seed"])
@@ -432,6 +421,7 @@ def sweep_cmd(ctx, config_path):
 def assemble_cmd(ctx, m, ell, big_n, eta, zeta, xi, gamma_cap, c_bits, c0_bits,
                  pattern):
     """One full multiscale assembly run with every bound verified."""
+    from .experiments import AssemblyParams, run_final_assembly
     params = AssemblyParams(
         m=m, ell=ell, big_n=big_n, eta=_fraction(eta, "--eta"), zeta=_fraction(zeta, "--zeta"),
         xi=_fraction(xi, "--xi"), gamma_cap=_fraction(gamma_cap, "--gamma-cap"), c_bits=c_bits,

@@ -23,21 +23,19 @@ emission.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 import zlib
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from math import fsum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .grid import DeltaSet, ParameterSet, ScaleSpec, aligned_exponent, certify, gen_ap
-from .grid import FormatError, _distinct, _shifts, _sum_support
-from .grid import _read, _read_list, _read_object, _read_ratio, load_json, sumset
+from .grid import FormatError, InstanceGenerationError, _distinct, _shifts
+from .grid import _read, _read_list, _read_object, _read_ratio, _sum_support, _sum_width
+from .grid import csv_text, format_float, json_text, load_json, sumset, write_json, write_rows_csv
 from .measures import (
     _chain_reports,
     _fiber_bound,
@@ -97,17 +95,6 @@ _C_SCAN_CAP = 10_000
 FAMILIES = ("aligned-triple", "uniform-tree", "random-frostman", "polarised-tree")
 
 
-class InstanceGenerationError(ValueError):
-    """Instance construction violated one of the hypotheses it must satisfy.
-
-    ``hypothesis`` names the failed requirement (e.g. ``"polarisation"``).
-    """
-
-    def __init__(self, hypothesis: str, detail: str):
-        super().__init__(f"{hypothesis}: {detail}")
-        self.hypothesis = hypothesis
-
-
 def named_stream(seed: int, name: str) -> np.random.Generator:
     """Independent generator for one named component of one experiment.
 
@@ -116,63 +103,6 @@ def named_stream(seed: int, name: str) -> np.random.Generator:
     """
     key = zlib.crc32(name.encode("utf-8"))
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key,)))
-
-
-# ---------------------------------------------------------------------------
-# output plumbing
-
-
-def format_float(x: float) -> str:
-    return f"{x:.12g}"
-
-
-def _jsonable(obj):
-    """JSON-ready form of a report: an object's own ``to_dict`` wins, other
-    dataclasses serialise their fields in declaration order."""
-    if hasattr(obj, "to_dict"):
-        return _jsonable(obj.to_dict())
-    if is_dataclass(obj):
-        return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)}
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, float):
-        return float(format_float(obj))
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.integer):
-        return int(obj)
-    return obj
-
-
-def json_text(obj) -> str:
-    """Indented JSON of a report; floats at 12 significant digits, fractions as p/q."""
-    return json.dumps(_jsonable(obj), indent=1) + "\n"
-
-
-def csv_text(rows: Sequence[dict]) -> str:
-    """One CSV from homogeneous row dicts; floats at 12 significant digits."""
-    if not rows:
-        raise ValueError("no rows to write")
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(
-            {k: format_float(v) if isinstance(v, float) else v for k, v in row.items()}
-        )
-    return buf.getvalue()
-
-
-def write_json(obj, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(json_text(obj))
-
-
-def write_rows_csv(rows: Sequence[dict], path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(csv_text(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -333,9 +263,10 @@ def run_greedy_iterated_sum(B: DeltaSet, C: DeltaSet, n_steps: int, eta) -> Gree
     ``H_k`` always sits inside ``[0, k)`` (slopes are at most 1 and B sits
     in the unit interval), which is what makes the pigeonhole step certain;
     the sumset width guard enforces exactly that accounting.  Each step
-    counts ``|H_k + cB|`` for every slope with the sumset kernel
-    ``_sum_support`` over the shifts of c precomputed once, and builds the
-    chosen ``H_(k+1)`` with ``sumset``; sums past 2**63 raise ValueError.
+    builds ``H_k + cB`` for every slope with the sumset kernel
+    ``_sum_support`` over the shifts of c precomputed once, and keeps the
+    first largest as ``H_(k+1)``; sums past 2**63 or wider than
+    ``n_steps + 1`` raise ValueError, as ``sumset`` does.
     """
     if len(B) == 0 or len(C) == 0:
         raise ValueError("B and C must be nonempty")
@@ -355,9 +286,12 @@ def run_greedy_iterated_sum(B: DeltaSet, C: DeltaSet, n_steps: int, eta) -> Gree
     for _ in range(1, n_steps):
         if int(h.indices[-1]) + top >= 1 << 63:
             raise ValueError("sumset indices pass the int64 range")
-        scan = [int(_sum_support(h.indices, shifts).size) for shifts in shift_table]
-        best_i = int(np.argmax(scan))  # first max: ties keep the smallest c
-        h = sumset(h, cs[best_i], B, max_width=n_steps + 1)
+        best_i, best = 0, None
+        for i, shifts in enumerate(shift_table):
+            support = _sum_support(h.indices, shifts)
+            if best is None or support.size > best.size:  # ties keep the smallest c
+                best_i, best = i, support
+        h = DeltaSet(n, best, _sum_width(n, int(best[-1]), n_steps + 1))
         sizes.append(len(h))
         chosen.append(cs[best_i])
     certify("greedy-monotone", min(b - a for a, b in zip(sizes, sizes[1:])))

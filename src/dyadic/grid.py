@@ -17,6 +17,12 @@ covering numbers, measure cells and every tree level at once; one integer
 sign, ``_pow2_sign``, decides every threshold ``2**frac`` against a
 rational in ``pow2_le`` and ``pow2_ge``.
 
+Files and errors.  ``load_json``, the field readers of all five loaders,
+the set format and the report writers (``json_text``, ``csv_text``,
+``write_json``, ``write_rows_csv``) live here, with the four error types
+the command line reports in one line: ``FormatError``, ``BudgetError``,
+``CertificateError`` and ``InstanceGenerationError``.
+
 Sumsets.  ``sumset(A, c, B)`` turns every slope into the integer sumset
 ``A + V`` with ``V = {floor(c * b)}`` (B's own indices for ``c = 1``, so a
 unit slope takes no floor or dedup pass) and hands it to one kernel,
@@ -107,12 +113,14 @@ index and 17 per pair of its two end sums.  A route past
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import numbers
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -122,6 +130,7 @@ __all__ = [
     "BudgetError",
     "CertificateError",
     "FormatError",
+    "InstanceGenerationError",
     "SUMSET_BYTE_BUDGET",
     "certify",
     "DeltaSet",
@@ -140,6 +149,11 @@ __all__ = [
     "gen_aligned_triple",
     "save_set",
     "load_set",
+    "format_float",
+    "json_text",
+    "csv_text",
+    "write_json",
+    "write_rows_csv",
 ]
 
 
@@ -183,6 +197,17 @@ class BudgetError(ValueError):
             f"{what} needs {needed} bytes of scratch memory, over the budget of {budget}"
         )
         self.needed, self.budget, self.what = needed, budget, what
+
+
+class InstanceGenerationError(ValueError):
+    """Instance construction violated one of the hypotheses it must satisfy.
+
+    ``hypothesis`` names the failed requirement (e.g. ``"polarisation"``).
+    """
+
+    def __init__(self, hypothesis: str, detail: str):
+        super().__init__(f"{hypothesis}: {detail}")
+        self.hypothesis = hypothesis
 
 
 def reserve(nbytes: int, what: str) -> None:
@@ -236,6 +261,59 @@ def _save_json(payload, path) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh)
         fh.write("\n")
+
+
+def format_float(x: float) -> str:
+    return f"{x:.12g}"
+
+
+def _jsonable(obj):
+    """JSON-ready form of a report: an object's own ``to_dict`` wins, other
+    dataclasses serialise their fields in declaration order."""
+    if hasattr(obj, "to_dict"):
+        return _jsonable(obj.to_dict())
+    if is_dataclass(obj):
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if isinstance(obj, float):
+        return float(format_float(obj))
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, np.integer):
+        return int(obj)
+    return obj
+
+
+def json_text(obj) -> str:
+    """Indented JSON of a report; floats at 12 significant digits, fractions as p/q."""
+    return json.dumps(_jsonable(obj), indent=1) + "\n"
+
+
+def csv_text(rows: Sequence[dict]) -> str:
+    """One CSV from homogeneous row dicts; floats at 12 significant digits."""
+    if not rows:
+        raise ValueError("no rows to write")
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
+    writer.writeheader()
+    for row in rows:
+        writer.writerow(
+            {k: format_float(v) if isinstance(v, float) else v for k, v in row.items()}
+        )
+    return buf.getvalue()
+
+
+def write_json(obj, path) -> None:
+    with open(path, "w") as fh:
+        fh.write(json_text(obj))
+
+
+def write_rows_csv(rows: Sequence[dict], path) -> None:
+    with open(path, "w", newline="") as fh:
+        fh.write(csv_text(rows))
 
 
 # The field readers of the JSON loaders: each returns the value it reads,
@@ -979,10 +1057,17 @@ def sumset(A: DeltaSet, c, B: DeltaSet, max_width: int = 1 << 12) -> DeltaSet:
         raise ValueError("negative c pushes the sumset below 0")
     if hi >= 1 << 63:
         raise ValueError("sumset indices pass the int64 range")
-    width = (hi >> A.n) + 1
+    width = _sum_width(A.n, hi, max_width)
+    return DeltaSet(A.n, _sum_support(A.indices, v), width)
+
+
+def _sum_width(n: int, hi: int, max_width: int) -> int:
+    """The width of a sum at resolution 2**-n whose top index is ``hi``;
+    a width past ``max_width`` raises ValueError."""
+    width = (hi >> n) + 1
     if width > max_width:
         raise ValueError(f"sumset width {width} exceeds limit {max_width}")
-    return DeltaSet(A.n, _sum_support(A.indices, v), width)
+    return width
 
 
 def iterated_sum(B: DeltaSet, k: int, max_width: int = 1 << 12) -> DeltaSet:
@@ -1112,15 +1197,19 @@ def gen_aligned_triple(n_param: int) -> tuple[DeltaSet, DeltaSet, DeltaSet]:
 
 
 def save_set(A: DeltaSet, path) -> None:
-    """Write the one-index-per-line text format with an ``n=.. W=..`` header."""
+    """Write the one-index-per-line text format with an ``n=.. W=.. N=..``
+    header, N the number of index lines."""
     with open(path, "w") as fh:
-        fh.write(f"n={A.n} W={A.width}\n")
+        fh.write(f"n={A.n} W={A.width} N={len(A)}\n")
         for k in A.indices.tolist():
             fh.write(f"{k}\n")
 
 
 _DECIMAL = re.compile("-?[0-9]+")
-_HEADER = re.compile(rf"n=({_DECIMAL.pattern})\s+W=({_DECIMAL.pattern})")
+_HEADER = re.compile(
+    rf"n=({_DECIMAL.pattern})\s+W=({_DECIMAL.pattern})(?:\s+N=({_DECIMAL.pattern}))?"
+)
+_CUT = "no newline ends the file: it may be cut short"
 
 
 def _decimal(text: str) -> int:
@@ -1133,15 +1222,19 @@ def _decimal(text: str) -> int:
 
 def load_set(path) -> DeltaSet:
     """Read the text format of ``save_set``; a malformed file raises
-    FormatError.  The header is ``n=<int> W=<int>`` and nothing else, and
-    an index line must end in a newline, as ``save_set`` writes them, so a
-    file cut inside its last index is refused."""
+    FormatError.  The header is ``n=<int> W=<int> N=<int>`` and nothing
+    else, and every line must end in a newline, as ``save_set`` writes
+    them, so a file cut inside a line is refused, and one cut at a line end
+    holds fewer index lines than N.  A header without ``N``, as files
+    written before the count was added have, is read with no count check."""
     with _utf8(path) as fh:
-        header = fh.readline().strip()
-        if not (fields := _HEADER.fullmatch(header)):
-            got = _echo(repr(header))
-            raise FormatError(path, 1, f"header must read 'n=<int> W=<int>', got {got}")
-        n, width = map(int, fields.groups())
+        header = fh.readline()
+        if not (head := _HEADER.fullmatch(header.strip())):
+            got = _echo(repr(header.strip()))
+            raise FormatError(path, 1, f"header must read 'n=<int> W=<int> N=<int>', got {got}")
+        if not header.endswith("\n"):
+            raise FormatError(path, 1, _CUT)
+        n, width = int(head[1]), int(head[2])
         idx = []
         for lineno, line in enumerate(fh, start=2):
             if line.strip():
@@ -1151,7 +1244,9 @@ def load_set(path) -> DeltaSet:
                     bad = _echo(repr(line.strip()))
                     raise FormatError(path, lineno, f"not an index: {bad}") from None
                 if not line.endswith("\n"):
-                    raise FormatError(path, lineno, "no newline ends the file: it may be cut short")
+                    raise FormatError(path, lineno, _CUT)
+    if head[3] is not None and int(head[3]) != len(idx):
+        raise FormatError(path, 1, f"header says N={head[3]}, the file holds {len(idx)} points")
     try:
         return DeltaSet(n, np.asarray(idx, dtype=np.int64), width)
     except ValueError as exc:

@@ -457,15 +457,15 @@ def test_set_file_without_width_gives_one_line_error(tmp_path, runner):
     assert res.exit_code == 1
     lines = res.output.strip().splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith(f"Error: {path}:1: header must read 'n=<int> W=<int>'")
+    assert lines[0].startswith(f"Error: {path}:1: header must read 'n=<int> W=<int> N=<int>'")
 
 
 @pytest.mark.parametrize(
     "text, line, reason",
     [
-        ("n=1_0 W=1\n0\n5\n", 1, "header must read 'n=<int> W=<int>', got 'n=1_0 W=1'"),
-        ("n=+6 W=1\n0\n5\n", 1, "header must read 'n=<int> W=<int>', got 'n=+6 W=1'"),
-        ("n=6 W=\uff11\n0\n5\n", 1, "header must read 'n=<int> W=<int>', got 'n=6 W=\uff11'"),
+        ("n=1_0 W=1\n0\n5\n", 1, "header must read 'n=<int> W=<int> N=<int>', got 'n=1_0 W=1'"),
+        ("n=+6 W=1\n0\n5\n", 1, "header must read 'n=<int> W=<int> N=<int>', got 'n=+6 W=1'"),
+        ("n=6 W=\uff11\n0\n5\n", 1, "header must read 'n=<int> W=<int> N=<int>', got 'n=6 W=\uff11'"),
         ("n=12 W=1\n0\n1_000\n", 3, "not an index: '1_000'"),
         ("n=6 W=1\n0\n+5\n", 3, "not an index: '+5'"),
         ("n=6 W=1\n\uff15\n", 2, "not an index: '\uff15'"),

@@ -223,6 +223,28 @@ def test_greedy_counts_each_slope_with_the_sumset_kernel(monkeypatch):
     assert len(calls) == 3 * len(c)  # every slope at each of the three scans
 
 
+def test_greedy_builds_each_chosen_sum_once(monkeypatch):
+    # H_1 is one kernel call; each later step is one per slope, the chosen
+    # sum kept from its scan
+    from dyadic import experiments, grid
+
+    calls = []
+    real = grid._sum_support
+    for module in (grid, experiments):
+        monkeypatch.setattr(module, "_sum_support", lambda *args: calls.append(1) or real(*args))
+    b, c = gen_ap(6, 8), gen_ap(6, 8, step=8)
+    rep = run_greedy_iterated_sum(b, c, 4, Fraction(1, 10))
+    assert rep.sizes == (1, 8, 57, 106)
+    assert len(calls) == 1 + 3 * len(c)
+
+
+def test_greedy_refuses_a_sum_wider_than_its_steps():
+    # B past the unit interval: H_2 = {6} is 7 wide, past n_steps + 1 = 3
+    b, c = DeltaSet(4, np.array([48]), width=4), DeltaSet.from_indices(4, [16])
+    with pytest.raises(ValueError, match="sumset width 7 exceeds limit 3"):
+        run_greedy_iterated_sum(b, c, 2, 0)
+
+
 def test_greedy_at_n40_exits_0_in_a_memory_limited_child(tmp_path):
     # the child caps its own address space at 2 GiB before it imports
     # dyadic, so a buffer as wide as the grid fails there as a MemoryError

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from dyadic import (
     BranchingProfile,
+    DeltaSet,
     ExperimentConfig,
     Interval,
     IntervalFamily,
@@ -201,11 +202,6 @@ def test_a_mutated_file_loads_the_same_or_is_refused_in_one_line(
         if fmt == "set" and mutation == "nest":
             assert str(exc).startswith(f"{path}:{exc.line}: not an index: '[[[")
         return
-    if fmt == "set" and mutation == "truncate" and mutated.endswith(b"\n"):
-        # the set format has no end marker: a cut at a line end keeps the
-        # first points, and only those (a cut inside a line is refused)
-        assert loaded.indices.tolist() == original.indices.tolist()[: len(loaded)]
-        return
     assert loaded == original
 
 
@@ -227,3 +223,26 @@ def test_a_long_value_is_shortened_in_the_error(tmp_path, text, load, reason):
         load(path)
     message = str(info.value)
     assert reason in message and len(message) < 300 and "chars)" in message
+
+
+def test_a_set_header_without_a_count_is_read(tmp_path):
+    # as files written before the header carried one are
+    path = tmp_path / "old.txt"
+    path.write_text("n=6 W=1\n3\n10\n")
+    assert load_set(path) == DeltaSet.from_indices(6, [3, 10])
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("n=6 W=1 N=3\n3\n10\n", "header says N=3, the file holds 2 points"),
+        ("n=6 W=1 N=1\n3\n\n10\n", "header says N=1, the file holds 2 points"),
+        ("n=6 W=1 N=0", "no newline ends the file: it may be cut short"),
+    ],
+)
+def test_a_set_file_that_its_count_does_not_match_is_refused(tmp_path, text, reason):
+    path = tmp_path / "set.txt"
+    path.write_text(text)
+    with pytest.raises(FormatError) as info:
+        load_set(path)
+    assert str(info.value) == f"{path}:1: {reason}"

@@ -274,6 +274,12 @@ def test_sumset_rejects_mismatch():
         sumset(dset(62, [0, 3 << 61], width=2), 1, dset(62, [(1 << 62) - 1]))
 
 
+def test_sumset_refuses_a_wide_sum_before_the_kernel_runs(monkeypatch):
+    monkeypatch.setattr(grid, "_sum_support", lambda *args: pytest.fail("the kernel ran"))
+    with pytest.raises(ValueError, match="sumset width 3 exceeds limit 2"):
+        sumset(dset(4, [0, 20], width=2), 1, dset(4, [15]), max_width=2)
+
+
 def test_sumset_negative_c_when_it_stays_nonnegative():
     A = dset(4, [8, 9])
     B = dset(4, [0, 4])
@@ -999,4 +1005,4 @@ def test_set_roundtrip(tmp_path):
     save_set(A, path)
     assert load_set(path) == A
     header = path.read_text().splitlines()[0]
-    assert header == "n=7 W=2"
+    assert header == "n=7 W=2 N=4"
