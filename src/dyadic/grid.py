@@ -480,10 +480,6 @@ class DeltaSet:
             and bool(np.all(self.indices == other.indices))
         )
 
-    def values(self) -> np.ndarray:
-        """Point values as floats (display/plotting only; indices are the truth)."""
-        return self.indices * (2.0**-self.n)
-
     def points(self) -> list[Fraction]:
         d = self.delta
         return [k * d for k in self.indices.tolist()]
@@ -506,10 +502,6 @@ class ScaleSpec:
     @property
     def n(self) -> int:
         return self.ell * self.m * self.big_n
-
-    @property
-    def fine_levels(self) -> int:
-        return self.ell * self.big_n
 
 
 @dataclass(frozen=True)

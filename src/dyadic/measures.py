@@ -42,8 +42,8 @@ not kept).  It takes a whole slope list at once, so a level pair costs
 one pass per 2**14 atom-slope rows: ``_chain_reports`` builds and
 certifies the chain of every slope from one read (the final assembly and
 the ``entropy`` command; the assembly's fiber bounds read the block
-statistics the chain holds), and the averaged projection entropy reads
-all its slopes through ``_projection_l2_entropies``.  Level-0 cells are
+statistics the chain holds), and both projection averages read all their
+slopes in one call (``projections._slope_reads``).  Level-0 cells are
 the whole measure when every key lies in ``[0, 2**n)``, so a chain's left
 side, a single block term and that block's fiber bound share one pass;
 with a negative key the level-0 cells are several and the alias does not
@@ -537,14 +537,6 @@ def _slope_stats(
     return [memo[cell_level, bucket_level, s] for s in slopes]
 
 
-def _cell_stats(
-    mu: DiscreteMeasure, c, cell_level: int | None, bucket_level: int
-) -> tuple[list[int], list[float], int]:
-    """The ``_slope_stats`` of the one slope ``c`` (None pushes nothing)."""
-    slope = None if c is None else dyadic_slope(c)
-    return _slope_stats(mu, [slope], cell_level, bucket_level)[0]
-
-
 def _check_level(mu: DiscreteMeasure, j: int) -> None:
     if not 0 <= j <= mu.n:
         raise ValueError("level out of range")
@@ -553,24 +545,7 @@ def _check_level(mu: DiscreteMeasure, j: int) -> None:
 def entropy(mu: DiscreteMeasure, j: int) -> float:
     """Shannon entropy (bits) of mu pushed to the level-j dyadic partition."""
     _check_level(mu, j)
-    return _cell_stats(mu, None, None, j)[1][0]
-
-
-def _projection_l2_entropies(mu: DiscreteMeasure, slopes: list) -> list[tuple[int, float]]:
-    """The sum of squared bucket masses (numerators) and the entropy of
-    ``project(mu, c)`` at level n for each slope of ``slopes``, ``(p, q)``
-    pairs, from memoised kernel passes batched over the slopes (no
-    projected measure is built).  The squared L2 density is ``ssq * 2**n /
-    denom**2``."""
-    if mu.dim != 2:
-        raise ValueError("expected a planar measure")
-    return [(ssq, hs[0]) for _, hs, ssq in _slope_stats(mu, slopes, None, mu.n)]
-
-
-def _projection_l2_entropy(mu: DiscreteMeasure, c) -> tuple[Fraction, float]:
-    """Squared L2 density and entropy of ``project(mu, c)`` at level n."""
-    ((ssq, h),) = _projection_l2_entropies(mu, [dyadic_slope(c)])
-    return Fraction(ssq << mu.n, mu.denom * mu.denom), h
+    return _slope_stats(mu, [None], None, j)[0][1][0]
 
 
 def conditional_entropy(mu: DiscreteMeasure, fine: int, coarse: int) -> float:
@@ -632,7 +607,7 @@ def renormalize_cell(mu: DiscreteMeasure, q_key, j: int) -> DiscreteMeasure:
 def discretize_density_l2(mu: DiscreteMeasure, j: int) -> Fraction:
     """Squared L2 norm of the level-j density: ``2**(dim*j) * sum mu(Q)**2``."""
     _check_level(mu, j)
-    ssq = _cell_stats(mu, None, None, j)[2]
+    ssq = _slope_stats(mu, [None], None, j)[0][2]
     return Fraction(ssq << (mu.dim * j), mu.denom * mu.denom)
 
 
@@ -744,7 +719,8 @@ def uniform_fiber_entropy_bound(
         raise ValueError("expected a planar measure")
     if block_bits < 1 or lo_bits < 0 or lo_bits + block_bits > mu.n:
         raise ValueError("block exceeds the resolution")
-    return _fiber_bound(_cell_stats(mu, c, lo_bits, lo_bits + block_bits)[1], log2_branching)
+    hs = _slope_stats(mu, [dyadic_slope(c)], lo_bits, lo_bits + block_bits)[0][1]
+    return _fiber_bound(hs, log2_branching)
 
 
 def _fiber_bound(entropies: list[float], log2_branching: float) -> tuple[float, float]:

@@ -20,7 +20,8 @@ slopes threading both points through one cell form a short window,
 controlled by the nu-mass and separation hypotheses).  averaged_l2
 certifies that split on every call (``l2-near-far``).  Its near term and
 l2_of_projection's second route are exact pair totals at every size, each
-one sort of the atoms.
+one sort of the atoms.  Both averages open with one prologue, the audit and
+one read of every slope's statistics, which averaged_l2's norms reuse.
 
 Implied constants are never silently trusted: reports carry a fitted
 constant (measured average divided by the bound's max term) and the test
@@ -37,8 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .grid import _distinct, _run_starts, dyadic_slope, pow2_ge, pow2_le
-from .measures import DiscreteMeasure, certify
-from .measures import _projection_l2_entropies, _projection_l2_entropy
+from .measures import DiscreteMeasure, _slope_stats, certify
 
 __all__ = [
     "ProjectionParams",
@@ -202,7 +202,8 @@ def l2_of_projection(mu: DiscreteMeasure, c, check=True) -> Fraction:
     if mu.dim != 2:
         raise ValueError("l2_of_projection expects a planar measure")
     c = Fraction(c)
-    value = _projection_l2_entropy(mu, c)[0]
+    ssq = _slope_stats(mu, [dyadic_slope(c)], None, mu.n)[0][2]
+    value = Fraction(ssq << mu.n, mu.denom * mu.denom)
     if check:
         # the same-cell pairs weigh the squared weight sums of the runs of
         # equal cells; a run sum is at most denom, so its square may pass int64
@@ -272,13 +273,19 @@ def _far_mass(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Fraction:
     return Fraction(int((cum[ends] - cum[:-1]).max()), nu.denom)
 
 
-def _nu_atoms_as_slopes(nu: DiscreteMeasure) -> list[tuple[Fraction, int]]:
-    """Each atom of nu as its slope and its weight's numerator over
-    ``nu.denom``, by ascending slope."""
+def _slope_reads(
+    mu: DiscreteMeasure, nu: DiscreteMeasure, params: ProjectionParams, strict: bool
+) -> tuple[list[str], list[tuple[Fraction, int]], list]:
+    """The audit failures (refused in strict mode), nu's atoms as (slope, numerator over
+    ``nu.denom``) by ascending slope, and every slope's level-n ``_slope_stats`` of mu."""
+    failures = audit_hypotheses(mu, nu, params)
+    if failures and strict:
+        raise ValueError("hypothesis audit failed: " + ", ".join(failures))
     scale = 1 << nu.n
     (ks,), nums = nu._columns
     order = np.argsort(ks)
-    return [(Fraction(k, scale), num) for k, num in zip(ks[order].tolist(), nums[order].tolist())]
+    slopes = [(Fraction(k, scale), num) for k, num in zip(ks[order].tolist(), nums[order].tolist())]
+    return failures, slopes, _slope_stats(mu, [dyadic_slope(c) for c, _ in slopes], None, mu.n)
 
 
 @dataclass(frozen=True)
@@ -294,13 +301,7 @@ class ProjectionAverageReport:
     def to_dict(self) -> dict:
         return {
             "n": self.n,
-            "params": {
-                "gamma_a": str(self.params.gamma_a),
-                "gamma_b": str(self.params.gamma_b),
-                "gamma": str(self.params.gamma),
-                "xi": str(self.params.xi),
-                "big_c": str(self.params.big_c),
-            },
+            "params": self.params,
             "per_c": [
                 {"c": str(c), "l2": str(v), "l2_float": float(v)}
                 for c, v in self.per_c
@@ -351,13 +352,10 @@ def averaged_l2(
     4,096-atom product with 8 slopes the bound is about 1,900 times the
     average.
     """
-    failures = audit_hypotheses(mu, nu, params)
-    if failures and strict:
-        raise ValueError("hypothesis audit failed: " + ", ".join(failures))
-
+    failures, slopes, _ = _slope_reads(mu, nu, params, strict)
     per_c = []
     average = Fraction(0)
-    for c, num in _nu_atoms_as_slopes(nu):
+    for c, num in slopes:  # each norm reads the prologue's memoised statistics
         value = l2_of_projection(mu, c, check=check)
         per_c.append((c, value))
         average += Fraction(num, nu.denom) * value
@@ -443,19 +441,14 @@ def averaged_projection_entropy(
     gamma_a + xi * zeta branch) is verified exactly on the given rationals,
     as are the consistency conditions tying ``low`` to ``params``.
     """
-    failures = audit_hypotheses(mu, nu, params)
-    if failures and strict:
-        raise ValueError("hypothesis audit failed: " + ", ".join(failures))
-
+    _, slopes, stats = _slope_reads(mu, nu, params, strict)
     n = mu.n
     per_c = []
     value = 0.0
     ssq_sum = 0  # nu.denom * mu.denom**2 / 2**n times the nu-average of the squared L2 norms
     log_sum = 0.0
-    slopes = _nu_atoms_as_slopes(nu)
-    stats = _projection_l2_entropies(mu, [dyadic_slope(c) for c, _ in slopes])
     l2_denom = mu.denom * mu.denom
-    for (c, num), (ssq, h) in zip(slopes, stats):
+    for (c, num), (_, (h,), ssq) in zip(slopes, stats):
         l2 = Fraction(ssq << n, l2_denom)
         certify("entropy-l2", h - (n - math.log2(l2)), _TOL)
         per_c.append((c, h, l2))

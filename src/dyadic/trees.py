@@ -147,12 +147,6 @@ class IntervalFamily:
     def __len__(self) -> int:
         return len(self.intervals)
 
-    def total_length(self, tag: str | None = None) -> int:
-        return sum(len(iv) for iv in self.intervals if tag is None or iv.tag == tag)
-
-    def with_tags(self, *tags: str) -> tuple[Interval, ...]:
-        return tuple(iv for iv in self.intervals if iv.tag in tags)
-
 
 def _tree_levels(
     idx: np.ndarray, n: int, m: int, lo: int, hi: int

@@ -34,7 +34,7 @@ from dyadic.measures import (
     uniform_fiber_entropy_bound,
 )
 from dyadic.grid import dyadic_slope, sumset
-from dyadic.measures import _chain_reports, _projection_l2_entropy, _slope_stats
+from dyadic.measures import _chain_reports, _slope_stats
 
 TOL = 2.0**-40
 
@@ -648,7 +648,7 @@ def test_memoised_results_match_fresh_passes(args):
         entropy_chain(mu, c, cuts)
         for j, j_next in pairs:
             uniform_fiber_entropy_bound(mu, c, j, j_next - j, 0.0)
-        _projection_l2_entropy(mu, c)
+        _slope_stats(mu, [dyadic_slope(c)], None, mu.n)
     for c in slopes:
         fresh = DiscreteMeasure(2, mu.n, mu.atoms, mu.denom)
         assert entropy_chain(mu, c, cuts) == entropy_chain(fresh, c, cuts)
@@ -656,7 +656,9 @@ def test_memoised_results_match_fresh_passes(args):
             assert uniform_fiber_entropy_bound(mu, c, j, j_next - j, 0.0) == (
                 uniform_fiber_entropy_bound(fresh, c, j, j_next - j, 0.0)
             )
-        assert _projection_l2_entropy(mu, c) == _projection_l2_entropy(fresh, c)
+        assert _slope_stats(mu, [dyadic_slope(c)], None, mu.n) == (
+            _slope_stats(fresh, [dyadic_slope(c)], None, mu.n)
+        )
     # a negative key splits level 0 into several cells: the dict reference
     # groups them, so the whole-measure alias must not have fired
     rep = entropy_chain(mu, slopes[0], cuts)

@@ -187,6 +187,26 @@ def test_averaged_l2_regular_family_fitted_budget():
     assert data["audit_failures"] == []
 
 
+def test_both_averages_share_one_read_of_the_slopes(monkeypatch):
+    # 2**12 atoms and 8 slopes are 2**15 atom-slope rows: averaged_l2 reads
+    # them in two kernel passes of 2**14 rows, and the entropy form that
+    # follows reads the memo, with no pass at all
+    from dyadic import measures
+
+    mu = brick(12, 1 << 6, 1 << 6)
+    nu = slope_measure(3, [-8, -5, -2, 0, 1, 3, 6, 8])
+    params = ProjectionParams(0, 0, 1, 1)
+    passes = []
+    real = measures._cell_counts
+    monkeypatch.setattr(measures, "_cell_counts", lambda *args: passes.append(1) or real(*args))
+    rep = averaged_l2(mu, nu, params, strict=False)
+    assert mu.support_size() == 1 << 12 and len(rep.per_c) == 8
+    assert len(passes) == -(-8 // ((1 << 14) // (1 << 12))) == 2
+    ent = averaged_projection_entropy(mu, nu, params, strict=False)
+    assert len(passes) == 2
+    assert list(rep.per_c) == [(c, v) for c, _, v in ent.per_c]
+
+
 # ------------------------------------------------------------- entropy form
 
 
@@ -532,25 +552,25 @@ def certificate_under_python_O(code: str) -> tuple[str, str, Fraction]:
 
 
 def test_l2_dual_route_certifies_under_python_O():
-    # the bucket route off by 1/denom**2 must fail the certificate, under -O too
+    # the bucket route off by one unit of its squared-mass sum, 2**n / denom**2,
+    # must fail the certificate, under -O too
     code = (
         "import sys\n"
         "from fractions import Fraction\n"
         "from dyadic import CertificateError, counting_measure, gen_ap, product_measure\n"
         "from dyadic import projections\n"
         "mu = product_measure(counting_measure(gen_ap(6, 8)), counting_measure(gen_ap(6, 4)))\n"
-        "real = projections._projection_l2_entropy\n"
-        "def off(mu, c):\n"
-        "    l2, h = real(mu, c)\n"
-        "    return l2 + Fraction(1, mu.denom**2), h\n"
-        "projections._projection_l2_entropy = off\n"
+        "real = projections._slope_stats\n"
+        "def off(*args):\n"
+        "    return [(masses, hs, ssq + 1) for masses, hs, ssq in real(*args)]\n"
+        "projections._slope_stats = off\n"
         "try:\n"
         "    projections.l2_of_projection(mu, Fraction(1, 4), check=True)\n"
         "    print(sys.flags.optimize, 'accepted', 0)\n"
         "except CertificateError as exc:\n"
         "    print(sys.flags.optimize, exc.name, exc.slack)\n"
     )
-    assert certificate_under_python_O(code) == ("1", "l2-dual-route", -Fraction(1, 32**2))
+    assert certificate_under_python_O(code) == ("1", "l2-dual-route", -Fraction(1 << 6, 32**2))
 
 
 def test_l2_near_far_certifies_under_python_O():
