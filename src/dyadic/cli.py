@@ -42,8 +42,6 @@ from .grid import (
 def _emit(ctx, payload, rows=None) -> None:
     """Write the JSON payload or CSV rows to --out (stdout by default)."""
     fmt, out = ctx.obj["fmt"], ctx.obj["out"]
-    if fmt == "csv" and rows is None:
-        raise click.UsageError("this command has no tabular form; use --format json")
     if not out:
         click.echo(csv_text(rows) if fmt == "csv" else json_text(payload), nl=False)
     elif fmt == "csv":
@@ -236,6 +234,8 @@ def uniformize_cmd(ctx, set_path, dest, m, levels):
 def prune_cmd(ctx, set_path, dest, m, levels):
     """Thin a uniform set until sibling cells sit >= 1 empty cell apart."""
     from .trees import branching_profile_of, level_min_gaps, prune_adjacent
+    if ctx.obj["fmt"] == "csv":
+        raise click.UsageError("this command has no tabular form; use --format json")
     a = load_set(set_path)
     profile = branching_profile_of(a, m, levels)
     if profile is None:
@@ -249,7 +249,7 @@ def prune_cmd(ctx, set_path, dest, m, levels):
         "profile_out": list(new_profile.r),
         "min_gaps": level_min_gaps(pruned, m, levels),
     }
-    _emit(ctx, payload, None)
+    _emit(ctx, payload)
 
 
 @main.command("extend")
@@ -265,7 +265,7 @@ def prune_cmd(ctx, set_path, dest, m, levels):
 @click.pass_context
 def extend_cmd(ctx, b_profile_path, ell, zeta, a_profile_path, gamma_cap, family_out):
     """Trivial runs -> lifted -> extended intervals (optionally classified)."""
-    from .trees import IntervalFamily, classify_low_high, extend_intervals, lift_intervals
+    from .trees import classify_low_high, extend_intervals, lift_intervals
     from .trees import load_profile, save_family, trivial_intervals
     if ell < 1:
         raise ValueError("ell must be >= 1")
@@ -274,12 +274,9 @@ def extend_cmd(ctx, b_profile_path, ell, zeta, a_profile_path, gamma_cap, family
     if profile.levels % ell:
         raise click.UsageError("profile length must be a multiple of --ell")
     runs = trivial_intervals(profile.coarsen(ell))
-    if len(runs):
-        family = extend_intervals(profile, lift_intervals(runs, ell), zeta, ell)
-        if a_profile_path is not None:
-            family = classify_low_high(family, load_profile(a_profile_path), gamma_cap)
-    else:
-        family = IntervalFamily(())
+    family = extend_intervals(profile, lift_intervals(runs, ell), zeta, ell)
+    if a_profile_path is not None:
+        family = classify_low_high(family, load_profile(a_profile_path), gamma_cap)
     if family_out:
         save_family(family, family_out)
     rows = [{"lo": iv.lo, "hi": iv.hi, "tag": iv.tag} for iv in family]

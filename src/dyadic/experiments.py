@@ -786,21 +786,14 @@ def run_final_assembly(params: AssemblyParams | None = None, seed: int = 0) -> A
 
     try:
         a1, a_prof = prune_adjacent(inst.a, inst.a_profile)
-        coarse_runs = trivial_intervals(inst.b_profile.coarsen(ell))
-        if len(coarse_runs):
-            lifted = lift_intervals(coarse_runs, ell)
-            extended = extend_intervals(inst.b_profile, lifted, zeta, ell)
-            classified = classify_low_high(extended, a_prof, params.gamma_cap)
-        else:
-            classified = IntervalFamily(())
+        lifted = lift_intervals(trivial_intervals(inst.b_profile.coarsen(ell)), ell)
+        extended = extend_intervals(inst.b_profile, lifted, zeta, ell)
+        classified = classify_low_high(extended, a_prof, params.gamma_cap)
         retained = tuple(iv for iv in classified if xi * (len(iv) - 1) >= 1)
         demoted = tuple(iv for iv in classified if xi * (len(iv) - 1) < 1)
-        if retained:
-            b2, b_prof, _prefixes = collapse_suffixes(
-                inst.b, inst.b_profile, IntervalFamily(retained), xi
-            )
-        else:
-            b2, b_prof = inst.b, inst.b_profile
+        b2, b_prof, _prefixes = collapse_suffixes(
+            inst.b, inst.b_profile, IntervalFamily(retained), xi
+        )
     except ValueError as exc:
         raise InstanceGenerationError("surgery", str(exc)) from exc
 
@@ -824,16 +817,6 @@ def run_final_assembly(params: AssemblyParams | None = None, seed: int = 0) -> A
     chains, stats = _chain_reports(mu, cs, cuts)  # certifies every slope's chain
     per_c_lhs = [rep.lhs for rep in chains]
     per_block_terms = list(zip(*[rep.block_terms for rep in chains]))
-    useless = [
-        (j, _block_bits(a_prof, blk.lo, blk.hi))
-        for j, blk in enumerate(blocks)
-        if blk.tag == "useless"
-    ]
-    for rep, (_, *block_stats) in zip(chains, stats):
-        for j, bits_a in useless:
-            # block j's cells are the fiber bound's: worst >= bits_a - 1 is certified
-            _, bound = _fiber_bound(block_stats[j][1], bits_a)
-            certify("assembly-block-term", rep.block_terms[j] - bound, _TOL)
 
     gain_rate = float(xi * zeta)
     block_reports = []
@@ -847,6 +830,10 @@ def run_final_assembly(params: AssemblyParams | None = None, seed: int = 0) -> A
             bound = bits_a + gain_rate * m * len(blk) - math.log2(40) - params.c0_bits
         else:
             bound = bits_a - 1.0
+            for term, (_, *block_stats) in zip(per_block_terms[j], stats):
+                # block j's cells are the fiber bound's: worst >= bits_a - 1 is certified
+                _fiber_bound(block_stats[j][1], bits_a)
+                certify("assembly-block-term", term - bound, _TOL)
         certify("assembly-block-average", avg - bound, _TOL)
         block_reports.append(
             BlockReport(
@@ -887,42 +874,26 @@ def run_final_assembly(params: AssemblyParams | None = None, seed: int = 0) -> A
             order, starts = _sort_groups([xs, ys])
             q_keys = [(int(xs[i]), int(ys[i])) for i in order[starts[:2]]]
         else:
-            q_keys = [None]
-        bits_a = a_prof.block_product(blk.lo, blk.hi)
-        bits_b = b_prof.block_product(blk.lo, blk.hi)
-        if bits_a & (bits_a - 1) or bits_b & (bits_b - 1):
+            q_keys = [(0, 0)]
+        card_a = a_prof.block_product(blk.lo, blk.hi)
+        card_b = b_prof.block_product(blk.lo, blk.hi)
+        if card_a & (card_a - 1) or card_b & (card_b - 1):
             continue  # exact rational exponents need power-of-two branching
         xi_audit = 2 * xi + Fraction(1, block_bits)
         if xi_audit > 1 or params.c_bits > block_bits:
             continue
-        proj_params = ProjectionParams(
-            gamma_a=Fraction(bits_a.bit_length() - 1, block_bits),
-            gamma_b=Fraction(bits_b.bit_length() - 1, block_bits),
-            gamma=Fraction(min(params.c_bits, block_bits), block_bits),
-            xi=xi_audit,
+        proj_params = ProjectionParams.from_cardinalities(
+            block_bits, card_a, card_b, len(cs), xi_audit
         )
         for q_key in q_keys:
-            mu_q = _conditioned_block_measure(
-                mu, lo_bits, block_bits, q_key if q_key is not None else (0, 0)
-            )
+            mu_q = _conditioned_block_measure(mu, lo_bits, block_bits, q_key)
             failures = tuple(audit_hypotheses(mu_q, nu, proj_params))
             if failures:
-                audits.append(
-                    CellAuditReport((blk.lo, blk.hi), q_key or (0, 0), failures, None, None, None)
-                )
+                audits.append(CellAuditReport((blk.lo, blk.hi), q_key, failures, None, None, None))
                 continue
-            rep = averaged_projection_entropy(
-                mu_q, nu, proj_params, c0_bits=params.c0_bits
-            )
+            rep = averaged_projection_entropy(mu_q, nu, proj_params, c0_bits=params.c0_bits)
             audits.append(
-                CellAuditReport(
-                    (blk.lo, blk.hi),
-                    q_key or (0, 0),
-                    (),
-                    rep.rhs,
-                    rep.value,
-                    rep.slack,
-                )
+                CellAuditReport((blk.lo, blk.hi), q_key, (), rep.rhs, rep.value, rep.slack)
             )
 
     return AssemblyReport(

@@ -43,8 +43,8 @@ with numpy 2.4:
   ``_sum_support``).  Those settle both ends of the sum; an offset of the
   middle that they miss is looked up against the middle shifts, and where
   the misses are too many to look up (real holes, as a progression has),
-  the middle shifts are ORed or the cheapest other route runs: an operand
-  dense in its span against tens to thousands of shifts;
+  the middle shifts are ORed: an operand dense in its span against tens to
+  thousands of shifts;
 * an FFT convolution of the two 0/1 indicators over the window
   ``[a0 + v0, a_max + v_max]``, in float64 ``numpy.fft`` at the shortest
   length ``2**a`` or ``3 * 2**a`` covering it (``_fft_length``), then
@@ -864,14 +864,13 @@ def _witnessed(copies: np.ndarray, t: np.ndarray, y: np.ndarray, first, last) ->
     return [bits[u - y[i:j]].any() for u, i, j in zip(t.tolist(), first.tolist(), last.tolist())]
 
 
-def _bitset_support(x: np.ndarray, y: np.ndarray, span: int, rival_ns: float) -> np.ndarray | None:
+def _bitset_support(x: np.ndarray, y: np.ndarray, span: int) -> np.ndarray:
     """The sorted distinct values of ``x + y`` for ascending offsets ``x``
     and ``y`` from 0 whose sums fill ``span`` indices, through the packed
     bitset of ``x``: the 2m end shifts of ``y`` ORed, the middle shifts
     checked against what they miss (``_sum_support`` proves it exact).
-    Where the misses cost more to check than ORing the middle shifts or
-    another route's ``rival_ns``, those shifts are ORed, or None is
-    returned where the other route is the cheaper."""
+    Where the misses cost more to check than ORing the middle shifts,
+    those shifts are ORed."""
     copies = _packed_copies(x)
     words, top = copies.shape[1], int(x[-1])
     out = np.zeros((int(y[-1]) >> 6) + words, dtype="<u8")
@@ -883,16 +882,13 @@ def _bitset_support(x: np.ndarray, y: np.ndarray, span: int, rival_ns: float) ->
         mid = seen[middle[0] : top + int(middle[-1]) + 1]
         missed = mid.size - np.count_nonzero(mid)
         ored_ns = middle.size * (_BITSET_SHIFT_NS + _WORD_NS * words)  # to OR the middle shifts
-        finish_ns = min(ored_ns, rival_ns)  # to finish without lookups
-        if missed and missed * _MISS_NS <= finish_ns:
+        if missed and missed * _MISS_NS <= ored_ns:
             misses = np.flatnonzero(~mid) + middle[0]
             first = np.searchsorted(middle, misses - top)
             last = np.searchsorted(middle, misses, side="right")
-            if missed * _MISS_NS + _LOOKUP_NS * int((last - first).sum()) <= finish_ns:
+            if missed * _MISS_NS + _LOOKUP_NS * int((last - first).sum()) <= ored_ns:
                 seen[misses] = _witnessed(copies, misses, middle, first, last)
                 missed = 0
-        if missed and rival_ns < ored_ns:
-            return None
         if missed:  # real holes, as a progression has: OR the middle shifts after all
             _or_shifts(copies, middle, out)
             seen = np.unpackbits(out.view(np.uint8), count=span, bitorder="little").view(bool)
@@ -930,8 +926,8 @@ def _sum_support(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     with an end shift: it is a sum exactly when ``t - y_j`` is in x for
     some middle shift ``y_j``, and ``_witnessed`` looks that up for the
     ``y_j`` in ``[t - (A - 1), t]``.  Where the misses would cost more to
-    look up than to OR the middle shifts, those are ORed, or the cheapest
-    other route runs where the model prices it lower still.
+    look up than to OR the middle shifts, those are ORed.  Either way the
+    bitset finishes every sum that ``_plan`` gives it.
     """
     if a.size < v.size:
         a, v = v, a
@@ -942,14 +938,9 @@ def _sum_support(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     transforms = 2 if a is v or np.array_equal(a, v) else 3
     route = _plan(a.size, v.size, span, a_span, transforms)
     if route == "bitset":
-        shape = (a.size, v.size, span, a_span, transforms)
-        others = [r for r in _fitting_routes(*shape) if r[2] != "bitset"]
-        rival_ns, _, rival = min(others, default=(math.inf, 0, route))
-        out = _bitset_support(a - a[0], v - v[0], span, rival_ns)
-        if out is not None:
-            out += lo
-            return out
-        route = rival
+        out = _bitset_support(a - a[0], v - v[0], span)
+        out += lo
+        return out
     if route == "outer":
         s = (a[:, None] + v).ravel()
         s.sort()

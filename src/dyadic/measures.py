@@ -644,7 +644,7 @@ class ChainReport:
 
 
 def _chain_reports(
-    mu: DiscreteMeasure, cs: Iterable, cuts: Iterable[int], c_corr: float = LOG2_3
+    mu: DiscreteMeasure, cs: Iterable, cuts: Iterable[int]
 ) -> tuple[list[ChainReport], list]:
     """The certified ``entropy_chain`` report of every slope of ``cs``, from
     one read of the chain statistics for all of them (each level pair takes
@@ -662,7 +662,7 @@ def _chain_reports(
     slopes = list(map(dyadic_slope, cs))
     levels = [(None, mu.n), *zip(cuts, cuts[1:])]
     stats = list(zip(*[_slope_stats(mu, slopes, lo, hi) for lo, hi in levels]))
-    correction = (len(cuts) - 1) * c_corr
+    correction = (len(cuts) - 1) * LOG2_3
     reports = []
     for c, (p, q), (left, *blocks) in zip(cs, slopes, stats):
         terms = [fsum([m * h for m, h in zip(masses, hs)]) / mu.denom for masses, hs, _ in blocks]
@@ -678,23 +678,18 @@ def _chain_reports(
     return reports, stats
 
 
-def entropy_chain(
-    mu: DiscreteMeasure,
-    c,
-    cuts: Iterable[int],
-    c_corr: float = LOG2_3,
-) -> ChainReport:
+def entropy_chain(mu: DiscreteMeasure, c, cuts: Iterable[int]) -> ChainReport:
     """Compare a projection's entropy against its blockwise lower bound.
 
     ``cuts`` are the full block boundaries ``0 = j_0 < ... < j_h = n``.  The
     left side is ``H(pi_c mu, level n)``; each block term is
     ``sum_Q mu(Q) * H(pi_c mu^Q, level j_{i+1}-j_i)`` over level-``j_i``
     cells Q with ``mu^Q`` rescaled to the unit square.  Rescaling costs at
-    most ``c_corr`` per block (a level-``j_i`` square projects into at most
-    3 coarse cells), which the certificate charges for every one of the
-    ``h`` blocks.
+    most log2 3 per block (a level-``j_i`` square projects into at most 3
+    coarse cells), which the certificate charges for every one of the ``h``
+    blocks.
     """
-    return _chain_reports(mu, [c], cuts, c_corr)[0][0]
+    return _chain_reports(mu, [c], cuts)[0][0]
 
 
 def uniform_fiber_entropy_bound(

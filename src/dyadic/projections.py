@@ -188,33 +188,31 @@ def _projected_cells(mu: DiscreteMeasure, c: Fraction) -> np.ndarray:
     return np.array([(kx * q + p * ky) // q for kx, ky in zip(xs.tolist(), ys.tolist())])
 
 
-def l2_of_projection(mu: DiscreteMeasure, c, check=True) -> Fraction:
+def l2_of_projection(mu: DiscreteMeasure, c) -> Fraction:
     """Exact squared L2 norm of the Delta-discretised pushforward.
 
     The value is ``2**n * sum_I nu(I)**2`` where nu is the pushforward of
-    ``mu`` under ``(x, y) -> x + c*y`` and I runs over grid cells.  With
-    ``check`` on (``True``, or its older spelling ``"auto"``) two
-    evaluation routes are compared at every size: the pushforward route
-    (bit-shift projection, then bucket-and-square) and a pair-counting
-    route that floors each image value by integer division and adds the
-    weighted same-cell pairs; ``check=False`` skips the second route.
+    ``mu`` under ``(x, y) -> x + c*y`` and I runs over grid cells.  Every
+    call certifies it (``l2-dual-route``) by two evaluation routes, at
+    every size: the pushforward route (bit-shift projection, then
+    bucket-and-square) and a pair-counting route that floors each image
+    value by integer division and adds the weighted same-cell pairs.
     """
     if mu.dim != 2:
         raise ValueError("l2_of_projection expects a planar measure")
     c = Fraction(c)
     ssq = _slope_stats(mu, [dyadic_slope(c)], None, mu.n)[0][2]
     value = Fraction(ssq << mu.n, mu.denom * mu.denom)
-    if check:
-        # the same-cell pairs weigh the squared weight sums of the runs of
-        # equal cells; a run sum is at most denom, so its square may pass int64
-        cells = _projected_cells(mu, c)
-        order = np.argsort(cells)
-        sums = np.add.reduceat(mu._columns[1][order], _run_starts(cells[order]))
-        if mu.denom * mu.denom >= 1 << 63:
-            sums = sums.astype(object)
-        pair_value = Fraction(int(sums @ sums) << mu.n, mu.denom**2)
-        # the two exact routes must agree: any difference is a negative slack
-        certify("l2-dual-route", -abs(pair_value - value))
+    # the same-cell pairs weigh the squared weight sums of the runs of
+    # equal cells; a run sum is at most denom, so its square may pass int64
+    cells = _projected_cells(mu, c)
+    order = np.argsort(cells)
+    sums = np.add.reduceat(mu._columns[1][order], _run_starts(cells[order]))
+    if mu.denom * mu.denom >= 1 << 63:
+        sums = sums.astype(object)
+    pair_value = Fraction(int(sums @ sums) << mu.n, mu.denom**2)
+    # the two exact routes must agree: any difference is a negative slack
+    certify("l2-dual-route", -abs(pair_value - value))
     return value
 
 
@@ -319,7 +317,6 @@ def averaged_l2(
     nu: DiscreteMeasure,
     params: ProjectionParams,
     strict: bool = True,
-    check=True,
 ) -> ProjectionAverageReport:
     """nu-average of the projected L2 norms, with the bound it should obey.
 
@@ -332,7 +329,7 @@ def averaged_l2(
     Every call also certifies the near/far split behind the bound,
     ``average <= 2**n * (near + far)`` (``l2-near-far``, exact), with
     ``near`` from _near_mass and ``far`` from _far_mass, both exact at
-    every size (``check`` gates only l2_of_projection's dual route).  The
+    every size, as each norm is by l2_of_projection's ``l2-dual-route``.  The
     average is exactly ``2**n * sum_{p,q} mu(p) mu(q) nu(W(p, q))`` over
     atom pairs, where ``W(p, q)`` holds the slopes that put p and q in one
     image cell; for gaps ``dx, dy`` in cells that needs ``|dx + c*dy| <
@@ -356,7 +353,7 @@ def averaged_l2(
     per_c = []
     average = Fraction(0)
     for c, num in slopes:  # each norm reads the prologue's memoised statistics
-        value = l2_of_projection(mu, c, check=check)
+        value = l2_of_projection(mu, c)
         per_c.append((c, value))
         average += Fraction(num, nu.denom) * value
 

@@ -163,7 +163,7 @@ def test_criterion_04():
         n = int(rng.integers(6, 11))
         mu = _random_measure(rng, 2, n, 1000)
         c = _random_dyadic(rng, n)
-        value = l2_of_projection(mu, c, check=True)  # pair path asserted inside
+        value = l2_of_projection(mu, c)  # pair path asserted inside
         diagonal = Fraction(sum(w * w for w in mu.atoms.values()) << n, mu.denom**2)
         assert value >= diagonal  # off-diagonal pairs only ever add mass
     return "500 instances <= 10**3 atoms, "
@@ -396,13 +396,13 @@ def test_criterion_13():
         params = ProjectionParams.from_cardinalities(
             n, 1 << round(0.7 * n), 1 << round(0.4 * n), 1 << g, Fraction(1, 2)
         )
-        rep = averaged_l2(mu, nu, params, strict=True, check=False)
+        rep = averaged_l2(mu, nu, params, strict=True)
         assert rep.audit_failures == ()
         assert rep.fitted <= budget
         fitted.append(rep.fitted)
         if g == 2:
             for c, value in rep.per_c:
                 if c in (Fraction(1, 4), Fraction(3, 4)):
-                    assert l2_of_projection(mu, c, check=True) == value
+                    assert l2_of_projection(mu, c) == value
     assert fitted == sorted(fitted)
     return f"fitted {max(fitted):.2e} within 2**10, "

@@ -144,9 +144,11 @@ def test_prune_requires_uniform_input(tmp_path, runner):
                                "--levels", "3"])
     assert bad.exit_code != 0 and "not uniform" in bad.output
 
-    nocsv = runner.invoke(main, ["--format", "csv", "prune", str(tree), str(dest),
+    unwritten = tmp_path / "unwritten.txt"
+    nocsv = runner.invoke(main, ["--format", "csv", "prune", str(tree), str(unwritten),
                                  "--m", "2", "--levels", "3"])
     assert nocsv.exit_code != 0 and "no tabular form" in nocsv.output
+    assert not unwritten.exists()  # refused before anything is written
 
 
 def test_extend_classifies_and_saves_family(tmp_path, runner):
@@ -166,6 +168,16 @@ def test_extend_classifies_and_saves_family(tmp_path, runner):
     assert [(iv.lo, iv.hi, iv.tag) for iv in fam] == [
         (row["lo"], row["hi"], row["tag"]) for row in payload["intervals"]
     ]
+
+
+def test_extend_refuses_a_malformed_a_profile_without_a_trivial_run(tmp_path, runner):
+    b_prof, bad = tmp_path / "b.json", tmp_path / "a.json"
+    b_prof.write_text(json.dumps({"m": 2, "R": [2] * 8}))  # no trivial run at --ell 4
+    bad.write_text(json.dumps({"m": 2}))
+    res = runner.invoke(main, ["extend", str(b_prof), "--ell", "4", "--a-profile", str(bad)])
+    assert res.exit_code == 1
+    lines = res.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: ") and "'R'" in lines[0]
 
 
 # ------------------------------------------------------------ measures
@@ -598,13 +610,16 @@ FRACTION_OPTIONS = (
         (["gen", "ap", "--n", "8", "--size", "2", "--start", "99999999999999999999", "{out}"],
          "progression indices 99999999999999999999 to 100000000000000000127 leave the int64 "
          "range [0, 2**63)"),
+        # once an empty family, exit 0, where the profile has no trivial run
+        (["extend", "{branching}", "--ell", "4", "--zeta", "0"], "zeta must lie in (0, 1]"),
     ],
 )
 def test_argument_outside_the_domain_gives_a_one_line_usage_error(tmp_path, runner, args, reason):
     files = {"set": tmp_path / "s.txt", "mu": tmp_path / "mu.json", "out": tmp_path / "out.txt",
-             "profile": tmp_path / "b.json"}
+             "profile": tmp_path / "b.json", "branching": tmp_path / "r.json"}
     save_set(gen_ap(6, 16), files["set"])
     save_profile(BranchingProfile(1, (2, 2, 1, 1)), files["profile"])
+    save_profile(BranchingProfile(2, (2,) * 8), files["branching"])  # no trivial run at --ell 4
     mu = product_measure(counting_measure(gen_ap(8, 16)), counting_measure(gen_ap(8, 4)))
     save_measure(mu, files["mu"])
     res = runner.invoke(main, [arg.format(**files) for arg in args])

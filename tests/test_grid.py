@@ -477,35 +477,27 @@ def test_sum_support_of_nearly_full_sets_matches_python_int_brute_force(args):
         assert out.tolist() == expect
 
 
-def _bitset_path(a, v, m, rival=None):
+def _bitset_path(a, v, m):
     """``_sum_support(a, v)`` on the bitset route with m end shifts at each
     end, the number of shifts it ORed, and its path: ``ends`` (the end
     shifts settled every offset), ``checked`` (lookups settled the offsets
-    they missed), ``ored`` (the middle shifts were ORed after all) or
-    ``rival`` (another route ran).  ``rival`` names a route priced at 1 ns,
-    below any OR; without it none is offered."""
-    routes = [(0.0, 0, "bitset")] + ([(1.0, 0, rival)] if rival else [])
-    ors, supports = [], []
-    or_shifts, bitset_support = grid._or_shifts, grid._bitset_support
+    they missed) or ``ored`` (the middle shifts were ORed after all).  An
+    outer route priced at 1 ns, below any OR, is offered beside it: the
+    bitset that ``_plan`` picks must still finish the sum."""
+    routes = [(0.0, 0, "bitset"), (1.0, 0, "outer")]
+    ors = []
+    or_shifts = grid._or_shifts
 
     def traced_or(copies, y, out):
         ors.append(y.size)
         or_shifts(copies, y, out)
 
-    def traced_support(*args):
-        supports.append(bitset_support(*args))
-        return supports[-1]
-
     with mock.patch.object(grid, "_fitting_routes", return_value=routes), \
             mock.patch.object(grid, "_end_shifts", return_value=m), \
             mock.patch.object(grid, "_or_shifts", side_effect=traced_or), \
-            mock.patch.object(grid, "_bitset_support", side_effect=traced_support), \
             mock.patch.object(grid, "_witnessed", wraps=grid._witnessed) as witnessed:
         out = grid._sum_support(a, v)
-    if supports[0] is None:
-        path = "rival"
-    else:
-        path = "ored" if len(ors) == 2 else "checked" if witnessed.called else "ends"
+    path = "ored" if len(ors) == 2 else "checked" if witnessed.called else "ends"
     return out, sum(ors), path
 
 
@@ -555,10 +547,9 @@ def test_bitset_end_shifts_and_checked_middle_match_python_int_brute_force(args)
     A, p, q, B, m = args
     a, v = A.indices, grid._shifts(Fraction(p, 1 << q), B)
     expect = sorted({x + y for x in a.tolist() for y in v.tolist()})
-    for rival in (None, "outer"):
-        out, _, _ = _bitset_path(a, v, m, rival)
-        assert out.dtype == np.int64
-        assert out.tolist() == expect
+    out, _, _ = _bitset_path(a, v, m)
+    assert out.dtype == np.int64
+    assert out.tolist() == expect
 
 
 def _doubled(B: DeltaSet) -> DeltaSet:
@@ -592,9 +583,6 @@ def test_bitset_takes_each_path_and_matches_python_int_brute_force(name):
     out, ored, taken = _bitset_path(A.indices, v, m)
     assert (taken, out.tolist()) == (path, expect)
     assert ored == (min(2 * m, v.size) if path != "ored" else v.size)
-    if path == "ored":  # a rival cheaper than the middle ORs takes the sum instead
-        out, ored, taken = _bitset_path(A.indices, v, m, rival="outer")
-        assert (taken, ored, out.tolist()) == ("rival", 2 * m, expect)
 
 
 def test_bitset_ors_at_most_2m_shifts_of_the_n16_self_sum():

@@ -1143,9 +1143,11 @@ def test_certificates_survive_python_O():
         "import sys\n"
         "from fractions import Fraction\n"
         "from dyadic import CertificateError, counting_measure, entropy_chain, gen_ap, product_measure\n"
+        "from dyadic import measures\n"
         "mu = product_measure(counting_measure(gen_ap(8, 16)), counting_measure(gen_ap(8, 4)))\n"
+        "measures.LOG2_3 = -100.0  # a chain charged -100 bits a block must fail\n"
         "try:\n"
-        "    rep = entropy_chain(mu, Fraction(1, 4), [0, 4, 8], c_corr=-100)\n"
+        "    rep = entropy_chain(mu, Fraction(1, 4), [0, 4, 8])\n"
         "    print(sys.flags.optimize, 'accepted', rep.slack)\n"
         "except CertificateError as exc:\n"
         "    print(sys.flags.optimize, exc.name, exc.slack)\n"

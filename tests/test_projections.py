@@ -43,20 +43,20 @@ def slope_measure(n, ks):
 
 def test_l2_point_mass_is_inverse_delta():
     mu = planar(5, {(3, 17): 1})
-    assert l2_of_projection(mu, Fraction(1, 2), check=True) == 1 << 5
+    assert l2_of_projection(mu, Fraction(1, 2)) == 1 << 5
 
 
 def test_l2_uniform_row_c_zero_is_one():
     n = 6
     mu = planar(n, {(kx, 0): 1 for kx in range(1 << n)})
-    assert l2_of_projection(mu, 0, check=True) == 1
+    assert l2_of_projection(mu, 0) == 1
 
 
 def test_l2_three_atom_frozen():
     # cells at c = 1/2: (0,0) -> 0, (1,2) -> 2, (5,3) -> 6; masses 1/4, 1/4, 1/2
     # value = 8 * (1/16 + 1/16 + 1/4) = 3
     mu = planar(3, {(0, 0): 1, (1, 2): 1, (5, 3): 2})
-    assert l2_of_projection(mu, Fraction(1, 2), check=True) == 3
+    assert l2_of_projection(mu, Fraction(1, 2)) == 3
 
 
 def test_pair_routes_exact_past_the_old_size_limit():
@@ -67,9 +67,7 @@ def test_pair_routes_exact_past_the_old_size_limit():
                          counting_measure(gen_ap(n, m, step=1, start=5)))
     assert mu.support_size() == 1 << 14
     assert _near_mass(mu) == Fraction(3 * m - 2, m * m) ** 2
-    assert l2_of_projection(mu, 0, check=True) == (1 << n) // m  # m x-cells of mass 1/m
-    for c in (Fraction(1, 2), Fraction(-3, 8), 1):
-        assert l2_of_projection(mu, c, check=True) == l2_of_projection(mu, c, check=False)
+    assert l2_of_projection(mu, 0) == (1 << n) // m  # m x-cells of mass 1/m
 
 
 @st.composite
@@ -93,7 +91,7 @@ def planar_measures(draw):
 def test_l2_two_paths_and_range(mu, data):
     q = data.draw(st.integers(0, mu.n))
     p = data.draw(st.integers(-(1 << q), 1 << q))
-    value = l2_of_projection(mu, Fraction(p, 1 << q), check=True)
+    value = l2_of_projection(mu, Fraction(p, 1 << q))
     density = Fraction(value, 1 << mu.n)  # sum of squared cell masses
     assert Fraction(1, len(mu.atoms)) <= density <= 1
 
@@ -142,7 +140,7 @@ def test_averaged_l2_singleton_fitted_constant_one():
     mu = planar(n, {(7, 3): 1})
     nu = slope_measure(n, [0, 1 << (n - 1), 1 << n])
     params = ProjectionParams(0, 0, Fraction(1, n), Fraction(1, n))
-    rep = averaged_l2(mu, nu, params, check=True)
+    rep = averaged_l2(mu, nu, params)
     assert rep.average == 1 << n
     assert rep.fitted == pytest.approx(1.0)
     assert rep.audit_failures == ()
@@ -157,7 +155,7 @@ def test_averaged_l2_strict_refuses_and_exploratory_reports():
     )
     with pytest.raises(ValueError, match="separation"):
         averaged_l2(crowded, nu, params)
-    rep = averaged_l2(crowded, nu, params, strict=False, check=False)
+    rep = averaged_l2(crowded, nu, params, strict=False)
     assert rep.audit_failures == ("separation",)
 
 
@@ -168,7 +166,7 @@ def test_averaged_l2_point_slope_matches_marginal():
     params = ProjectionParams(
         Fraction(1, 2), Fraction(1, 8), Fraction(1, n), Fraction(1, n)
     )
-    rep = averaged_l2(mu, nu, params, strict=False, check=True)
+    rep = averaged_l2(mu, nu, params, strict=False)
     marginal = project(mu, 0)
     assert rep.average == discretize_density_l2(marginal, n)
 
@@ -180,7 +178,7 @@ def test_averaged_l2_regular_family_fitted_budget():
     params = ProjectionParams.from_cardinalities(
         n, 1 << 6, 2, 1 << 9, xi=Fraction(1, 8)
     )
-    rep = averaged_l2(mu, nu, params, check=False)
+    rep = averaged_l2(mu, nu, params)
     assert rep.fitted <= 2.0**10
     data = rep.to_dict()
     assert len(data["per_c"]) == 1 << 9
@@ -437,7 +435,7 @@ def test_near_pair_mass_exact_past_int64_products():
 def test_l2_pair_route_exact_past_int64_products():
     mu = DiscreteMeasure(2, 4, WIDE_PAIRS, sum(WIDE_PAIRS.values()))
     for c in (0, Fraction(1, 2), 1, -1):
-        value = l2_of_projection(mu, c, check=True)  # routes agree, exactly
+        value = l2_of_projection(mu, c)  # routes agree, exactly
         cells: dict = {}
         for (kx, ky), w in WIDE_PAIRS.items():
             k = math.floor(kx + Fraction(c) * ky)
@@ -482,7 +480,7 @@ def test_windowed_pair_scans_match_the_full_scan(case):
     mu, c = case
     same, near = reference_pair_totals(mu, c)
     # the windowed same-cell total is certified equal to the bucket route
-    assert l2_of_projection(mu, c, check=True) == Fraction(same << mu.n, mu.denom**2)
+    assert l2_of_projection(mu, c) == Fraction(same << mu.n, mu.denom**2)
     assert _near_mass(mu) == Fraction(near, mu.denom**2)
 
 
@@ -501,7 +499,7 @@ def test_windowed_pair_scans_across_row_blocks():
         c = Fraction(-3, 8)
         cells = np.array([math.floor(x + c * y) for x, y in zip(xs.tolist(), ys.tolist())])
         same = int(ws @ (cells[:, None] == cells) @ ws)
-        assert l2_of_projection(mu, c, check=True) == Fraction(same << mu.n, mu.denom**2)
+        assert l2_of_projection(mu, c) == Fraction(same << mu.n, mu.denom**2)
 
 
 def reference_near_far(mu, nu):
@@ -535,8 +533,8 @@ def test_l2_near_far_bound_against_the_full_scan(mu, data):
     assert (_near_mass(mu), _far_mass(mu, nu)) == (near, far)
     assert average <= (near + far) * (1 << mu.n)
     params = ProjectionParams(0, 0, 1, 1)
-    for check in (True, False):  # certified with the dual route on and off, audit failures or not
-        assert averaged_l2(mu, nu, params, strict=False, check=check).average == average
+    # certified, audit failures or not
+    assert averaged_l2(mu, nu, params, strict=False).average == average
 
 
 def certificate_under_python_O(code: str) -> tuple[str, str, Fraction]:
@@ -565,7 +563,7 @@ def test_l2_dual_route_certifies_under_python_O():
         "    return [(masses, hs, ssq + 1) for masses, hs, ssq in real(*args)]\n"
         "projections._slope_stats = off\n"
         "try:\n"
-        "    projections.l2_of_projection(mu, Fraction(1, 4), check=True)\n"
+        "    projections.l2_of_projection(mu, Fraction(1, 4))\n"
         "    print(sys.flags.optimize, 'accepted', 0)\n"
         "except CertificateError as exc:\n"
         "    print(sys.flags.optimize, exc.name, exc.slack)\n"
@@ -589,7 +587,7 @@ def test_l2_near_far_certifies_under_python_O():
         "mu = product_measure(a, b)\n"
         "nu = DiscreteMeasure(1, 3, {-8: 1, -3: 1, 0: 1, 5: 1}, 4)\n"
         "real = projections.l2_of_projection\n"
-        "projections.l2_of_projection = lambda mu, c, check: real(mu, c, check) + (2 << mu.n)\n"
+        "projections.l2_of_projection = lambda mu, c: real(mu, c) + (2 << mu.n)\n"
         "try:\n"
         "    projections.averaged_l2(mu, nu, ProjectionParams(0, 0, 1, 1), strict=False)\n"
         "    print(sys.flags.optimize, 'accepted', 0)\n"
@@ -608,6 +606,6 @@ def test_pair_routes_with_python_int_numerators():
     # every pair is near but (0, 0) with (2, 1), two cells apart in x
     far = 2 * atoms[0, 0] * atoms[2, 1]
     assert _near_mass(mu) == Fraction(mu.denom**2 - far, mu.denom**2)
-    assert l2_of_projection(mu, 1, check=True) == Fraction(
+    assert l2_of_projection(mu, 1) == Fraction(
         sum(w * w for w in atoms.values()) << 4, mu.denom**2
     )
